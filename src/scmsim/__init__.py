@@ -6,22 +6,17 @@ __version__ = "0.1.0"
 from .estimators import (  # noqa: F401
     AggregatorKind,
     AggregatorSpec,
-    aggregate,
     estimate,
     m_estimate,
     mad,
-    median,
     psi,
-    sample_mean,
-    trimmed_mean,
     tuned_aggregators,
 )
 from .sensitivity import (  # noqa: F401
     SCTable,
     max_sc_numeric,
     sc_sweep,
-    sensitivity_curve,
-    sensitivity_curve_multi,
+    sensitivity_values,
 )
 from .attacks import (  # noqa: F401
     AttackKind,

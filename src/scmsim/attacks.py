@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    MAD_NORMALIZATION,
     AggregatorKind,
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
+    median_and_scale,
     trim_count,
 )
 
@@ -196,8 +196,7 @@ def mestimator_attack_values(
     if malicious_count < 0:
         raise ValueError("malicious_count must be non-negative")
     c0 = psi_argmax(kind, c) * (1.0 - BOUNDARY_MARGIN)
-    med = np.median(a, axis=0)
-    scale = MAD_NORMALIZATION * np.median(np.abs(a - med), axis=0)
+    med, scale = median_and_scale(a)
     z = c0 * scale + med
     if malicious_count == 0:
         return z
@@ -205,8 +204,7 @@ def mestimator_attack_values(
         combined = np.concatenate(
             [a, np.broadcast_to(z, (malicious_count, a.shape[1]))], axis=0
         )
-        med2 = np.median(combined, axis=0)
-        scale2 = MAD_NORMALIZATION * np.median(np.abs(combined - med2), axis=0)
+        med2, scale2 = median_and_scale(combined)
         z_next = c0 * scale2 + med2
         drift = np.abs(z_next - z) <= SHIFT_CORRECTION_RTOL * (1.0 + np.abs(z))
         z = z_next
@@ -215,26 +213,14 @@ def mestimator_attack_values(
     return z
 
 
-def craft_large_value(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
-    return np.full(ctx.dim, spec.lv_magnitude)
-
-
-def craft_trimmed_scm(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
-    return trimmed_attack_values(
-        ctx.benign_values, ctx.malicious_count, spec.target_alpha, spec.epsilon
-    )
-
-
-def craft_mestimator_scm(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
-    return mestimator_attack_values(
-        ctx.benign_values, ctx.malicious_count, _SCM_TARGET[spec.kind], spec.target_c
-    )
-
-
 def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
     """Craft the vector every malicious neighbor reports to this receiver."""
     if spec.kind is AttackKind.LARGE_VALUE:
-        return craft_large_value(ctx, spec)
+        return np.full(ctx.dim, spec.lv_magnitude)
     if spec.kind is AttackKind.TRIMMED_SCM:
-        return craft_trimmed_scm(ctx, spec)
-    return craft_mestimator_scm(ctx, spec)
+        return trimmed_attack_values(
+            ctx.benign_values, ctx.malicious_count, spec.target_alpha, spec.epsilon
+        )
+    return mestimator_attack_values(
+        ctx.benign_values, ctx.malicious_count, _SCM_TARGET[spec.kind], spec.target_c
+    )

@@ -96,6 +96,8 @@ def _simulate_cell(
 
 def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Run the (attack x contamination) grid; one CSV per cell and metric."""
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
     cells = [(a, m) for a in cfg.attack_names for m in cfg.malicious_counts]
@@ -157,7 +159,7 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
                 z = float(trimmed_attack_values(base, count, spec.alpha)[0])
             else:
                 z = float(mestimator_attack_values(base, count, spec.kind, spec.c)[0])
-            sc = float(sensitivity_values(spec, base, [z], count)[0])
+            sc = sensitivity_values(spec, base, z, count)
             lines.append(f"{spec.label},{_fmt(z)},{_fmt(sc)}")
         marker_path = out / "SC_max.csv"
         marker_path.write_text("\n".join(lines) + "\n")

@@ -116,15 +116,6 @@ class ExperimentConfig:
         return AttackSpec.tukey_scm(self.tukey_c)
 
 
-# section -> key -> (attribute, parser)
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
 def _bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "yes", "on", "1"):
@@ -154,50 +145,51 @@ def _seed(text: str) -> int | None:
     return int(text)
 
 
+# section -> key -> (attribute, parser)
 _SCHEMA = {
-    "experiment": {"master_seed": ("master_seed", _int), "data_seed": ("data_seed", _seed)},
+    "experiment": {"master_seed": ("master_seed", int), "data_seed": ("data_seed", _seed)},
     "topology": {
-        "agents": ("agents", _int),
-        "edge_probability": ("edge_probability", _float),
+        "agents": ("agents", int),
+        "edge_probability": ("edge_probability", float),
         "malicious_counts": ("malicious_counts", _int_list),
         "seed": ("topology_seed", _seed),
     },
     "model": {
-        "dim": ("dim", _int),
-        "noise_var": ("noise_var", _float),
+        "dim": ("dim", int),
+        "noise_var": ("noise_var", float),
         "weight_seed": ("weight_seed", _seed),
     },
     "learning": {
-        "step_size": ("step_size", _float),
-        "iterations": ("iterations", _int),
-        "huber_delta": ("huber_delta", _float),
-        "batch_size": ("batch_size", _int),
+        "step_size": ("step_size", float),
+        "iterations": ("iterations", int),
+        "huber_delta": ("huber_delta", float),
+        "batch_size": ("batch_size", int),
     },
     "aggregators": {
         "schemes": ("aggregator_names", _name_list),
-        "trim_alpha": ("trim_alpha", _float),
-        "talwar_c": ("talwar_c", _float),
-        "tukey_c": ("tukey_c", _float),
-        "fixed_point_tol": ("fixed_point_tol", _float),
-        "fixed_point_max_iter": ("fixed_point_max_iter", _int),
+        "trim_alpha": ("trim_alpha", float),
+        "talwar_c": ("talwar_c", float),
+        "tukey_c": ("tukey_c", float),
+        "fixed_point_tol": ("fixed_point_tol", float),
+        "fixed_point_max_iter": ("fixed_point_max_iter", int),
     },
     "attack": {
         "schemes": ("attack_names", _name_list),
-        "lv_magnitude": ("lv_magnitude", _float),
+        "lv_magnitude": ("lv_magnitude", float),
     },
     "sweep": {
-        "base_size": ("sweep_base_size", _int),
+        "base_size": ("sweep_base_size", int),
         "base_seed": ("sweep_base_seed", _seed),
         "symmetric": ("sweep_symmetric", _bool),
-        "grid_min": ("sweep_grid_min", _float),
-        "grid_max": ("sweep_grid_max", _float),
-        "grid_points": ("sweep_grid_points", _int),
-        "outlier_count": ("sweep_outlier_count", _int),
+        "grid_min": ("sweep_grid_min", float),
+        "grid_max": ("sweep_grid_max", float),
+        "grid_points": ("sweep_grid_points", int),
+        "outlier_count": ("sweep_outlier_count", int),
         "markers": ("sweep_markers", _bool),
     },
     "efficiency": {
-        "trials": ("efficiency_trials", _int),
-        "sample_size": ("efficiency_sample_size", _int),
+        "trials": ("efficiency_trials", int),
+        "sample_size": ("efficiency_sample_size", int),
     },
     "output": {
         "directory": ("output_directory", str),
@@ -225,72 +217,69 @@ def _resolve(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    def bad(msg: str) -> ConfigError:
-        return ConfigError(msg)
-
     if cfg.agents < 2:
-        raise bad("topology.agents must be at least 2")
+        raise ConfigError("topology.agents must be at least 2")
     if not 0.0 < cfg.edge_probability <= 1.0:
-        raise bad("topology.edge_probability must lie in (0, 1]")
+        raise ConfigError("topology.edge_probability must lie in (0, 1]")
     for m in cfg.malicious_counts:
         if not 0 <= m < cfg.agents / 2:
-            raise bad(
+            raise ConfigError(
                 f"topology.malicious_counts entry {m} violates 0 <= m < agents/2"
                 f" (agents={cfg.agents})"
             )
     if cfg.dim < 1:
-        raise bad("model.dim must be at least 1")
+        raise ConfigError("model.dim must be at least 1")
     if cfg.noise_var <= 0:
-        raise bad("model.noise_var must be positive")
+        raise ConfigError("model.noise_var must be positive")
     if cfg.step_size <= 0:
-        raise bad("learning.step_size must be positive")
+        raise ConfigError("learning.step_size must be positive")
     if cfg.iterations < 1:
-        raise bad("learning.iterations must be at least 1")
+        raise ConfigError("learning.iterations must be at least 1")
     if cfg.huber_delta <= 0:
-        raise bad("learning.huber_delta must be positive")
+        raise ConfigError("learning.huber_delta must be positive")
     if cfg.batch_size < 1:
-        raise bad("learning.batch_size must be at least 1")
+        raise ConfigError("learning.batch_size must be at least 1")
     seen = set()
     for name in cfg.aggregator_names:
         if name not in AGGREGATOR_NAMES:
-            raise bad(f"aggregators.schemes: unknown scheme {name!r}")
+            raise ConfigError(f"aggregators.schemes: unknown scheme {name!r}")
         if name in seen:
-            raise bad(f"aggregators.schemes: duplicate scheme {name!r}")
+            raise ConfigError(f"aggregators.schemes: duplicate scheme {name!r}")
         seen.add(name)
     if not 0.0 <= cfg.trim_alpha < 0.5:
-        raise bad("aggregators.trim_alpha must lie in [0, 0.5)")
+        raise ConfigError("aggregators.trim_alpha must lie in [0, 0.5)")
     if cfg.talwar_c <= 0 or cfg.tukey_c <= 0:
-        raise bad("aggregators.talwar_c and tukey_c must be positive")
+        raise ConfigError("aggregators.talwar_c and tukey_c must be positive")
     if cfg.fixed_point_tol <= 0:
-        raise bad("aggregators.fixed_point_tol must be positive")
+        raise ConfigError("aggregators.fixed_point_tol must be positive")
     if cfg.fixed_point_max_iter < 1:
-        raise bad("aggregators.fixed_point_max_iter must be at least 1")
+        raise ConfigError("aggregators.fixed_point_max_iter must be at least 1")
     seen = set()
     for name in cfg.attack_names:
         if name not in ATTACK_NAMES:
-            raise bad(f"attack.schemes: unknown scheme {name!r}")
+            raise ConfigError(f"attack.schemes: unknown scheme {name!r}")
         if name in seen:
-            raise bad(f"attack.schemes: duplicate scheme {name!r}")
+            raise ConfigError(f"attack.schemes: duplicate scheme {name!r}")
         seen.add(name)
     if "none" in cfg.attack_names and any(m > 0 for m in cfg.malicious_counts):
-        raise bad(
+        raise ConfigError(
             "attack.schemes includes 'none' but topology.malicious_counts has"
             " nonzero entries; malicious agents need an attack scheme"
         )
     if cfg.sweep_base_size < 1:
-        raise bad("sweep.base_size must be at least 1")
+        raise ConfigError("sweep.base_size must be at least 1")
     if not cfg.sweep_grid_min < cfg.sweep_grid_max:
-        raise bad("sweep.grid_min must be below sweep.grid_max")
+        raise ConfigError("sweep.grid_min must be below sweep.grid_max")
     if cfg.sweep_grid_points < 1:
-        raise bad("sweep.grid_points must be at least 1")
+        raise ConfigError("sweep.grid_points must be at least 1")
     if cfg.sweep_outlier_count < 1:
-        raise bad("sweep.outlier_count must be at least 1")
+        raise ConfigError("sweep.outlier_count must be at least 1")
     if cfg.efficiency_trials < 1000:
-        raise bad("efficiency.trials must be at least 1000")
+        raise ConfigError("efficiency.trials must be at least 1000")
     if cfg.efficiency_sample_size < 2:
-        raise bad("efficiency.sample_size must be at least 2")
+        raise ConfigError("efficiency.sample_size must be at least 2")
     if cfg.metrics not in METRIC_CHOICES:
-        raise bad(f"output.metrics must be one of {METRIC_CHOICES}")
+        raise ConfigError(f"output.metrics must be one of {METRIC_CHOICES}")
 
 
 def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:

@@ -108,13 +108,15 @@ def _as_samples(values) -> np.ndarray:
     return a
 
 
-def sample_mean(values) -> float:
-    return float(np.mean(_as_samples(values)))
+def median_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column medians of a (samples, columns) array and the normalized MADs.
 
-
-def median(values) -> float:
-    """Middle order statistic; midpoint of the two central ones for even sizes."""
-    return float(np.median(_as_samples(values)))
+    The scale is the median absolute deviation about the median times
+    1.4826: the defender's fixed M-estimation scale, and the one the
+    M-estimator attack reads.
+    """
+    med = np.median(a, axis=0)
+    return med, MAD_NORMALIZATION * np.median(np.abs(a - med), axis=0)
 
 
 def mad(values, normalized: bool = False) -> float:
@@ -124,8 +126,9 @@ def mad(values, normalized: bool = False) -> float:
     is consistent for the standard deviation under Gaussian data.
     """
     a = _as_samples(values)
-    raw = float(np.median(np.abs(a - np.median(a))))
-    return MAD_NORMALIZATION * raw if normalized else raw
+    if normalized:
+        return float(median_and_scale(a)[1])
+    return float(np.median(np.abs(a - np.median(a))))
 
 
 def trim_count(n: int, alpha: float) -> int:
@@ -133,15 +136,6 @@ def trim_count(n: int, alpha: float) -> int:
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"trim fraction must lie in [0, 0.5), got {alpha}")
     return int(alpha * n)
-
-
-def trimmed_mean(values, alpha: float) -> float:
-    """Mean after discarding the floor(alpha*N) smallest and largest values."""
-    a = _as_samples(values)
-    t = trim_count(a.size, alpha)
-    if a.size - 2 * t < 1:
-        raise ValueError("trimming would discard every sample")
-    return float(np.mean(np.sort(a)[t : a.size - t]))
 
 
 def psi(kind: AggregatorKind, x, c: float):
@@ -183,8 +177,7 @@ def _m_estimate_columns(
     are all rejected keep their last iterate and are flagged non-converged.
     """
     n, m = a.shape
-    med = np.median(a, axis=0)
-    sigma = MAD_NORMALIZATION * np.median(np.abs(a - med), axis=0)
+    med, sigma = median_and_scale(a)
     loc = med.copy()
     degenerate = sigma == 0.0
     safe_sigma = np.where(degenerate, 1.0, sigma)
@@ -274,23 +267,12 @@ def aggregate_matrix(spec: AggregatorSpec, matrix) -> AggregationResult:
     return AggregationResult(loc, bool(conv.all()))
 
 
-def aggregate(spec: AggregatorSpec, vectors) -> np.ndarray:
-    """Element-wise aggregation of equal-length weight vectors."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        mat = vectors
-    else:
-        rows = [np.asarray(v, dtype=float).ravel() for v in vectors]
-        if not rows:
-            raise ValueError("cannot aggregate an empty collection of vectors")
-        dim = rows[0].size
-        if any(r.size != dim for r in rows):
-            raise ValueError("received vectors have mismatched dimensions")
-        mat = np.vstack(rows)
-    return aggregate_matrix(spec, mat).values
-
-
 def estimate(spec: AggregatorSpec, values) -> float:
-    """Apply an aggregation rule to a scalar sample set."""
+    """Apply an aggregation rule to a scalar sample set.
+
+    The one scalar entry point: the sample mean, median and trimmed mean are
+    ``estimate`` with the matching ``AggregatorSpec``.
+    """
     a = _as_samples(values)
     return float(aggregate_matrix(spec, a[:, None]).values[0])
 

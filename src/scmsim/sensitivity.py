@@ -30,10 +30,12 @@ def _contaminated_columns(base: np.ndarray, outliers: np.ndarray, count: int) ->
     return np.concatenate([cols, copies], axis=0)
 
 
-def sensitivity_values(
-    agg: AggregatorSpec, base, outliers, count: int = 1
-) -> np.ndarray:
-    """Vectorized sensitivity curve over an array of outlier values."""
+def sensitivity_values(agg: AggregatorSpec, base, outliers, count: int = 1):
+    """Sensitivity curve at one outlier value or at an array of them.
+
+    ``count`` identical copies of each value join the base set.  A scalar
+    ``outliers`` gives a float; an array gives one value per entry.
+    """
     a = _as_samples(base)
     if count < 1:
         raise ValueError("outlier count must be at least 1")
@@ -43,19 +45,8 @@ def sensitivity_values(
     n = a.size + count
     clean = estimate(agg, a)
     contaminated = aggregate_matrix(agg, _contaminated_columns(a, zs, count)).values
-    return n * (contaminated - clean)
-
-
-def sensitivity_curve(agg: AggregatorSpec, base, outlier: float) -> float:
-    """Influence of a single added observation on the aggregate."""
-    return sensitivity_curve_multi(agg, base, outlier, 1)
-
-
-def sensitivity_curve_multi(
-    agg: AggregatorSpec, base, outlier: float, count: int
-) -> float:
-    """Influence of ``count`` identical added observations on the aggregate."""
-    return float(sensitivity_values(agg, base, [outlier], count)[0])
+    out = n * (contaminated - clean)
+    return float(out[0]) if np.isscalar(outliers) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +93,9 @@ def _golden_section_max(
     # discontinuous objectives cannot lose a better endpoint.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     best_x, best_f = lo, f(lo)
-    for x in (hi,):
-        fx = f(x)
-        if fx > best_f:
-            best_x, best_f = x, fx
+    f_hi = f(hi)
+    if f_hi > best_f:
+        best_x, best_f = hi, f_hi
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
@@ -162,10 +152,10 @@ def max_sc_numeric(
     best = float(scs.max())
     candidates = zs[scs >= best - _TIE_TOL]
     z0 = float(min(candidates, key=lambda z: (abs(z), -z)))
-    sc0 = float(sensitivity_values(agg, a, [z0], count)[0])
+    sc0 = sensitivity_values(agg, a, z0, count)
     step = (hi - lo) / (grid_points - 1)
     z_ref, sc_ref = _golden_section_max(
-        lambda z: float(sensitivity_values(agg, a, [z], count)[0]),
+        lambda z: sensitivity_values(agg, a, z, count),
         max(lo, z0 - step),
         min(hi, z0 + step),
     )

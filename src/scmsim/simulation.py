@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -86,18 +85,16 @@ def huber_grad_factor(residual, delta: float):
     return float(out) if np.isscalar(residual) else out
 
 
-def generate_sample(rng: np.random.Generator, model: LinearModelConfig):
-    """One regressor/target pair for a single agent."""
-    u = rng.standard_normal(model.dim)
-    v = rng.normal(0.0, math.sqrt(model.noise_var))
-    return u, float(u @ model.true_weights + v)
-
-
 def generate_batch(rng: np.random.Generator, model: LinearModelConfig, size: int):
     """A batch of samples: returns (regressors (size, dim), targets (size,))."""
     regressors = rng.standard_normal((size, model.dim))
     noise = rng.normal(0.0, math.sqrt(model.noise_var), size)
     return regressors, regressors @ model.true_weights + noise
+
+
+def _residuals(weights: np.ndarray, regressors: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    # One matrix-vector product per agent: (..., batch, dim) @ (..., dim, 1).
+    return targets - (regressors @ weights[..., None])[..., 0]
 
 
 def adapt(
@@ -106,32 +103,16 @@ def adapt(
     targets: np.ndarray,
     learning: LearningConfig,
 ) -> np.ndarray:
-    """Stochastic gradient step on the batch-averaged Huber loss."""
-    if regressors.shape[0] == 0:
+    """Stochastic gradient step on the batch-averaged Huber loss.
+
+    Leading axes index agents: ``weights`` is (..., dim), ``regressors``
+    (..., batch, dim) and ``targets`` (..., batch).  Each agent's step is the
+    same arithmetic as a single-agent call, so stacking agents changes no bit.
+    """
+    if regressors.shape[-2] == 0:
         raise ValueError("adapt requires a non-empty batch")
-    residuals = targets - regressors @ weights
-    g = huber_grad_factor(residuals, learning.huber_delta)
-    return weights + learning.step_size * (g[:, None] * regressors).mean(axis=0)
-
-
-def combine(
-    topology: NetworkTopology,
-    agent: int,
-    received: Mapping[int, np.ndarray],
-    spec: AggregatorSpec,
-) -> np.ndarray:
-    """Element-wise aggregation of the vectors received from the neighborhood."""
-    expected = set(int(i) for i in topology.neighborhood(agent))
-    got = set(int(i) for i in received)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        raise ValueError(
-            f"received set does not match neighborhood of agent {agent}"
-            f" (missing {missing}, unexpected {extra})"
-        )
-    matrix = np.vstack([np.asarray(received[i], dtype=float) for i in sorted(got)])
-    return aggregate_matrix(spec, matrix).values
+    g = huber_grad_factor(_residuals(weights, regressors, targets), learning.huber_delta)
+    return weights + learning.step_size * (g[..., None] * regressors).mean(axis=-2)
 
 
 @dataclass(eq=False)
@@ -161,9 +142,6 @@ class ExperimentTrace:
 
     def tail_mean_loss(self, window: int = 30) -> float:
         return float(self.training_loss[-window:].mean())
-
-    def tail_mean_msd(self, window: int = 30) -> float:
-        return float(self.msd[-window:].mean())
 
 
 def run_experiment(
@@ -206,21 +184,20 @@ def run_experiment(
     diverged = False
 
     batch = model.samples_per_iteration
+    regressors = np.empty((benign.size, batch, dim))
+    targets = np.empty((benign.size, batch))
     with np.errstate(over="ignore"):
         for i in range(iters):
             if diverged:
                 loss_trace[i] = DIVERGENCE_SENTINEL
                 msd_trace[i] = DIVERGENCE_SENTINEL
                 continue
-            losses = np.empty(benign.size)
             for j, k in enumerate(benign):
-                regressors, targets = generate_batch(streams[k], model, batch)
-                residuals = targets - regressors @ weights[k]
-                losses[j] = huber_loss(residuals, learning.huber_delta).mean()
-                g = huber_grad_factor(residuals, learning.huber_delta)
-                phis[k] = weights[k] + learning.step_size * (
-                    g[:, None] * regressors
-                ).mean(axis=0)
+                regressors[j], targets[j] = generate_batch(streams[k], model, batch)
+            own = weights[benign]
+            residuals = _residuals(own, regressors, targets)
+            losses = huber_loss(residuals, learning.huber_delta).mean(axis=-1)
+            phis[benign] = adapt(own, regressors, targets, learning)
             all_ok = True
             for k in benign:
                 k = int(k)

@@ -73,21 +73,6 @@ class NetworkTopology:
         nb[k] = True
         return np.flatnonzero(nb)
 
-    def to_text(self) -> str:
-        """Edge list ("k l" per line) followed by role lines ("k B|M")."""
-        lines = []
-        iu = np.triu_indices(self.agent_count, k=1)
-        for i, j in zip(*iu):
-            if self.adjacency[i, j]:
-                lines.append(f"{i} {j}")
-        for k in range(self.agent_count):
-            lines.append(f"{k} {'M' if self.malicious[k] else 'B'}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
 
 def benign_majority_holds(adjacency: np.ndarray, malicious: np.ndarray) -> bool:
     """True if every benign agent sees more benign than malicious neighbors."""
@@ -168,8 +153,3 @@ def generate_topology(
     raise TopologyError(
         f"no valid topology in {max_graph_attempts} graph attempts: {last_error}"
     )
-
-
-def contamination_percent(num_malicious: int, agent_count: int) -> int:
-    """Contamination rate as the nearest whole percent."""
-    return round(100.0 * num_malicious / agent_count)

@@ -26,14 +26,14 @@ from scmsim.estimators import (
     TUKEY_C_95,
     AggregatorKind,
     AggregatorSpec,
+    estimate,
     m_estimate,
     mad,
-    median,
     monte_carlo_efficiency,
     trim_count,
     tuned_aggregators,
 )
-from scmsim.sensitivity import max_sc_numeric, sensitivity_curve, sensitivity_curve_multi
+from scmsim.sensitivity import max_sc_numeric, sensitivity_values
 from scmsim.simulation import (
     LearningConfig,
     LinearModelConfig,
@@ -144,19 +144,19 @@ def test_criterion_2_sc_shape_reproduction():
     grid_z = np.linspace(-10.0, 10.0, 401)
 
     mean_spec = AggregatorSpec.sample_mean()
-    sc_mean = np.array([sensitivity_curve(mean_spec, base, z) for z in grid_z])
+    sc_mean = np.array([sensitivity_values(mean_spec, base, z) for z in grid_z])
     coeffs = np.polyfit(grid_z, sc_mean, 1)
     affine_dev = float(np.abs(sc_mean - np.polyval(coeffs, grid_z)).max())
     ok_affine = affine_dev < 1e-9
 
     med_spec = AggregatorSpec.median()
-    ok_median_sat = sensitivity_curve(med_spec, base, 1e3) == sensitivity_curve(
+    ok_median_sat = sensitivity_values(med_spec, base, 1e3) == sensitivity_values(
         med_spec, base, 1e6
     )
 
     tal, tuk = AggregatorSpec.talwar(), AggregatorSpec.tukey()
-    far_tal = abs(sensitivity_curve(tal, base, 1e6))
-    far_tuk = abs(sensitivity_curve(tuk, base, 1e6))
+    far_tal = abs(sensitivity_values(tal, base, 1e6))
+    far_tuk = abs(sensitivity_values(tuk, base, 1e6))
     ok_redescend = far_tal <= 1e-6 and far_tuk <= 1e-6
 
     ratios = {}
@@ -165,7 +165,7 @@ def test_criterion_2_sc_shape_reproduction():
             z = trimmed_attack_values(base, 1, spec.alpha)[0]
         else:
             z = mestimator_attack_values(base, 1, spec.kind, spec.c)[0]
-        sc = sensitivity_curve_multi(spec, base, z, 1)
+        sc = sensitivity_values(spec, base, z, 1)
         _, sc_star = max_sc_numeric(spec, base, count=1)
         ratios[spec.label] = sc / sc_star
     ok_markers = all(r >= 0.95 for r in ratios.values())
@@ -200,7 +200,7 @@ def test_criterion_3_attack_near_optimality():
             (AggregatorKind.TUKEY, TUKEY_C_95, AggregatorSpec.tukey()),
         ):
             z = mestimator_attack_values(base, p, kind, c)[0]
-            sc = sensitivity_curve_multi(spec, base, z, p)
+            sc = sensitivity_values(spec, base, z, p)
             _, sc_star = max_sc_numeric(spec, base, count=p)
             combined = np.concatenate([base, np.full(p, z)])
             scale = mad(combined, normalized=True)
@@ -212,7 +212,7 @@ def test_criterion_3_attack_near_optimality():
                 if not copies_rejected:
                     kept_short.append(spec.label)
             c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
-            z_again = c0 * scale + median(combined)
+            z_again = c0 * scale + estimate(AggregatorSpec.median(), combined)
             if abs(z_again - z) > 1e-9 * (1.0 + abs(z)):
                 fixed_point_fail.append((spec.label, n, p))
     ok = not near_opt_fail and not fixed_point_fail

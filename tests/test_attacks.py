@@ -19,14 +19,16 @@ from scmsim.estimators import (
     TUKEY_C_95,
     AggregatorKind,
     AggregatorSpec,
+    estimate,
     m_estimate,
     mad,
-    median,
     psi,
     trim_count,
-    trimmed_mean,
 )
-from scmsim.sensitivity import max_sc_numeric, sensitivity_curve_multi
+from scmsim.sensitivity import max_sc_numeric, sensitivity_values
+
+
+MEDIAN = AggregatorSpec.median()
 
 
 def make_ctx(values, count):
@@ -78,8 +80,9 @@ class TestTrimmedScm:
         survivors = np.sort(received)[t : received.size - t]
         assert (survivors == z).sum() == 2
         assert survivors.max() == z
-        attacked = trimmed_mean(received, 0.12)
-        assert attacked > trimmed_mean(benign, 0.12)
+        trim = AggregatorSpec.trimmed_mean(0.12)
+        attacked = estimate(trim, received)
+        assert attacked > estimate(trim, benign)
 
     def test_all_copies_survive_at_experiment_scale(self):
         rng = np.random.default_rng(31)
@@ -101,7 +104,7 @@ class TestTrimmedScm:
         for _ in range(15):
             base = rng.standard_normal(int(rng.integers(20, 60)))
             z = trimmed_attack_values(base, 1, TRIM_ALPHA_95)[0]
-            sc = sensitivity_curve_multi(spec, base, z, 1)
+            sc = sensitivity_values(spec, base, z, 1)
             _, sc_star = max_sc_numeric(spec, base, count=1)
             assert sc >= 0.99 * sc_star
 
@@ -130,7 +133,7 @@ class TestMEstimatorScm:
         spec = AggregatorSpec.tukey()
         base = [-1.0, 0.0, 1.0]
         z = mestimator_attack_values(np.array(base), 1, AggregatorKind.TUKEY, spec.c)[0]
-        sc = sensitivity_curve_multi(spec, base, z, 1)
+        sc = sensitivity_values(spec, base, z, 1)
         _, sc_star = max_sc_numeric(spec, base, count=1)
         assert sc >= 0.99 * sc_star
 
@@ -156,7 +159,7 @@ class TestMEstimatorScm:
                 z = mestimator_attack_values(base, p, kind, c)[0]
                 c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
                 combined = np.concatenate([base, np.full(p, z)])
-                z_again = c0 * mad(combined, normalized=True) + median(combined)
+                z_again = c0 * mad(combined, normalized=True) + estimate(MEDIAN, combined)
                 assert abs(z_again - z) <= 1e-9 * (1.0 + abs(z))
 
     def test_tukey_copies_never_rejected(self):
@@ -208,7 +211,7 @@ class TestMEstimatorScm:
                 (AggregatorKind.TUKEY, AggregatorSpec.tukey()),
             ):
                 z = mestimator_attack_values(base, p, kind, spec.c)[0]
-                sc = sensitivity_curve_multi(spec, base, z, p)
+                sc = sensitivity_values(spec, base, z, p)
                 _, sc_star = max_sc_numeric(spec, base, count=p)
                 ratios.append(sc / sc_star)
         ratios = np.array(ratios)
@@ -223,8 +226,8 @@ class TestMEstimatorScm:
             base = np.concatenate([half, -half])
             p = int(rng.integers(1, 4))
             z = mestimator_attack_values(base, p, AggregatorKind.TUKEY, spec.c)[0]
-            sc_pos = sensitivity_curve_multi(spec, base, z, p)
-            sc_neg = sensitivity_curve_multi(spec, base, -z, p)
+            sc_pos = sensitivity_values(spec, base, z, p)
+            sc_neg = sensitivity_values(spec, base, -z, p)
             assert abs(sc_neg) == pytest.approx(abs(sc_pos), rel=0.05)
 
 

@@ -4,6 +4,7 @@ import string
 import numpy as np
 import pytest
 
+from scmsim import cli
 from scmsim.cli import cmd_efficiency_check, cmd_sc_sweep, cmd_simulate, main
 from scmsim.config import (
     ConfigError,
@@ -230,3 +231,17 @@ class TestMainEntry:
         rc = main(["simulate", "--config", str(cfg_file)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_rejected(self, tmp_path, capsys, monkeypatch, threads):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected --threads value started a simulation")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(cli, "_simulate_cell", no_work)
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(FAST_SIM.format(out=tmp_path / "run"))
+        rc = main(["simulate", "--config", str(cfg_file), "--threads", threads])
+        assert rc == 1
+        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

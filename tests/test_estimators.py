@@ -11,20 +11,18 @@ from scmsim.estimators import (
     TALWAR_C_95,
     TRIM_ALPHA_95,
     TUKEY_C_95,
-    aggregate,
     aggregate_matrix,
     estimate,
     m_estimate,
     mad,
-    median,
     psi,
-    sample_mean,
     trim_count,
-    trimmed_mean,
     tuned_aggregators,
 )
 
 ALL_SPECS = tuned_aggregators()
+MEAN = AggregatorSpec.sample_mean()
+MEDIAN = AggregatorSpec.median()
 M_SPECS = [AggregatorSpec.talwar(), AggregatorSpec.tukey()]
 
 
@@ -74,23 +72,23 @@ def brute_force_m_estimate(values, spec, points=20001):
 
 class TestScalarEstimators:
     def test_sample_mean_examples(self):
-        assert sample_mean([1, 2, 3]) == 2
-        assert sample_mean([5]) == 5
-        assert sample_mean([0, 0, 0, 100]) == 25
+        assert estimate(MEAN, [1, 2, 3]) == 2
+        assert estimate(MEAN, [5]) == 5
+        assert estimate(MEAN, [0, 0, 0, 100]) == 25
 
     def test_empty_set_rejected(self):
-        for fn in (sample_mean, median):
+        for spec in (MEAN, MEDIAN):
             with pytest.raises(ValueError):
-                fn([])
+                estimate(spec, [])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            median([1.0, np.inf])
+            estimate(MEDIAN, [1.0, np.inf])
 
     def test_median_examples(self):
-        assert median([3, 1, 2]) == 2
-        assert median([1, 2, 3, 100]) == 2.5
-        assert median([7]) == 7
+        assert estimate(MEDIAN, [3, 1, 2]) == 2
+        assert estimate(MEDIAN, [1, 2, 3, 100]) == 2.5
+        assert estimate(MEDIAN, [7]) == 7
 
     def test_mad_examples(self):
         assert mad([1, 2, 3, 4, 5]) == 1
@@ -106,13 +104,14 @@ class TestScalarEstimators:
         assert ours == pytest.approx(reference, rel=1e-4)
 
     def test_trimmed_mean_examples(self):
-        assert trimmed_mean([0, 1, 2, 3, 100], 0.2) == 2
-        assert trimmed_mean([1, 2, 3], TRIM_ALPHA_95) == 2  # floor(0.0688*3) = 0
-        assert trimmed_mean([-1000, 5, 5, 5, 1000], 0.2) == 5
+        trim = AggregatorSpec.trimmed_mean
+        assert estimate(trim(0.2), [0, 1, 2, 3, 100]) == 2
+        assert estimate(trim(), [1, 2, 3]) == 2  # floor(0.0688*3) = 0
+        assert estimate(trim(0.2), [-1000, 5, 5, 5, 1000]) == 5
 
     def test_trim_fraction_validated(self):
         with pytest.raises(ValueError):
-            trimmed_mean([1, 2, 3], 0.5)
+            estimate(AggregatorSpec.trimmed_mean(0.5), [1, 2, 3])
         with pytest.raises(ValueError):
             trim_count(10, -0.1)
 
@@ -216,34 +215,28 @@ class TestMEstimate:
 class TestAggregate:
     def test_mean_per_coordinate(self):
         np.testing.assert_allclose(
-            aggregate(AggregatorSpec.sample_mean(), [[1, 10], [3, 20]]), [2, 15]
+            aggregate_matrix(MEAN, [[1, 10], [3, 20]]).values, [2, 15]
         )
 
     def test_median_per_coordinate(self):
         np.testing.assert_allclose(
-            aggregate(AggregatorSpec.median(), [[1, 9], [2, 8], [100, 7]]), [2, 8]
+            aggregate_matrix(MEDIAN, [[1, 9], [2, 8], [100, 7]]).values, [2, 8]
         )
 
     def test_single_vector_identity_all_kinds(self):
         v = np.array([0.3, -1.2, 7.0])
         for spec in ALL_SPECS:
-            np.testing.assert_allclose(aggregate(spec, [v]), v)
+            np.testing.assert_allclose(aggregate_matrix(spec, [v]).values, v)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(AggregatorSpec.median(), [[1, 2], [1, 2, 3]])
+            aggregate_matrix(MEDIAN, [[1, 2], [1, 2, 3]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(AggregatorSpec.median(), [])
-
-    def test_matrix_and_list_paths_agree(self):
-        rng = np.random.default_rng(11)
-        mat = rng.standard_normal((9, 4))
-        for spec in ALL_SPECS:
-            np.testing.assert_allclose(
-                aggregate(spec, mat), aggregate(spec, list(mat)), atol=1e-12
-            )
+            aggregate_matrix(MEDIAN, [])
+        with pytest.raises(ValueError, match="empty"):
+            aggregate_matrix(MEDIAN, np.empty((0, 2)))
 
 
 class TestEstimatorProperties:
@@ -282,17 +275,19 @@ class TestEstimatorProperties:
             k = (n - 1) // 2
             for i in range(k):
                 corrupted[i] = 1e9 if i % 2 == 0 else -1e9
-            assert lo <= median(corrupted) <= hi
+            assert lo <= estimate(MEDIAN, corrupted) <= hi
             one_bad = benign.copy()
             one_bad[0] = 1e9
-            assert not lo <= sample_mean(one_bad) <= hi
+            assert not lo <= estimate(MEAN, one_bad) <= hi
 
     def test_trimmed_equals_mean_when_trim_zero(self):
         rng = np.random.default_rng(25)
         for _ in range(20):
             n = int(rng.integers(1, 14))  # floor(0.0688*n) == 0 for n <= 14
             s = rng.standard_normal(n)
-            assert trimmed_mean(s, TRIM_ALPHA_95) == pytest.approx(sample_mean(s), abs=1e-12)
+            assert estimate(AggregatorSpec.trimmed_mean(), s) == pytest.approx(
+                estimate(MEAN, s), abs=1e-12
+            )
 
     def test_aggregate_matrix_reports_convergence(self):
         rng = np.random.default_rng(26)

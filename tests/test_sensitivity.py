@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from scmsim.estimators import AggregatorSpec, aggregate, mad, tuned_aggregators
+from scmsim.estimators import AggregatorSpec, aggregate_matrix, mad, tuned_aggregators
 from scmsim.sensitivity import (
     SCTable,
     default_search_bounds,
     max_sc_numeric,
     sc_sweep,
-    sensitivity_curve,
-    sensitivity_curve_multi,
     sensitivity_values,
 )
 
@@ -19,10 +17,10 @@ TALWAR = AggregatorSpec.talwar()
 
 
 def sc_by_direct_sets(agg, base, z, count):
-    """Independent re-implementation through aggregate() on 1-d vectors."""
+    """Independent re-implementation through aggregate_matrix() on 1-d vectors."""
     vectors = [[v] for v in base] + [[z]] * count
-    contaminated = aggregate(agg, vectors)[0]
-    clean = aggregate(agg, [[v] for v in base])[0]
+    contaminated = aggregate_matrix(agg, vectors).values[0]
+    clean = aggregate_matrix(agg, [[v] for v in base]).values[0]
     return (len(base) + count) * (contaminated - clean)
 
 
@@ -33,7 +31,7 @@ def symmetric_base(seed=4242, half_size=50):
 
 class TestSensitivityCurve:
     def test_mean_closed_form_example(self):
-        assert sensitivity_curve(MEAN, [1, 2, 3], 10.0) == pytest.approx(8.0, abs=1e-12)
+        assert sensitivity_values(MEAN, [1, 2, 3], 10.0) == pytest.approx(8.0, abs=1e-12)
 
     def test_mean_closed_form_random_bases(self):
         rng = np.random.default_rng(1)
@@ -41,44 +39,36 @@ class TestSensitivityCurve:
             base = rng.standard_normal(int(rng.integers(1, 40)))
             z = float(rng.normal(scale=20))
             expected = z - base.mean()
-            assert sensitivity_curve(MEAN, base, z) == pytest.approx(expected, abs=1e-9)
+            assert sensitivity_values(MEAN, base, z) == pytest.approx(expected, abs=1e-9)
 
     def test_median_saturates_for_large_outlier(self):
         # median of {1,2,3,4,z} is 3 for any huge z: SC = 5*(3 - 2.5)
-        assert sensitivity_curve(MEDIAN, [1, 2, 3, 4], 1e6) == pytest.approx(2.5)
-        assert sensitivity_curve(MEDIAN, [1, 2, 3, 4], 1e3) == sensitivity_curve(
+        assert sensitivity_values(MEDIAN, [1, 2, 3, 4], 1e6) == pytest.approx(2.5)
+        assert sensitivity_values(MEDIAN, [1, 2, 3, 4], 1e3) == sensitivity_values(
             MEDIAN, [1, 2, 3, 4], 1e6
         )
 
     def test_tukey_redescends_on_symmetric_base(self):
         base = symmetric_base()
-        assert abs(sensitivity_curve(TUKEY, base, 1e6)) < 1e-6
+        assert abs(sensitivity_values(TUKEY, base, 1e6)) < 1e-6
 
     def test_tukey_far_outlier_small_next_to_peak(self):
         base = np.random.default_rng(42).standard_normal(100)
         _, peak = max_sc_numeric(TUKEY, base)
-        assert abs(sensitivity_curve(TUKEY, base, 1e6)) < 0.05 * peak
+        assert abs(sensitivity_values(TUKEY, base, 1e6)) < 0.05 * peak
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            sensitivity_curve_multi(MEAN, [1, 2], 1.0, 0)
+            sensitivity_values(MEAN, [1, 2], 1.0, 0)
 
 
 class TestMultiOutlier:
-    def test_count_one_matches_single(self):
-        rng = np.random.default_rng(2)
-        base = rng.standard_normal(15)
-        for agg in tuned_aggregators():
-            assert sensitivity_curve_multi(agg, base, 2.5, 1) == sensitivity_curve(
-                agg, base, 2.5
-            )
-
     def test_mean_two_copies(self):
-        assert sensitivity_curve_multi(MEAN, [0, 0], 3.0, 2) == pytest.approx(6.0)
+        assert sensitivity_values(MEAN, [0, 0], 3.0, 2) == pytest.approx(6.0)
 
     def test_median_majority_breakdown(self):
         # median of {1,2,3,100,100,100} = 51.5
-        assert sensitivity_curve_multi(MEDIAN, [1, 2, 3], 100.0, 3) == pytest.approx(297.0)
+        assert sensitivity_values(MEDIAN, [1, 2, 3], 100.0, 3) == pytest.approx(297.0)
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(3)
@@ -87,7 +77,7 @@ class TestMultiOutlier:
                 base = rng.standard_normal(int(rng.integers(3, 25)))
                 z = float(rng.normal(scale=5))
                 count = int(rng.integers(1, 5))
-                got = sensitivity_curve_multi(agg, base, z, count)
+                got = sensitivity_values(agg, base, z, count)
                 want = sc_by_direct_sets(agg, base, z, count)
                 assert got == pytest.approx(want, abs=1e-8)
 
@@ -108,8 +98,8 @@ class TestMultiOutlier:
                     base.size + count, agg.alpha
                 ):
                     continue
-                a = sensitivity_curve_multi(agg, base, 1e3, count)
-                b = sensitivity_curve_multi(agg, base, 1e6, count)
+                a = sensitivity_values(agg, base, 1e3, count)
+                b = sensitivity_values(agg, base, 1e6, count)
                 assert a == b
                 done += 1
 
@@ -121,7 +111,7 @@ class TestMultiOutlier:
             count = int(rng.integers(1, 4))
             n = base.size + count
             spread = max(base.max(), z) - min(base.min(), z)
-            sc = sensitivity_curve_multi(MEDIAN, base, z, count)
+            sc = sensitivity_values(MEDIAN, base, z, count)
             assert abs(sc) <= n * spread * (1 + 1e-12)
 
     def test_redescending_bound_on_symmetric_bases(self):
@@ -133,7 +123,7 @@ class TestMultiOutlier:
             n = base.size + count
             spread = base.max() - base.min()
             for agg, sign in ((TALWAR, 1), (TUKEY, 1), (TALWAR, -1), (TUKEY, -1)):
-                sc = sensitivity_curve_multi(agg, base, sign * 1e6, count)
+                sc = sensitivity_values(agg, base, sign * 1e6, count)
                 assert abs(sc) <= 1e-6 * n * spread
 
 
@@ -179,7 +169,7 @@ class TestMaxNumeric:
         assert z == 20.0
         assert sc == pytest.approx(18.0, abs=1e-9)
         # and the returned boundary carries the larger |SC| of the two ends
-        assert abs(sc) >= abs(sensitivity_curve(MEAN, [1.0, 2.0, 3.0], -10.0))
+        assert abs(sc) >= abs(sensitivity_values(MEAN, [1.0, 2.0, 3.0], -10.0))
 
     def test_large_value_dominates_mean_within_window(self):
         # SC of the mean is monotone, so the large-value magnitude is the
@@ -187,13 +177,13 @@ class TestMaxNumeric:
         base = np.random.default_rng(7).standard_normal(20)
         z, sc = max_sc_numeric(MEAN, base, search_bounds=(-1000.0, 1000.0))
         assert z == 1000.0
-        assert sc >= sensitivity_curve(MEAN, base, 999.0)
+        assert sc >= sensitivity_values(MEAN, base, 999.0)
 
     def test_symmetric_tukey_peak_is_odd(self):
         base = [-1.0, 0.0, 1.0]
         z, sc = max_sc_numeric(TUKEY, base, count=1)
         assert z > 0  # positive side preferred
-        assert abs(sensitivity_curve(TUKEY, base, -z)) == pytest.approx(sc, rel=1e-9)
+        assert abs(sensitivity_values(TUKEY, base, -z)) == pytest.approx(sc, rel=1e-9)
 
     def test_talwar_peak_near_analytic_value(self):
         from scmsim.attacks import mestimator_attack_values
@@ -225,5 +215,7 @@ class TestMaxNumeric:
         base = np.random.default_rng(8).standard_normal(12)
         zs = np.linspace(-3, 3, 7)
         vals = sensitivity_values(TUKEY, base, zs, 2)
+        assert isinstance(vals, np.ndarray)
+        assert isinstance(sensitivity_values(TUKEY, base, 0.5, 2), float)
         for z, v in zip(zs, vals):
-            assert v == pytest.approx(sensitivity_curve_multi(TUKEY, base, z, 2), abs=1e-10)
+            assert v == pytest.approx(sensitivity_values(TUKEY, base, z, 2), abs=1e-10)

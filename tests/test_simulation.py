@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
+from scmsim import simulation
 from scmsim.attacks import AttackSpec
-from scmsim.estimators import AggregatorSpec, tuned_aggregators
+from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
 from scmsim.simulation import (
     DIVERGENCE_SENTINEL,
     LearningConfig,
     LinearModelConfig,
     adapt,
-    combine,
     draw_true_weights,
     generate_batch,
-    generate_sample,
     huber_grad_factor,
     huber_loss,
     run_experiment,
 )
-from scmsim.topology import NetworkTopology, generate_topology
+from scmsim.topology import generate_topology
 
 
 def small_setup(num_malicious=0, agents=12, dim=4, seed=77):
@@ -56,8 +55,8 @@ class TestSampling:
         w = np.array([3.0, -2.0])
         model = LinearModelConfig(true_weights=w, noise_var=1e-30)
         rng = np.random.default_rng(0)
-        u, d = generate_sample(rng, model)
-        assert d == pytest.approx(u @ w, abs=1e-9)
+        u, d = generate_batch(rng, model, 1)
+        assert d[0] == pytest.approx(u[0] @ w, abs=1e-9)
 
     def test_deterministic_stream(self):
         model = LinearModelConfig(true_weights=np.zeros(3))
@@ -119,40 +118,42 @@ class TestAdapt:
         with pytest.raises(ValueError):
             adapt(np.zeros(2), np.empty((0, 2)), np.empty(0), LearningConfig())
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_stacked_agents_match_per_agent_steps(self, batch):
+        rng = np.random.default_rng(6)
+        cfg = LearningConfig(step_size=0.3, huber_delta=0.5)
+        W = rng.standard_normal((7, 5))
+        U = rng.standard_normal((7, batch, 5))
+        d = rng.standard_normal((7, batch)) * 3.0  # both Huber branches
+        stacked = adapt(W, U, d, cfg)
+        per_agent = np.array([adapt(W[a], U[a], d[a], cfg) for a in range(7)])
+        assert np.array_equal(stacked, per_agent)
+
 
 class TestCombine:
     def test_consensus_fixed_point(self):
         topo, _ = small_setup()
         v = np.array([1.0, -2.0, 0.5, 3.0])
-        received = {int(i): v for i in topo.neighborhood(0)}
+        rows = np.tile(v, (topo.neighborhood(0).size, 1))
         for spec in tuned_aggregators():
-            np.testing.assert_allclose(combine(topo, 0, received, spec), v)
+            np.testing.assert_allclose(aggregate_matrix(spec, rows).values, v)
 
     def test_sample_mean_recovers_uniform_averaging(self):
         topo, _ = small_setup()
         rng = np.random.default_rng(8)
         nb = topo.neighborhood(2)
-        received = {int(i): rng.standard_normal(4) for i in nb}
-        got = combine(topo, 2, received, AggregatorSpec.sample_mean())
-        want = np.mean([received[int(i)] for i in nb], axis=0)
+        rows = rng.standard_normal((nb.size, 4))
+        got = aggregate_matrix(AggregatorSpec.sample_mean(), rows).values
+        want = rows.sum(axis=0) / nb.size
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_median_shrugs_off_single_large_value(self):
-        adj = ~np.eye(6, dtype=bool)
-        topo = NetworkTopology(adj, np.zeros(6, dtype=bool))
-        received = {i: np.zeros(1) + 0.01 * i for i in range(6)}
-        received[5] = np.array([1000.0])
-        med = combine(topo, 0, received, AggregatorSpec.median())[0]
+        rows = 0.01 * np.arange(6.0)[:, None]
+        rows[5] = 1000.0
+        med = aggregate_matrix(AggregatorSpec.median(), rows).values[0]
         assert 0.0 <= med <= 0.05
-        mean = combine(topo, 0, received, AggregatorSpec.sample_mean())[0]
+        mean = aggregate_matrix(AggregatorSpec.sample_mean(), rows).values[0]
         assert mean == pytest.approx((0.01 + 0.02 + 0.03 + 0.04 + 1000.0) / 6)
-
-    def test_missing_neighbor_rejected(self):
-        topo, _ = small_setup()
-        nb = [int(i) for i in topo.neighborhood(0)]
-        received = {i: np.zeros(4) for i in nb[:-1]}
-        with pytest.raises(ValueError, match="missing"):
-            combine(topo, 0, received, AggregatorSpec.median())
 
 
 class TestRunExperiment:
@@ -166,6 +167,20 @@ class TestRunExperiment:
         assert not tr.diverged
         assert tr.metadata["aggregator"] == "sample_mean"
         assert tr.initial_msd == pytest.approx(np.sum(model.true_weights**2))
+
+    def test_one_adapt_call_per_round(self, monkeypatch):
+        calls = []
+
+        def counting_adapt(weights, *args):
+            calls.append(weights.shape)
+            return adapt(weights, *args)
+
+        monkeypatch.setattr(simulation, "adapt", counting_adapt)
+        topo, model = small_setup(num_malicious=2)
+        att = AttackSpec.trimmed_scm()
+        run_experiment(topo, model, LearningConfig(iterations=6),
+                       AggregatorSpec.trimmed_mean(), att, seed=0)
+        assert calls == [(topo.benign_agents.size, model.dim)] * 6
 
     def test_deterministic_traces(self):
         topo, model = small_setup(num_malicious=2)

@@ -7,7 +7,6 @@ from scmsim.topology import (
     assign_roles,
     benign_majority_holds,
     benign_subgraph_connected,
-    contamination_percent,
     erdos_renyi,
     generate_topology,
 )
@@ -123,24 +122,3 @@ class TestNeighborhood:
         with pytest.raises(TopologyError):
             NetworkTopology(with_loop, np.zeros(3, dtype=bool))
 
-
-class TestBookkeeping:
-    def test_contamination_labels_match_panel_captions(self):
-        assert contamination_percent(3, 32) == 9
-        assert contamination_percent(6, 32) == 19
-        assert contamination_percent(9, 32) == 28
-        assert contamination_percent(12, 32) == 38
-
-    def test_text_serialization(self):
-        adj = np.zeros((3, 3), dtype=bool)
-        adj[0, 1] = adj[1, 0] = True
-        adj[1, 2] = adj[2, 1] = True
-        topo = NetworkTopology(adj, np.array([False, False, True]))
-        lines = topo.to_text().strip().split("\n")
-        assert lines == ["0 1", "1 2", "0 B", "1 B", "2 M"]
-
-    def test_save_roundtrips_bytes(self, tmp_path):
-        topo = generate_topology(8, 0.6, 2, seed=9)
-        p = tmp_path / "topo.txt"
-        topo.save(p)
-        assert p.read_text() == topo.to_text()
