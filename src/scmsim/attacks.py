@@ -31,7 +31,7 @@ from .estimators import (
 
 DEFAULT_LV_MAGNITUDE = 1000.0
 # Boundary offsets scale with the benign spread; the +1 guards tiny spreads.
-DEFAULT_EPSILON_SCALE = 1e-6
+EPSILON_SCALE = 1e-6
 # Relative inward margin on the influence-peak residual: placing a value on
 # the exact rejection boundary would leave inclusion to float rounding.
 BOUNDARY_MARGIN = 1e-9
@@ -49,7 +49,9 @@ class AttackKind(enum.Enum):
     TUKEY_SCM = "tukey_scm"
 
 
-_SCM_TARGET = {
+# The aggregation rule each sensitivity-curve attack is crafted against.
+SCM_TARGET = {
+    AttackKind.TRIMMED_SCM: AggregatorKind.TRIMMED_MEAN,
     AttackKind.TALWAR_SCM: AggregatorKind.TALWAR,
     AttackKind.TUKEY_SCM: AggregatorKind.TUKEY,
 }
@@ -60,25 +62,21 @@ class AttackSpec:
     """Choice of attack scheme plus its parameters.
 
     ``target_alpha``/``target_c`` must match the tuning of the aggregator
-    under attack.  ``epsilon`` overrides the spread-scaled boundary offset
-    of the trimmed-mean attack when set.
+    under attack.
     """
 
     kind: AttackKind
     lv_magnitude: float = DEFAULT_LV_MAGNITUDE
     target_alpha: float = TRIM_ALPHA_95
     target_c: float = 0.0
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lv_magnitude):
             raise ValueError("lv_magnitude must be finite")
         if self.kind is AttackKind.TRIMMED_SCM and not 0.0 <= self.target_alpha < 0.5:
             raise ValueError(f"target_alpha must lie in [0, 0.5), got {self.target_alpha}")
-        if self.kind in _SCM_TARGET and self.target_c <= 0.0:
+        if SCM_TARGET.get(self.kind) in M_ESTIMATOR_KINDS and self.target_c <= 0.0:
             raise ValueError("target_c must be positive for M-estimator attacks")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
 
     @property
     def label(self) -> str:
@@ -89,8 +87,8 @@ class AttackSpec:
         return AttackSpec(AttackKind.LARGE_VALUE, lv_magnitude=magnitude)
 
     @staticmethod
-    def trimmed_scm(alpha: float = TRIM_ALPHA_95, epsilon: float | None = None) -> "AttackSpec":
-        return AttackSpec(AttackKind.TRIMMED_SCM, target_alpha=alpha, epsilon=epsilon)
+    def trimmed_scm(alpha: float = TRIM_ALPHA_95) -> "AttackSpec":
+        return AttackSpec(AttackKind.TRIMMED_SCM, target_alpha=alpha)
 
     @staticmethod
     def talwar_scm(c: float) -> "AttackSpec":
@@ -142,9 +140,7 @@ def psi_argmax(kind: AggregatorKind, c: float) -> float:
     return c / math.sqrt(5.0)
 
 
-def trimmed_attack_values(
-    benign, malicious_count: int, alpha: float, epsilon: float | None = None
-) -> np.ndarray:
+def trimmed_attack_values(benign, malicious_count: int, alpha: float) -> np.ndarray:
     """Per-coordinate value just below the trim-survival boundary.
 
     With N_k = n_benign + malicious_count received vectors, the defender
@@ -166,11 +162,7 @@ def trimmed_attack_values(
         raise ValueError("trim boundary exceeds the benign neighborhood")
     s = np.sort(a, axis=0)
     boundary = s[n_benign - t] if t >= 1 else s[n_benign - 1]
-    if epsilon is None:
-        eps = DEFAULT_EPSILON_SCALE * (1.0 + (s[-1] - s[0]))
-    else:
-        eps = np.full(a.shape[1], float(epsilon))
-    return boundary - eps
+    return boundary - EPSILON_SCALE * (1.0 + (s[-1] - s[0]))
 
 
 def mestimator_attack_values(
@@ -218,9 +210,7 @@ def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
     if spec.kind is AttackKind.LARGE_VALUE:
         return np.full(ctx.dim, spec.lv_magnitude)
     if spec.kind is AttackKind.TRIMMED_SCM:
-        return trimmed_attack_values(
-            ctx.benign_values, ctx.malicious_count, spec.target_alpha, spec.epsilon
-        )
+        return trimmed_attack_values(ctx.benign_values, ctx.malicious_count, spec.target_alpha)
     return mestimator_attack_values(
-        ctx.benign_values, ctx.malicious_count, _SCM_TARGET[spec.kind], spec.target_c
+        ctx.benign_values, ctx.malicious_count, SCM_TARGET[spec.kind], spec.target_c
     )

@@ -23,21 +23,11 @@ from .config import (
     parse_config,
     write_manifest,
 )
-from .estimators import AggregatorKind, monte_carlo_efficiency
+from .attacks import SCM_TARGET, CraftingContext, craft_attack
+from .estimators import monte_carlo_efficiency
 from .sensitivity import sc_sweep, sensitivity_values
-from .simulation import (
-    LearningConfig,
-    LinearModelConfig,
-    draw_true_weights,
-    run_experiment,
-)
+from .simulation import run_experiment
 from .topology import TopologyError, generate_topology
-
-_MARKER_KINDS = {
-    AggregatorKind.TRIMMED_MEAN,
-    AggregatorKind.TALWAR,
-    AggregatorKind.TUKEY,
-}
 
 
 def _fmt(x: float) -> str:
@@ -64,23 +54,15 @@ def _simulate_cell(
     topology = generate_topology(
         cfg.agents, cfg.edge_probability, num_malicious, cfg.topology_seed
     )
-    model = LinearModelConfig(
-        true_weights=draw_true_weights(cfg.dim, cfg.weight_seed),
-        noise_var=cfg.noise_var,
-        samples_per_iteration=cfg.batch_size,
-    )
-    learning = LearningConfig(
-        step_size=cfg.step_size,
-        iterations=cfg.iterations,
-        huber_delta=cfg.huber_delta,
-    )
+    model, learning = cfg.model(), cfg.learning()
     attack = cfg.attack_spec(attack_name)
+    specs = cfg.aggregator_specs()
     traces = [
         run_experiment(topology, model, learning, agg, attack, cfg.data_seed)
-        for agg in cfg.aggregator_specs()
+        for agg in specs
     ]
     stem = f"edge_{_edge_tag(cfg.edge_probability)}_mal_{num_malicious}_out_{attack_name}"
-    header = ["iteration"] + [t.metadata["aggregator"] for t in traces]
+    header = ["iteration"] + [spec.label for spec in specs]
     written = []
     iteration = traces[0].iteration
     if cfg.metrics in ("both", "loss"):
@@ -101,8 +83,10 @@ def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
     cells = [(a, m) for a in cfg.attack_names for m in cfg.malicious_counts]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # A worker per cell at most: under fork every worker starts up front.
+    workers = min(threads, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _simulate_cell,
@@ -119,30 +103,15 @@ def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     return outputs + [out / "manifest.json"]
 
 
-def sweep_base_values(cfg: ExperimentConfig) -> np.ndarray:
-    """Gaussian base set for the sweep; optionally mirrored around zero.
-
-    The mirrored variant pins the robust aggregators' fixed point at the
-    center, which reproduces the idealized curve shapes (exact redescent to
-    zero) independent of sampling asymmetry.
-    """
-    rng = np.random.default_rng(cfg.sweep_base_seed)
-    if not cfg.sweep_symmetric:
-        return rng.standard_normal(cfg.sweep_base_size)
-    half = rng.standard_normal(cfg.sweep_base_size // 2)
-    parts = [half, -half]
-    if cfg.sweep_base_size % 2:
-        parts.append(np.zeros(1))
-    return np.concatenate(parts)
-
-
 def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
-    """Write the sensitivity-curve table and optional analytic peak markers."""
-    from .attacks import mestimator_attack_values, trimmed_attack_values
+    """Write the sensitivity-curve table and optional analytic peak markers.
 
+    A rule's marker is the value its matched SCM attack crafts against the
+    sweep's base set; rules no attack targets get none.
+    """
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
-    base = sweep_base_values(cfg)
+    base = cfg.sweep_base()
     grid = np.linspace(cfg.sweep_grid_min, cfg.sweep_grid_max, cfg.sweep_grid_points)
     specs = cfg.aggregator_specs()
     table = sc_sweep(specs, base, grid, cfg.sweep_outlier_count)
@@ -152,13 +121,12 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
     if cfg.sweep_markers:
         lines = ["aggregator,outlier_value,sensitivity"]
         count = cfg.sweep_outlier_count
+        ctx = CraftingContext(base, count)
+        attack_on = {target: kind.value for kind, target in SCM_TARGET.items()}
         for spec in specs:
-            if spec.kind not in _MARKER_KINDS:
+            if spec.kind not in attack_on:
                 continue
-            if spec.kind is AggregatorKind.TRIMMED_MEAN:
-                z = float(trimmed_attack_values(base, count, spec.alpha)[0])
-            else:
-                z = float(mestimator_attack_values(base, count, spec.kind, spec.c)[0])
+            z = float(craft_attack(ctx, cfg.attack_spec(attack_on[spec.kind]))[0])
             sc = sensitivity_values(spec, base, z, count)
             lines.append(f"{spec.label},{_fmt(z)},{_fmt(sc)}")
         marker_path = out / "SC_max.csv"
@@ -209,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, help="config file (defaults apply if omitted)")
         cmd.add_argument("--out", type=Path, help="output directory override")
         cmd.add_argument("--seed", type=int, help="master seed override")
-        cmd.add_argument("--threads", type=int, default=1, help="parallel grid cells")
+        if name == "simulate":
+            cmd.add_argument("--threads", type=int, default=1, help="parallel grid cells")
     return parser
 
 

@@ -26,7 +26,9 @@ from .estimators import (
     TUKEY_C_95,
     AggregatorKind,
     AggregatorSpec,
+    tuned_aggregators,
 )
+from .simulation import LearningConfig, LinearModelConfig, draw_true_weights
 
 
 class ConfigError(ValueError):
@@ -35,7 +37,7 @@ class ConfigError(ValueError):
 
 AGGREGATOR_NAMES = frozenset(k.value for k in AggregatorKind)
 # Trace CSVs carry the aggregator columns in exactly this order.
-DEFAULT_AGGREGATOR_ORDER = ("sample_mean", "trimmed_mean", "talwar", "tukey", "median")
+DEFAULT_AGGREGATOR_ORDER = tuple(spec.label for spec in tuned_aggregators())
 ATTACK_NAMES = frozenset(("none",) + tuple(k.value for k in AttackKind))
 METRIC_CHOICES = ("both", "loss", "msd")
 
@@ -114,6 +116,36 @@ class ExperimentConfig:
         if kind is AttackKind.TALWAR_SCM:
             return AttackSpec.talwar_scm(self.talwar_c)
         return AttackSpec.tukey_scm(self.tukey_c)
+
+    def model(self) -> LinearModelConfig:
+        return LinearModelConfig(
+            true_weights=draw_true_weights(self.dim, self.weight_seed),
+            noise_var=self.noise_var,
+            samples_per_iteration=self.batch_size,
+        )
+
+    def learning(self) -> LearningConfig:
+        return LearningConfig(
+            step_size=self.step_size,
+            iterations=self.iterations,
+            huber_delta=self.huber_delta,
+        )
+
+    def sweep_base(self) -> np.ndarray:
+        """Gaussian base set for the sweep; optionally mirrored around zero.
+
+        The mirrored variant pins the robust aggregators' fixed point at the
+        center, which reproduces the idealized curve shapes (exact redescent
+        to zero) independent of sampling asymmetry.
+        """
+        rng = np.random.default_rng(self.sweep_base_seed)
+        if not self.sweep_symmetric:
+            return rng.standard_normal(self.sweep_base_size)
+        half = rng.standard_normal(self.sweep_base_size // 2)
+        parts = [half, -half]
+        if self.sweep_base_size % 2:
+            parts.append(np.zeros(1))
+        return np.concatenate(parts)
 
 
 def _bool(text: str) -> bool:
@@ -239,13 +271,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("learning.huber_delta must be positive")
     if cfg.batch_size < 1:
         raise ConfigError("learning.batch_size must be at least 1")
-    seen = set()
-    for name in cfg.aggregator_names:
-        if name not in AGGREGATOR_NAMES:
-            raise ConfigError(f"aggregators.schemes: unknown scheme {name!r}")
-        if name in seen:
-            raise ConfigError(f"aggregators.schemes: duplicate scheme {name!r}")
-        seen.add(name)
+    for section, names, known in (
+        ("aggregators", cfg.aggregator_names, AGGREGATOR_NAMES),
+        ("attack", cfg.attack_names, ATTACK_NAMES),
+    ):
+        seen = set()
+        for name in names:
+            if name not in known:
+                raise ConfigError(f"{section}.schemes: unknown scheme {name!r}")
+            if name in seen:
+                raise ConfigError(f"{section}.schemes: duplicate scheme {name!r}")
+            seen.add(name)
     if not 0.0 <= cfg.trim_alpha < 0.5:
         raise ConfigError("aggregators.trim_alpha must lie in [0, 0.5)")
     if cfg.talwar_c <= 0 or cfg.tukey_c <= 0:
@@ -254,13 +290,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("aggregators.fixed_point_tol must be positive")
     if cfg.fixed_point_max_iter < 1:
         raise ConfigError("aggregators.fixed_point_max_iter must be at least 1")
-    seen = set()
-    for name in cfg.attack_names:
-        if name not in ATTACK_NAMES:
-            raise ConfigError(f"attack.schemes: unknown scheme {name!r}")
-        if name in seen:
-            raise ConfigError(f"attack.schemes: duplicate scheme {name!r}")
-        seen.add(name)
     if "none" in cfg.attack_names and any(m > 0 for m in cfg.malicious_counts):
         raise ConfigError(
             "attack.schemes includes 'none' but topology.malicious_counts has"

@@ -277,6 +277,12 @@ def estimate(spec: AggregatorSpec, values) -> float:
     return float(aggregate_matrix(spec, a[:, None]).values[0])
 
 
+# The efficiency check's confidence band comes from this many disjoint
+# batches; its draws are made this many trials at a time.
+EFFICIENCY_CI_BATCHES = 20
+EFFICIENCY_CHUNK = 20000
+
+
 class EfficiencyRow(NamedTuple):
     label: str
     variance_ratio: float
@@ -289,29 +295,28 @@ def monte_carlo_efficiency(
     trials: int,
     sample_size: int,
     seed: int,
-    batches: int = 20,
-    chunk: int = 20000,
 ) -> list[EfficiencyRow]:
     """Gaussian efficiency of each estimator relative to the sample mean.
 
     Draws ``trials`` standard-normal samples of length ``sample_size``,
     shared across estimators, and reports var(sample mean)/var(estimator)
-    with a normal-theory confidence band from ``batches`` disjoint batches.
+    with a normal-theory confidence band from ``EFFICIENCY_CI_BATCHES``
+    disjoint batches.
     """
-    if trials < batches:
+    if trials < EFFICIENCY_CI_BATCHES:
         raise ValueError("trials must be at least the number of CI batches")
     rng = np.random.default_rng(seed)
     values = [np.empty(trials) for _ in specs]
     mean_values = np.empty(trials)
     start = 0
     while start < trials:
-        stop = min(start + chunk, trials)
+        stop = min(start + EFFICIENCY_CHUNK, trials)
         draws = rng.standard_normal((sample_size, stop - start))
         mean_values[start:stop] = draws.mean(axis=0)
         for s, out in zip(specs, values):
             out[start:stop] = aggregate_matrix(s, draws).values
         start = stop
-    edges = np.linspace(0, trials, batches + 1).astype(int)
+    edges = np.linspace(0, trials, EFFICIENCY_CI_BATCHES + 1).astype(int)
     rows = []
     for s, est in zip(specs, values):
         if s.kind is AggregatorKind.SAMPLE_MEAN:
@@ -324,6 +329,6 @@ def monte_carlo_efficiency(
                 for lo, hi in zip(edges[:-1], edges[1:])
             ]
         )
-        half = 1.96 * per_batch.std(ddof=1) / np.sqrt(batches)
+        half = 1.96 * per_batch.std(ddof=1) / np.sqrt(EFFICIENCY_CI_BATCHES)
         rows.append(EfficiencyRow(s.label, ratio, ratio - half, ratio + half))
     return rows

@@ -57,9 +57,6 @@ class SCTable:
     names: tuple[str, ...]
     values: np.ndarray  # shape (len(names), len(grid))
 
-    def row(self, name: str) -> np.ndarray:
-        return self.values[self.names.index(name)]
-
     def to_csv_text(self) -> str:
         lines = ["outlier_value," + ",".join(self.names)]
         for j, z in enumerate(self.grid):

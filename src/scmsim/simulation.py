@@ -11,7 +11,7 @@ from the experiment seed, so traces are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class ExperimentTrace:
     diverged: bool
     initial_msd: float
     final_weights: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def final_loss(self) -> float:
@@ -228,17 +227,4 @@ def run_experiment(
         diverged=diverged,
         initial_msd=initial_msd,
         final_weights=weights[benign].copy(),
-        metadata={
-            "aggregator": aggregator.label,
-            "attack": attack.label if attack is not None else "none",
-            "num_malicious": topology.num_malicious,
-            "agents": n_agents,
-            "dim": dim,
-            "noise_var": model.noise_var,
-            "step_size": learning.step_size,
-            "iterations": iters,
-            "huber_delta": learning.huber_delta,
-            "batch_size": batch,
-            "seed": seed if isinstance(seed, int) else repr(seed),
-        },
     )

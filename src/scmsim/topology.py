@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# generate_topology draws up to this many graphs before it gives up.
+MAX_GRAPH_ATTEMPTS = 100
+
 
 class TopologyError(RuntimeError):
     """Raised when a valid topology cannot be generated or is malformed."""
@@ -60,10 +63,6 @@ class NetworkTopology:
     @property
     def benign_agents(self) -> np.ndarray:
         return np.flatnonzero(~self.malicious)
-
-    @property
-    def malicious_agents(self) -> np.ndarray:
-        return np.flatnonzero(self.malicious)
 
     def neighborhood(self, k: int) -> np.ndarray:
         """Agent ids adjacent to k, plus k itself, sorted."""
@@ -134,22 +133,17 @@ def assign_roles(
 
 
 def generate_topology(
-    agent_count: int,
-    edge_probability: float,
-    num_malicious: int,
-    seed,
-    max_graph_attempts: int = 100,
-    max_role_attempts: int = 100,
+    agent_count: int, edge_probability: float, num_malicious: int, seed
 ) -> NetworkTopology:
     """Sample a graph and role assignment, regenerating the graph if needed."""
     last_error: TopologyError | None = None
-    for child in np.random.SeedSequence(seed).spawn(max_graph_attempts):
+    for child in np.random.SeedSequence(seed).spawn(MAX_GRAPH_ATTEMPTS):
         graph_seed, role_seed = child.spawn(2)
         adjacency = erdos_renyi(agent_count, edge_probability, graph_seed)
         try:
-            return assign_roles(adjacency, num_malicious, role_seed, max_role_attempts)
+            return assign_roles(adjacency, num_malicious, role_seed)
         except TopologyError as err:
             last_error = err
     raise TopologyError(
-        f"no valid topology in {max_graph_attempts} graph attempts: {last_error}"
+        f"no valid topology in {MAX_GRAPH_ATTEMPTS} graph attempts: {last_error}"
     )

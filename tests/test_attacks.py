@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scmsim.attacks import (
-    AttackKind,
     AttackSpec,
     CraftingContext,
     craft_attack,
@@ -111,10 +110,6 @@ class TestTrimmedScm:
     def test_boundary_error_when_trim_swallows_benign(self):
         with pytest.raises(ValueError):
             trimmed_attack_values(np.array([1.0]), 12, 0.14)
-
-    def test_explicit_epsilon_respected(self):
-        z = trimmed_attack_values(np.arange(1.0, 8.0), 2, 0.12, epsilon=0.25)[0]
-        assert z == pytest.approx(6.75)
 
 
 class TestMEstimatorScm:
@@ -284,5 +279,3 @@ class TestCraftAttack:
             AttackSpec.talwar_scm(0.0)
         with pytest.raises(ValueError):
             AttackSpec.trimmed_scm(0.7)
-        with pytest.raises(ValueError):
-            AttackSpec(AttackKind.TRIMMED_SCM, epsilon=-1.0)

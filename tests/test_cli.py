@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scmsim import cli
+from scmsim.attacks import CraftingContext, craft_attack
 from scmsim.cli import cmd_efficiency_check, cmd_sc_sweep, cmd_simulate, main
 from scmsim.config import (
     ConfigError,
@@ -150,6 +151,33 @@ class TestSimulateCommand:
                 tmp_path / "par" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "counts, threads, pools", [("0 2", 8, [2]), ("2", 8, []), ("0 2", 1, [])]
+    )
+    def test_pool_never_exceeds_cells(self, tmp_path, monkeypatch, counts, threads, pools):
+        started = []
+
+        class RecordingPool:
+            # Stands in for the process pool: records its size, runs in-process.
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        text = FAST_SIM.format(out=tmp_path / "run").replace(
+            "malicious_counts = 0 2", f"malicious_counts = {counts}"
+        )
+        outputs = cmd_simulate(parse_config(text), threads=threads)
+        assert started == pools
+        assert len(outputs) == 2 * len(counts.split()) + 1
+
     def test_manifest_reproduces_outputs(self, tmp_path):
         cfg = parse_config(FAST_SIM.format(out=tmp_path / "first"))
         cmd_simulate(cfg)
@@ -179,6 +207,22 @@ class TestSweepCommand:
         markers = (tmp_path / "SC_max.csv").read_text().strip().split("\n")
         assert markers[0] == "aggregator,outlier_value,sensitivity"
         assert [m.split(",")[0] for m in markers[1:]] == ["trimmed_mean", "talwar", "tukey"]
+
+    def test_markers_are_the_matched_attacks_values(self, tmp_path):
+        cfg = parse_config(
+            "[sweep]\nbase_size = 41\nsymmetric = true\noutlier_count = 3\n"
+            "grid_points = 5\n"
+            f"[output]\ndirectory = {tmp_path}\n"
+        )
+        cmd_sc_sweep(cfg)
+        rows = (tmp_path / "SC_max.csv").read_text().strip().split("\n")[1:]
+        matched = {"trimmed_mean": "trimmed_scm", "talwar": "talwar_scm", "tukey": "tukey_scm"}
+        ctx = CraftingContext(cfg.sweep_base(), cfg.sweep_outlier_count)
+        assert len(rows) == len(matched)
+        for row in rows:
+            label, outlier_value, _ = row.split(",")
+            crafted = craft_attack(ctx, cfg.attack_spec(matched[label]))[0]
+            assert float(outlier_value) == float(crafted)
 
     def test_single_point_grid(self, tmp_path):
         cfg = parse_config(
@@ -231,6 +275,14 @@ class TestMainEntry:
         rc = main(["simulate", "--config", str(cfg_file)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sc-sweep", "efficiency-check"])
+    def test_threads_only_on_simulate(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_non_positive_threads_rejected(self, tmp_path, capsys, monkeypatch, threads):

@@ -160,7 +160,6 @@ class TestSweep:
     def test_row_lookup(self):
         table = sc_sweep([MEAN, MEDIAN], [1.0, 2.0, 3.0], [-1.0, 1.0])
         assert isinstance(table, SCTable)
-        np.testing.assert_allclose(table.row("sample_mean"), table.values[0])
 
 
 class TestMaxNumeric:

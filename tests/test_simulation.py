@@ -165,7 +165,6 @@ class TestRunExperiment:
         assert tr.training_loss.shape == (20,)
         assert tr.msd.shape == (20,)
         assert not tr.diverged
-        assert tr.metadata["aggregator"] == "sample_mean"
         assert tr.initial_msd == pytest.approx(np.sum(model.true_weights**2))
 
     def test_one_adapt_call_per_round(self, monkeypatch):
