@@ -7,7 +7,6 @@ from .estimators import (  # noqa: F401
     AggregatorKind,
     AggregatorSpec,
     estimate,
-    m_estimate,
     mad,
     psi,
     tuned_aggregators,

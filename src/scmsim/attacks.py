@@ -23,6 +23,7 @@ import numpy as np
 
 from .estimators import (
     AggregatorKind,
+    AggregatorSpec,
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
     median_and_scale,
@@ -61,22 +62,22 @@ SCM_TARGET = {
 class AttackSpec:
     """Choice of attack scheme plus its parameters.
 
-    ``target_alpha``/``target_c`` must match the tuning of the aggregator
-    under attack.
+    ``target`` is the aggregation rule an SCM attack is crafted against, of
+    the kind ``SCM_TARGET`` names; the large-value attack takes none.
     """
 
     kind: AttackKind
     lv_magnitude: float = DEFAULT_LV_MAGNITUDE
-    target_alpha: float = TRIM_ALPHA_95
-    target_c: float = 0.0
+    target: AggregatorSpec | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lv_magnitude):
             raise ValueError("lv_magnitude must be finite")
-        if self.kind is AttackKind.TRIMMED_SCM and not 0.0 <= self.target_alpha < 0.5:
-            raise ValueError(f"target_alpha must lie in [0, 0.5), got {self.target_alpha}")
-        if SCM_TARGET.get(self.kind) in M_ESTIMATOR_KINDS and self.target_c <= 0.0:
-            raise ValueError("target_c must be positive for M-estimator attacks")
+        wanted = SCM_TARGET.get(self.kind)
+        if wanted is None and self.target is not None:
+            raise ValueError(f"{self.kind.value} takes no target rule")
+        if wanted is not None and (self.target is None or self.target.kind is not wanted):
+            raise ValueError(f"{self.kind.value} needs a {wanted.value} target rule")
 
     @property
     def label(self) -> str:
@@ -88,15 +89,15 @@ class AttackSpec:
 
     @staticmethod
     def trimmed_scm(alpha: float = TRIM_ALPHA_95) -> "AttackSpec":
-        return AttackSpec(AttackKind.TRIMMED_SCM, target_alpha=alpha)
+        return AttackSpec(AttackKind.TRIMMED_SCM, target=AggregatorSpec.trimmed_mean(alpha))
 
     @staticmethod
     def talwar_scm(c: float) -> "AttackSpec":
-        return AttackSpec(AttackKind.TALWAR_SCM, target_c=c)
+        return AttackSpec(AttackKind.TALWAR_SCM, target=AggregatorSpec.talwar(c))
 
     @staticmethod
     def tukey_scm(c: float) -> "AttackSpec":
-        return AttackSpec(AttackKind.TUKEY_SCM, target_c=c)
+        return AttackSpec(AttackKind.TUKEY_SCM, target=AggregatorSpec.tukey(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +210,9 @@ def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
     """Craft the vector every malicious neighbor reports to this receiver."""
     if spec.kind is AttackKind.LARGE_VALUE:
         return np.full(ctx.dim, spec.lv_magnitude)
+    target = spec.target
     if spec.kind is AttackKind.TRIMMED_SCM:
-        return trimmed_attack_values(ctx.benign_values, ctx.malicious_count, spec.target_alpha)
+        return trimmed_attack_values(ctx.benign_values, ctx.malicious_count, target.alpha)
     return mestimator_attack_values(
-        ctx.benign_values, ctx.malicious_count, SCM_TARGET[spec.kind], spec.target_c
+        ctx.benign_values, ctx.malicious_count, target.kind, target.c
     )

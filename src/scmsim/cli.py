@@ -23,7 +23,7 @@ from .config import (
     parse_config,
     write_manifest,
 )
-from .attacks import SCM_TARGET, CraftingContext, craft_attack
+from .attacks import SCM_TARGET, AttackSpec, CraftingContext, craft_attack
 from .estimators import monte_carlo_efficiency
 from .sensitivity import sc_sweep, sensitivity_values
 from .simulation import run_experiment
@@ -106,8 +106,9 @@ def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
 def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
     """Write the sensitivity-curve table and optional analytic peak markers.
 
-    A rule's marker is the value its matched SCM attack crafts against the
-    sweep's base set; rules no attack targets get none.
+    A rule's marker is the value its matched SCM attack, crafted against the
+    swept spec itself, reports on the sweep's base set; rules no attack
+    targets get none.
     """
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -122,11 +123,11 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
         lines = ["aggregator,outlier_value,sensitivity"]
         count = cfg.sweep_outlier_count
         ctx = CraftingContext(base, count)
-        attack_on = {target: kind.value for kind, target in SCM_TARGET.items()}
+        attack_on = {target: kind for kind, target in SCM_TARGET.items()}
         for spec in specs:
             if spec.kind not in attack_on:
                 continue
-            z = float(craft_attack(ctx, cfg.attack_spec(attack_on[spec.kind]))[0])
+            z = float(craft_attack(ctx, AttackSpec(attack_on[spec.kind], target=spec))[0])
             sc = sensitivity_values(spec, base, z, count)
             lines.append(f"{spec.label},{_fmt(z)},{_fmt(sc)}")
         marker_path = out / "SC_max.csv"

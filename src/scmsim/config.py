@@ -13,13 +13,14 @@ import configparser
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .attacks import AttackKind, AttackSpec
+from .attacks import SCM_TARGET, AttackKind, AttackSpec
 from .estimators import (
     TALWAR_C_95,
     TRIM_ALPHA_95,
@@ -64,8 +65,6 @@ class ExperimentConfig:
     trim_alpha: float = TRIM_ALPHA_95
     talwar_c: float = TALWAR_C_95
     tukey_c: float = TUKEY_C_95
-    fixed_point_tol: float = 1e-9
-    fixed_point_max_iter: int = 100
     # attack
     attack_names: tuple[str, ...] = ("none",)
     lv_magnitude: float = 1000.0
@@ -86,24 +85,19 @@ class ExperimentConfig:
     metrics: str = "both"
     data_seed: int | None = None
 
+    def aggregator_spec(self, kind: AggregatorKind) -> AggregatorSpec:
+        """The rule ``kind`` at this config's tuning: what the defender runs
+        and what an SCM attack on that rule is crafted against."""
+        if kind is AggregatorKind.TRIMMED_MEAN:
+            return AggregatorSpec.trimmed_mean(self.trim_alpha)
+        if kind is AggregatorKind.TALWAR:
+            return AggregatorSpec.talwar(self.talwar_c)
+        if kind is AggregatorKind.TUKEY:
+            return AggregatorSpec.tukey(self.tukey_c)
+        return AggregatorSpec(kind)
+
     def aggregator_specs(self) -> list[AggregatorSpec]:
-        out = []
-        for name in self.aggregator_names:
-            kind = AggregatorKind(name)
-            out.append(
-                AggregatorSpec(
-                    kind,
-                    alpha=self.trim_alpha if kind is AggregatorKind.TRIMMED_MEAN else 0.0,
-                    c=self.talwar_c
-                    if kind is AggregatorKind.TALWAR
-                    else self.tukey_c
-                    if kind is AggregatorKind.TUKEY
-                    else 0.0,
-                    fixed_point_tol=self.fixed_point_tol,
-                    fixed_point_max_iter=self.fixed_point_max_iter,
-                )
-            )
-        return out
+        return [self.aggregator_spec(AggregatorKind(name)) for name in self.aggregator_names]
 
     def attack_spec(self, name: str) -> AttackSpec | None:
         if name == "none":
@@ -111,11 +105,7 @@ class ExperimentConfig:
         kind = AttackKind(name)
         if kind is AttackKind.LARGE_VALUE:
             return AttackSpec.large_value(self.lv_magnitude)
-        if kind is AttackKind.TRIMMED_SCM:
-            return AttackSpec.trimmed_scm(self.trim_alpha)
-        if kind is AttackKind.TALWAR_SCM:
-            return AttackSpec.talwar_scm(self.talwar_c)
-        return AttackSpec.tukey_scm(self.tukey_c)
+        return AttackSpec(kind, target=self.aggregator_spec(SCM_TARGET[kind]))
 
     def model(self) -> LinearModelConfig:
         return LinearModelConfig(
@@ -171,50 +161,62 @@ def _name_list(text: str) -> tuple[str, ...]:
     return parts
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"a seed must be non-negative, got {value}")
+    return value
+
+
 def _seed(text: str) -> int | None:
     if text.strip().lower() == "auto":
         return None
-    return int(text)
+    return _seed_int(text)
 
 
 # section -> key -> (attribute, parser)
 _SCHEMA = {
-    "experiment": {"master_seed": ("master_seed", int), "data_seed": ("data_seed", _seed)},
+    "experiment": {"master_seed": ("master_seed", _seed_int), "data_seed": ("data_seed", _seed)},
     "topology": {
         "agents": ("agents", int),
-        "edge_probability": ("edge_probability", float),
+        "edge_probability": ("edge_probability", _finite_float),
         "malicious_counts": ("malicious_counts", _int_list),
         "seed": ("topology_seed", _seed),
     },
     "model": {
         "dim": ("dim", int),
-        "noise_var": ("noise_var", float),
+        "noise_var": ("noise_var", _finite_float),
         "weight_seed": ("weight_seed", _seed),
     },
     "learning": {
-        "step_size": ("step_size", float),
+        "step_size": ("step_size", _finite_float),
         "iterations": ("iterations", int),
-        "huber_delta": ("huber_delta", float),
+        "huber_delta": ("huber_delta", _finite_float),
         "batch_size": ("batch_size", int),
     },
     "aggregators": {
         "schemes": ("aggregator_names", _name_list),
-        "trim_alpha": ("trim_alpha", float),
-        "talwar_c": ("talwar_c", float),
-        "tukey_c": ("tukey_c", float),
-        "fixed_point_tol": ("fixed_point_tol", float),
-        "fixed_point_max_iter": ("fixed_point_max_iter", int),
+        "trim_alpha": ("trim_alpha", _finite_float),
+        "talwar_c": ("talwar_c", _finite_float),
+        "tukey_c": ("tukey_c", _finite_float),
     },
     "attack": {
         "schemes": ("attack_names", _name_list),
-        "lv_magnitude": ("lv_magnitude", float),
+        "lv_magnitude": ("lv_magnitude", _finite_float),
     },
     "sweep": {
         "base_size": ("sweep_base_size", int),
         "base_seed": ("sweep_base_seed", _seed),
         "symmetric": ("sweep_symmetric", _bool),
-        "grid_min": ("sweep_grid_min", float),
-        "grid_max": ("sweep_grid_max", float),
+        "grid_min": ("sweep_grid_min", _finite_float),
+        "grid_max": ("sweep_grid_max", _finite_float),
         "grid_points": ("sweep_grid_points", int),
         "outlier_count": ("sweep_outlier_count", int),
         "markers": ("sweep_markers", _bool),
@@ -286,10 +288,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("aggregators.trim_alpha must lie in [0, 0.5)")
     if cfg.talwar_c <= 0 or cfg.tukey_c <= 0:
         raise ConfigError("aggregators.talwar_c and tukey_c must be positive")
-    if cfg.fixed_point_tol <= 0:
-        raise ConfigError("aggregators.fixed_point_tol must be positive")
-    if cfg.fixed_point_max_iter < 1:
-        raise ConfigError("aggregators.fixed_point_max_iter must be at least 1")
     if "none" in cfg.attack_names and any(m > 0 for m in cfg.malicious_counts):
         raise ConfigError(
             "attack.schemes includes 'none' but topology.malicious_counts has"
@@ -324,21 +322,23 @@ def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:
     except configparser.Error as err:
         raise ConfigError(f"config parse error: {err}") from err
     values = {}
+
+    def convert(section: str, key: str, raw) -> None:
+        attr, parse = _SCHEMA[section][key]
+        try:
+            values[attr] = parse(raw)
+        except ValueError as err:
+            raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({err})") from err
+
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            attr, convert = _SCHEMA[section][key]
-            try:
-                values[attr] = convert(raw)
-            except ValueError as err:
-                raise ConfigError(
-                    f"invalid value for {section}.{key}: {raw!r} ({err})"
-                ) from err
+            convert(section, key, raw)
     if master_seed is not None:
-        values["master_seed"] = master_seed
+        convert("experiment", "master_seed", master_seed)
     cfg = _resolve(ExperimentConfig(**values))
     _validate(cfg)
     return cfg

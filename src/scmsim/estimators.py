@@ -25,6 +25,11 @@ TRIM_ALPHA_95 = 0.0688
 TALWAR_C_95 = 2.7955
 TUKEY_C_95 = 4.685
 
+# The M-estimation fixed point stops once every column's step is within
+# FIXED_POINT_TOL scales, or after FIXED_POINT_MAX_ITER reweighted means.
+FIXED_POINT_TOL = 1e-9
+FIXED_POINT_MAX_ITER = 100
+
 
 class AggregatorKind(enum.Enum):
     SAMPLE_MEAN = "sample_mean"
@@ -42,26 +47,19 @@ class AggregatorSpec:
     """An aggregation rule plus its tuning parameters.
 
     ``alpha`` is the per-side trim fraction (trimmed mean only), ``c`` the
-    rejection constant of the M-estimators.  ``fixed_point_tol`` and
-    ``fixed_point_max_iter`` control the M-estimation iteration.
+    rejection constant of the M-estimators.  The defender runs this spec and
+    an SCM attack is crafted against it.
     """
 
     kind: AggregatorKind
     alpha: float = 0.0
     c: float = 0.0
-    fixed_point_tol: float = 1e-9
-    fixed_point_max_iter: int = 100
 
     def __post_init__(self) -> None:
         if self.kind is AggregatorKind.TRIMMED_MEAN and not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"trim fraction must lie in [0, 0.5), got {self.alpha}")
-        if self.kind in M_ESTIMATOR_KINDS:
-            if self.c <= 0.0:
-                raise ValueError(f"tuning constant c must be positive, got {self.c}")
-            if self.fixed_point_tol <= 0.0:
-                raise ValueError("fixed_point_tol must be positive")
-            if self.fixed_point_max_iter < 1:
-                raise ValueError("fixed_point_max_iter must be at least 1")
+        if self.kind in M_ESTIMATOR_KINDS and self.c <= 0.0:
+            raise ValueError(f"tuning constant c must be positive, got {self.c}")
 
     @property
     def label(self) -> str:
@@ -80,12 +78,12 @@ class AggregatorSpec:
         return AggregatorSpec(AggregatorKind.TRIMMED_MEAN, alpha=alpha)
 
     @staticmethod
-    def talwar(c: float = TALWAR_C_95, **kw) -> "AggregatorSpec":
-        return AggregatorSpec(AggregatorKind.TALWAR, c=c, **kw)
+    def talwar(c: float = TALWAR_C_95) -> "AggregatorSpec":
+        return AggregatorSpec(AggregatorKind.TALWAR, c=c)
 
     @staticmethod
-    def tukey(c: float = TUKEY_C_95, **kw) -> "AggregatorSpec":
-        return AggregatorSpec(AggregatorKind.TUKEY, c=c, **kw)
+    def tukey(c: float = TUKEY_C_95) -> "AggregatorSpec":
+        return AggregatorSpec(AggregatorKind.TUKEY, c=c)
 
 
 def tuned_aggregators() -> list[AggregatorSpec]:
@@ -150,11 +148,7 @@ def psi(kind: AggregatorKind, x, c: float):
     if c <= 0.0:
         raise ValueError("tuning constant c must be positive")
     arr = np.asarray(x, dtype=float)
-    inside = np.abs(arr) <= c
-    if kind is AggregatorKind.TALWAR:
-        out = np.where(inside, arr, 0.0)
-    else:
-        out = np.where(inside, arr * (1.0 - (arr / c) ** 2) ** 2, 0.0)
+    out = arr * _psi_weights(kind, arr, c)
     return float(out) if np.isscalar(x) else out
 
 
@@ -168,13 +162,18 @@ def _psi_weights(kind: AggregatorKind, r: np.ndarray, c: float) -> np.ndarray:
 
 
 def _m_estimate_columns(
-    a: np.ndarray, kind: AggregatorKind, c: float, tol: float, max_iter: int
+    a: np.ndarray, kind: AggregatorKind, c: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Column-wise M-estimation on a (samples, columns) matrix.
 
-    Returns (locations, converged flags, iterations used).  Columns with a
-    zero scale estimate return the median directly.  Columns whose samples
-    are all rejected keep their last iterate and are flagged non-converged.
+    Each column's location is the zero of sum(psi((y - mu)/sigma)), with the
+    scale sigma held at the column's normalized MAD.  The iteration is the
+    reweighted mean sum(w*y)/sum(w) with w = psi(r)/r, started from the
+    median.  Returns (locations, converged flags, iterations used).  Columns
+    with a zero scale estimate return the median directly.  Columns whose
+    samples are all rejected, or that are still moving after
+    ``FIXED_POINT_MAX_ITER`` steps, keep their last iterate and are flagged
+    non-converged.
     """
     n, m = a.shape
     med, sigma = median_and_scale(a)
@@ -184,7 +183,7 @@ def _m_estimate_columns(
     done = degenerate.copy()
     all_rejected = np.zeros(m, dtype=bool)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         if done.all():
             iterations -= 1
             break
@@ -200,34 +199,11 @@ def _m_estimate_columns(
         new = (w[:, active] * a[:, active]).sum(axis=0) / wsum[active]
         step = np.abs(new - loc[active])
         loc[active] = new
-        done[active[step <= tol * sigma[active]]] = True
+        done[active[step <= FIXED_POINT_TOL * sigma[active]]] = True
     r = (a - loc) / safe_sigma
     residual = np.abs(psi(kind, r, c).sum(axis=0))
-    converged = degenerate | (~all_rejected & (residual <= n * tol))
+    converged = degenerate | (~all_rejected & (residual <= n * FIXED_POINT_TOL))
     return loc, converged, iterations
-
-
-class MEstimate(NamedTuple):
-    location: float
-    converged: bool
-    iterations: int
-
-
-def m_estimate(values, spec: AggregatorSpec) -> MEstimate:
-    """Location M-estimate: zero of sum(psi((y - mu)/sigma)).
-
-    The scale sigma is the normalized MAD of the input and stays fixed; the
-    iteration is the reweighted mean sum(w*y)/sum(w) with w = psi(r)/r,
-    started from the median.  A zero scale short-circuits to the median.
-    Non-convergence returns the last iterate flagged ``converged=False``.
-    """
-    if spec.kind not in M_ESTIMATOR_KINDS:
-        raise ValueError(f"m_estimate requires a Talwar or Tukey spec, got {spec.kind}")
-    a = _as_samples(values)
-    loc, conv, iters = _m_estimate_columns(
-        a[:, None], spec.kind, spec.c, spec.fixed_point_tol, spec.fixed_point_max_iter
-    )
-    return MEstimate(float(loc[0]), bool(conv[0]), iters)
 
 
 class AggregationResult(NamedTuple):
@@ -261,9 +237,7 @@ def aggregate_matrix(spec: AggregatorSpec, matrix) -> AggregationResult:
             raise ValueError("trimming would discard every sample")
         s = np.sort(a, axis=0)
         return AggregationResult(s[t : n - t].mean(axis=0), True)
-    loc, conv, _ = _m_estimate_columns(
-        a, kind, spec.c, spec.fixed_point_tol, spec.fixed_point_max_iter
-    )
+    loc, conv, _ = _m_estimate_columns(a, kind, spec.c)
     return AggregationResult(loc, bool(conv.all()))
 
 

@@ -132,10 +132,6 @@ class ExperimentTrace:
     final_weights: np.ndarray | None = None
 
     @property
-    def final_loss(self) -> float:
-        return float(self.training_loss[-1])
-
-    @property
     def final_msd(self) -> float:
         return float(self.msd[-1])
 

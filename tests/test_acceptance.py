@@ -6,7 +6,9 @@ numbers before asserting.  The experiment-grid criteria share one cached
 set of simulation runs.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,6 @@ from scmsim.estimators import (
     AggregatorKind,
     AggregatorSpec,
     estimate,
-    m_estimate,
     mad,
     monte_carlo_efficiency,
     trim_count,
@@ -90,30 +91,33 @@ def trace_bytes(trace) -> bytes:
 
 @pytest.fixture(scope="module")
 def grid():
+    # The 53 runs are independent, so they are spread over one worker
+    # process per available CPU; each trace is filed under the same key.
     t0 = time.time()
     model = LinearModelConfig(true_weights=draw_true_weights(10, WEIGHT_SEED))
     learn = LearningConfig()
     topo = {m: generate_topology(32, 0.7, m, TOPOLOGY_SEED) for m in (0, 3, 6)}
-    g = Grid()
+    runs = {}  # (Grid field, key) -> run_experiment arguments
     for agg in tuned_aggregators():
         for seed in DATA_SEEDS:
-            g.baseline[(agg.label, seed)] = run_experiment(
-                topo[0], model, learn, agg, None, seed
-            )
+            runs[("baseline", (agg.label, seed))] = (topo[0], model, learn, agg, None, seed)
     for name, (attack, _) in matched_attacks().items():
         for agg in tuned_aggregators():
-            g.attacked19[(name, agg.label)] = run_experiment(
+            runs[("attacked19", (name, agg.label))] = (
                 topo[6], model, learn, agg, attack, DATA_SEEDS[0]
             )
     lv = matched_attacks()["large_value"][0]
     lv_far = AttackSpec.large_value(1e6)
     for agg in tuned_aggregators():
-        g.lv9[agg.label] = run_experiment(topo[3], model, learn, agg, lv, DATA_SEEDS[0])
+        runs[("lv9", agg.label)] = (topo[3], model, learn, agg, lv, DATA_SEEDS[0])
         if agg.label in BOUNDED_INFLUENCE:
-            g.lv9_far[agg.label] = run_experiment(
-                topo[3], model, learn, agg, lv_far, DATA_SEEDS[0]
-            )
-    g.lv9_topology = topo[3]
+            runs[("lv9_far", agg.label)] = (topo[3], model, learn, agg, lv_far, DATA_SEEDS[0])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(max_workers=min(cpus or 1, len(runs))) as pool:
+        traces = list(pool.map(run_experiment, *zip(*runs.values())))
+    g = Grid(lv9_topology=topo[3])
+    for (name, key), trace in zip(runs, traces):
+        getattr(g, name)[key] = trace
     g.elapsed = time.time() - t0
     return g
 
@@ -204,7 +208,7 @@ def test_criterion_3_attack_near_optimality():
             _, sc_star = max_sc_numeric(spec, base, count=p)
             combined = np.concatenate([base, np.full(p, z)])
             scale = mad(combined, normalized=True)
-            copies_rejected = abs((z - m_estimate(combined, spec).location) / scale) > c
+            copies_rejected = abs((z - estimate(spec, combined)) / scale) > c
             if copies_rejected:
                 rejected.append(spec.label)
             if not sc >= 0.95 * sc_star:
@@ -373,7 +377,7 @@ def test_criterion_8_oracle_equivalence():
         s = rng.standard_normal(n) * float(rng.uniform(0.5, 3.0)) + float(
             rng.normal(scale=2.0)
         )
-        got = m_estimate(s, spec).location
+        got = estimate(spec, s)
         want = brute_force_m_estimate(s, spec)
         worst = max(worst, abs(got - want))
     ok_mest = worst <= 1e-6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scmsim.attacks import (
+    AttackKind,
     AttackSpec,
     CraftingContext,
     craft_attack,
@@ -19,7 +20,6 @@ from scmsim.estimators import (
     AggregatorKind,
     AggregatorSpec,
     estimate,
-    m_estimate,
     mad,
     psi,
     trim_count,
@@ -166,7 +166,7 @@ class TestMEstimatorScm:
             base = rng.standard_normal(n)
             z = mestimator_attack_values(base, p, AggregatorKind.TUKEY, spec.c)[0]
             combined = np.concatenate([base, np.full(p, z)])
-            loc = m_estimate(combined, spec).location
+            loc = estimate(spec, combined)
             sigma = mad(combined, normalized=True)
             assert psi(AggregatorKind.TUKEY, (z - loc) / sigma, spec.c) != 0.0
 
@@ -184,7 +184,7 @@ class TestMEstimatorScm:
             base = rng.standard_normal(n)
             z = mestimator_attack_values(base, p, AggregatorKind.TALWAR, spec.c)[0]
             combined = np.concatenate([base, np.full(p, z)])
-            loc = m_estimate(combined, spec).location
+            loc = estimate(spec, combined)
             sigma = mad(combined, normalized=True)
             if psi(AggregatorKind.TALWAR, (z - loc) / sigma, spec.c) != 0.0:
                 survived += 1
@@ -279,3 +279,9 @@ class TestCraftAttack:
             AttackSpec.talwar_scm(0.0)
         with pytest.raises(ValueError):
             AttackSpec.trimmed_scm(0.7)
+        with pytest.raises(ValueError, match="needs a talwar target"):
+            AttackSpec(AttackKind.TALWAR_SCM, target=AggregatorSpec.tukey())
+        with pytest.raises(ValueError, match="no target"):
+            AttackSpec(AttackKind.LARGE_VALUE, target=AggregatorSpec.sample_mean())
+        with pytest.raises(ValueError, match="needs a talwar target"):
+            AttackSpec(AttackKind.TALWAR_SCM)

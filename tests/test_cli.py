@@ -13,6 +13,7 @@ from scmsim.config import (
     parse_config,
     resolved_text,
 )
+from scmsim.estimators import AggregatorKind
 
 FAST_SIM = """
 [topology]
@@ -62,9 +63,48 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config section"):
             parse_config("[wormholes]\nenabled = true\n")
 
-    def test_bad_value_names_key(self):
-        with pytest.raises(ConfigError, match="topology.agents"):
-            parse_config("[topology]\nagents = many\n")
+    @pytest.mark.parametrize(
+        "text, master_seed, key",
+        [
+            ("[topology]\nagents = many\n", None, "topology.agents"),
+            ("[aggregators]\ntalwar_c = nan\n", None, "aggregators.talwar_c"),
+            ("[aggregators]\ntukey_c = inf\n", None, "aggregators.tukey_c"),
+            ("[learning]\nstep_size = nan\n", None, "learning.step_size"),
+            ("[model]\nnoise_var = nan\n", None, "model.noise_var"),
+            ("[attack]\nlv_magnitude = inf\n", None, "attack.lv_magnitude"),
+            ("[topology]\nseed = -3\n", None, "topology.seed"),
+            ("[experiment]\nmaster_seed = -1\n", None, "experiment.master_seed"),
+            ("", -1, "experiment.master_seed"),
+        ],
+        ids=[
+            "agents-word",
+            "talwar_c-nan",
+            "tukey_c-inf",
+            "step_size-nan",
+            "noise_var-nan",
+            "lv_magnitude-inf",
+            "seed-negative",
+            "master_seed-negative",
+            "seed_override-negative",
+        ],
+    )
+    def test_bad_value_names_key(self, text, master_seed, key):
+        with pytest.raises(ConfigError, match=f"invalid value for {key}"):
+            parse_config(text, master_seed=master_seed)
+
+    def test_scm_attacks_target_the_configured_rules(self):
+        cfg = parse_config(
+            "[aggregators]\ntrim_alpha = 0.1\ntalwar_c = 2.5\ntukey_c = 4.0\n"
+            "[attack]\nschemes = trimmed_scm talwar_scm tukey_scm\n"
+            "[topology]\nmalicious_counts = 3\n"
+        )
+        defended = {spec.kind: spec for spec in cfg.aggregator_specs()}
+        assert defended[AggregatorKind.TRIMMED_MEAN].alpha == 0.1
+        assert defended[AggregatorKind.TALWAR].c == 2.5
+        assert defended[AggregatorKind.TUKEY].c == 4.0
+        for name in cfg.attack_names:
+            target = cfg.attack_spec(name).target
+            assert target == defended[target.kind]
 
     def test_none_attack_with_malicious_rejected(self):
         text = "[topology]\nmalicious_counts = 3\n[attack]\nschemes = none\n"

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import median_abs_deviation
 
 from scmsim.estimators import (
+    FIXED_POINT_TOL,
     AggregatorKind,
     AggregatorSpec,
     MAD_NORMALIZATION,
@@ -13,7 +14,6 @@ from scmsim.estimators import (
     TUKEY_C_95,
     aggregate_matrix,
     estimate,
-    m_estimate,
     mad,
     psi,
     trim_count,
@@ -154,23 +154,25 @@ class TestPsi:
 
 class TestMEstimate:
     def test_symmetric_fixed_point(self):
-        r = m_estimate([1, 2, 3], AggregatorSpec.tukey())
-        assert r.location == pytest.approx(2.0, abs=1e-12)
-        assert r.converged
+        s = np.array([1.0, 2.0, 3.0])
+        spec = AggregatorSpec.tukey()
+        assert estimate(spec, s) == pytest.approx(2.0, abs=1e-12)
+        assert aggregate_matrix(spec, s[:, None]).converged
 
     def test_zero_scale_short_circuits_to_median(self):
-        r = m_estimate([0, 0, 0, 0, 1000], AggregatorSpec.talwar())
-        assert r.location == 0.0
-        assert r.converged
+        s = np.array([0.0, 0.0, 0.0, 0.0, 1000.0])
+        spec = AggregatorSpec.talwar()
+        assert estimate(spec, s) == 0.0
+        assert aggregate_matrix(spec, s[:, None]).converged
 
     def test_matches_brute_force_objective_search(self):
         rng = np.random.default_rng(7)
         s = rng.standard_normal(50)
         spec = AggregatorSpec.tukey()
-        got = m_estimate(s, spec)
+        got = estimate(spec, s)
         want = brute_force_m_estimate(s, spec)
-        assert got.converged
-        assert got.location == pytest.approx(want, abs=1e-6)
+        assert aggregate_matrix(spec, s[:, None]).converged
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_talwar_fixed_point_is_local_objective_minimum(self):
         # The hard cutoff makes the objective piecewise quadratic with
@@ -184,15 +186,15 @@ class TestMEstimate:
         total = 100
         for _ in range(total):
             s = rng.standard_normal(int(rng.integers(20, 80)))
-            got = m_estimate(s, spec)
-            assert got.converged
+            got = estimate(spec, s)
+            assert aggregate_matrix(spec, s[:, None]).converged
             want = brute_force_m_estimate(s, spec)
-            if abs(got.location - want) <= 1e-6:
+            if abs(got - want) <= 1e-6:
                 agree += 1
             else:
-                nearby = rho_objective(s, spec, got.location)
-                assert nearby <= rho_objective(s, spec, got.location + 1e-4)
-                assert nearby <= rho_objective(s, spec, got.location - 1e-4)
+                nearby = rho_objective(s, spec, got)
+                assert nearby <= rho_objective(s, spec, got + 1e-4)
+                assert nearby <= rho_objective(s, spec, got - 1e-4)
         assert agree >= 0.95 * total
 
     def test_residual_bound_when_converged(self):
@@ -200,16 +202,11 @@ class TestMEstimate:
         for spec in M_SPECS:
             for _ in range(50):
                 s = rng.standard_normal(int(rng.integers(3, 60)))
-                r = m_estimate(s, spec)
-                if not r.converged:
+                if not aggregate_matrix(spec, s[:, None]).converged:
                     continue
                 sigma = mad(s, normalized=True)
-                resid = psi(spec.kind, (s - r.location) / sigma, spec.c).sum()
-                assert abs(resid) <= s.size * spec.fixed_point_tol * (1 + 1e-12)
-
-    def test_requires_m_estimator_kind(self):
-        with pytest.raises(ValueError):
-            m_estimate([1, 2, 3], AggregatorSpec.median())
+                resid = psi(spec.kind, (s - estimate(spec, s)) / sigma, spec.c).sum()
+                assert abs(resid) <= s.size * FIXED_POINT_TOL * (1 + 1e-12)
 
 
 class TestAggregate:
