@@ -191,8 +191,6 @@ def mestimator_attack_values(
     c0 = psi_argmax(kind, c) * (1.0 - BOUNDARY_MARGIN)
     med, scale = median_and_scale(a)
     z = c0 * scale + med
-    if malicious_count == 0:
-        return z
     for _ in range(SHIFT_CORRECTION_MAX_ROUNDS):
         combined = np.concatenate(
             [a, np.broadcast_to(z, (malicious_count, a.shape[1]))], axis=0

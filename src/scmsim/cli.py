@@ -63,17 +63,11 @@ def _simulate_cell(
     ]
     stem = f"edge_{_edge_tag(cfg.edge_probability)}_mal_{num_malicious}_out_{attack_name}"
     header = ["iteration"] + [spec.label for spec in specs]
-    written = []
     iteration = traces[0].iteration
-    if cfg.metrics in ("both", "loss"):
-        path = out / f"train_loss_{stem}.csv"
-        _write_csv(path, header, [iteration] + [t.training_loss for t in traces])
-        written.append(str(path))
-    if cfg.metrics in ("both", "msd"):
-        path = out / f"msd_{stem}.csv"
-        _write_csv(path, header, [iteration] + [t.msd for t in traces])
-        written.append(str(path))
-    return written
+    loss_path, msd_path = out / f"train_loss_{stem}.csv", out / f"msd_{stem}.csv"
+    _write_csv(loss_path, header, [iteration] + [t.training_loss for t in traces])
+    _write_csv(msd_path, header, [iteration] + [t.msd for t in traces])
+    return [str(loss_path), str(msd_path)]
 
 
 def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
@@ -104,7 +98,7 @@ def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
 
 
 def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
-    """Write the sensitivity-curve table and optional analytic peak markers.
+    """Write the sensitivity-curve table and the analytic peak markers.
 
     A rule's marker is the value its matched SCM attack, crafted against the
     swept spec itself, reports on the sweep's base set; rules no attack
@@ -118,21 +112,19 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
     table = sc_sweep(specs, base, grid, cfg.sweep_outlier_count)
     sc_path = out / "SC.csv"
     table.save(sc_path)
-    outputs = [sc_path]
-    if cfg.sweep_markers:
-        lines = ["aggregator,outlier_value,sensitivity"]
-        count = cfg.sweep_outlier_count
-        ctx = CraftingContext(base, count)
-        attack_on = {target: kind for kind, target in SCM_TARGET.items()}
-        for spec in specs:
-            if spec.kind not in attack_on:
-                continue
-            z = float(craft_attack(ctx, AttackSpec(attack_on[spec.kind], target=spec))[0])
-            sc = sensitivity_values(spec, base, z, count)
-            lines.append(f"{spec.label},{_fmt(z)},{_fmt(sc)}")
-        marker_path = out / "SC_max.csv"
-        marker_path.write_text("\n".join(lines) + "\n")
-        outputs.append(marker_path)
+    lines = ["aggregator,outlier_value,sensitivity"]
+    count = cfg.sweep_outlier_count
+    ctx = CraftingContext(base, count)
+    attack_on = {target: kind for kind, target in SCM_TARGET.items()}
+    for spec in specs:
+        if spec.kind not in attack_on:
+            continue
+        z = float(craft_attack(ctx, AttackSpec(attack_on[spec.kind], target=spec))[0])
+        sc = sensitivity_values(spec, base, z, count)
+        lines.append(f"{spec.label},{_fmt(z)},{_fmt(sc)}")
+    marker_path = out / "SC_max.csv"
+    marker_path.write_text("\n".join(lines) + "\n")
+    outputs = [sc_path, marker_path]
     write_manifest(out / "manifest.json", "sc-sweep", cfg, outputs)
     return outputs + [out / "manifest.json"]
 

@@ -14,8 +14,9 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,50 +41,94 @@ AGGREGATOR_NAMES = frozenset(k.value for k in AggregatorKind)
 # Trace CSVs carry the aggregator columns in exactly this order.
 DEFAULT_AGGREGATOR_ORDER = tuple(spec.label for spec in tuned_aggregators())
 ATTACK_NAMES = frozenset(("none",) + tuple(k.value for k in AttackKind))
-METRIC_CHOICES = ("both", "loss", "msd")
+
+
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise ValueError("expected at least one integer")
+    return tuple(int(p) for p in parts)
+
+
+def _name_list(text: str) -> tuple[str, ...]:
+    parts = tuple(text.replace(",", " ").split())
+    if not parts:
+        raise ValueError("expected at least one name")
+    return parts
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _seed_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"a seed must be non-negative, got {value}")
+    return value
+
+
+def _seed(text: str) -> int | None:
+    if text.strip().lower() == "auto":
+        return None
+    return _seed_int(text)
+
+
+def _key(section: str, key: str, parse: Callable, default):
+    """A config field: read from ``[section] key`` through ``parse``."""
+    return field(default=default, metadata={"key": (section, key, parse)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    master_seed: int = 0
-    # topology
-    agents: int = 32
-    edge_probability: float = 0.7
-    malicious_counts: tuple[int, ...] = (0,)
-    topology_seed: int | None = None
-    # model
-    dim: int = 10
-    noise_var: float = 0.01
-    weight_seed: int | None = None
-    # learning
-    step_size: float = 0.05
-    iterations: int = 300
-    huber_delta: float = 1.0
-    batch_size: int = 1
-    # aggregators
-    aggregator_names: tuple[str, ...] = DEFAULT_AGGREGATOR_ORDER
-    trim_alpha: float = TRIM_ALPHA_95
-    talwar_c: float = TALWAR_C_95
-    tukey_c: float = TUKEY_C_95
-    # attack
-    attack_names: tuple[str, ...] = ("none",)
-    lv_magnitude: float = 1000.0
-    # sc sweep
-    sweep_base_size: int = 100
-    sweep_base_seed: int | None = None
-    sweep_symmetric: bool = False
-    sweep_grid_min: float = -10.0
-    sweep_grid_max: float = 10.0
-    sweep_grid_points: int = 401
-    sweep_outlier_count: int = 1
-    sweep_markers: bool = True
-    # efficiency
-    efficiency_trials: int = 100000
-    efficiency_sample_size: int = 100
-    # output
-    output_directory: str = "out"
-    metrics: str = "both"
-    data_seed: int | None = None
+    """The experiment a config describes; each field declares its key.
+
+    Field order is the order of the keys in ``resolved_text``.
+    """
+
+    master_seed: int = _key("experiment", "master_seed", _seed_int, 0)
+    data_seed: int | None = _key("experiment", "data_seed", _seed, None)
+    agents: int = _key("topology", "agents", int, 32)
+    edge_probability: float = _key("topology", "edge_probability", _finite_float, 0.7)
+    malicious_counts: tuple[int, ...] = _key("topology", "malicious_counts", _int_list, (0,))
+    topology_seed: int | None = _key("topology", "seed", _seed, None)
+    dim: int = _key("model", "dim", int, 10)
+    noise_var: float = _key("model", "noise_var", _finite_float, 0.01)
+    weight_seed: int | None = _key("model", "weight_seed", _seed, None)
+    step_size: float = _key("learning", "step_size", _finite_float, 0.05)
+    iterations: int = _key("learning", "iterations", int, 300)
+    huber_delta: float = _key("learning", "huber_delta", _finite_float, 1.0)
+    batch_size: int = _key("learning", "batch_size", int, 1)
+    aggregator_names: tuple[str, ...] = _key(
+        "aggregators", "schemes", _name_list, DEFAULT_AGGREGATOR_ORDER
+    )
+    trim_alpha: float = _key("aggregators", "trim_alpha", _finite_float, TRIM_ALPHA_95)
+    talwar_c: float = _key("aggregators", "talwar_c", _finite_float, TALWAR_C_95)
+    tukey_c: float = _key("aggregators", "tukey_c", _finite_float, TUKEY_C_95)
+    attack_names: tuple[str, ...] = _key("attack", "schemes", _name_list, ("none",))
+    lv_magnitude: float = _key("attack", "lv_magnitude", _finite_float, 1000.0)
+    sweep_base_size: int = _key("sweep", "base_size", int, 100)
+    sweep_base_seed: int | None = _key("sweep", "base_seed", _seed, None)
+    sweep_symmetric: bool = _key("sweep", "symmetric", _bool, False)
+    sweep_grid_min: float = _key("sweep", "grid_min", _finite_float, -10.0)
+    sweep_grid_max: float = _key("sweep", "grid_max", _finite_float, 10.0)
+    sweep_grid_points: int = _key("sweep", "grid_points", int, 401)
+    sweep_outlier_count: int = _key("sweep", "outlier_count", int, 1)
+    efficiency_trials: int = _key("efficiency", "trials", int, 100000)
+    efficiency_sample_size: int = _key("efficiency", "sample_size", int, 100)
+    output_directory: str = _key("output", "directory", str, "out")
 
     def aggregator_spec(self, kind: AggregatorKind) -> AggregatorSpec:
         """The rule ``kind`` at this config's tuning: what the defender runs
@@ -138,98 +183,16 @@ class ExperimentConfig:
         return np.concatenate(parts)
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+def _schema() -> dict[str, dict[str, tuple[str, Callable]]]:
+    schema = {}
+    for f in fields(ExperimentConfig):
+        section, key, parse = f.metadata["key"]
+        schema.setdefault(section, {})[key] = (f.name, parse)
+    return schema
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ValueError("expected at least one integer")
-    return tuple(int(p) for p in parts)
-
-
-def _name_list(text: str) -> tuple[str, ...]:
-    parts = tuple(text.replace(",", " ").split())
-    if not parts:
-        raise ValueError("expected at least one name")
-    return parts
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _seed_int(text) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"a seed must be non-negative, got {value}")
-    return value
-
-
-def _seed(text: str) -> int | None:
-    if text.strip().lower() == "auto":
-        return None
-    return _seed_int(text)
-
-
-# section -> key -> (attribute, parser)
-_SCHEMA = {
-    "experiment": {"master_seed": ("master_seed", _seed_int), "data_seed": ("data_seed", _seed)},
-    "topology": {
-        "agents": ("agents", int),
-        "edge_probability": ("edge_probability", _finite_float),
-        "malicious_counts": ("malicious_counts", _int_list),
-        "seed": ("topology_seed", _seed),
-    },
-    "model": {
-        "dim": ("dim", int),
-        "noise_var": ("noise_var", _finite_float),
-        "weight_seed": ("weight_seed", _seed),
-    },
-    "learning": {
-        "step_size": ("step_size", _finite_float),
-        "iterations": ("iterations", int),
-        "huber_delta": ("huber_delta", _finite_float),
-        "batch_size": ("batch_size", int),
-    },
-    "aggregators": {
-        "schemes": ("aggregator_names", _name_list),
-        "trim_alpha": ("trim_alpha", _finite_float),
-        "talwar_c": ("talwar_c", _finite_float),
-        "tukey_c": ("tukey_c", _finite_float),
-    },
-    "attack": {
-        "schemes": ("attack_names", _name_list),
-        "lv_magnitude": ("lv_magnitude", _finite_float),
-    },
-    "sweep": {
-        "base_size": ("sweep_base_size", int),
-        "base_seed": ("sweep_base_seed", _seed),
-        "symmetric": ("sweep_symmetric", _bool),
-        "grid_min": ("sweep_grid_min", _finite_float),
-        "grid_max": ("sweep_grid_max", _finite_float),
-        "grid_points": ("sweep_grid_points", int),
-        "outlier_count": ("sweep_outlier_count", int),
-        "markers": ("sweep_markers", _bool),
-    },
-    "efficiency": {
-        "trials": ("efficiency_trials", int),
-        "sample_size": ("efficiency_sample_size", int),
-    },
-    "output": {
-        "directory": ("output_directory", str),
-        "metrics": ("metrics", str),
-    },
-}
+# section -> key -> (attribute, parser), in field order.
+_SCHEMA = _schema()
 
 
 def _derive_seed(master_seed: int, stream: int) -> int:
@@ -255,12 +218,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("topology.agents must be at least 2")
     if not 0.0 < cfg.edge_probability <= 1.0:
         raise ConfigError("topology.edge_probability must lie in (0, 1]")
-    for m in cfg.malicious_counts:
+    for i, m in enumerate(cfg.malicious_counts):
         if not 0 <= m < cfg.agents / 2:
             raise ConfigError(
                 f"topology.malicious_counts entry {m} violates 0 <= m < agents/2"
                 f" (agents={cfg.agents})"
             )
+        if m in cfg.malicious_counts[:i]:
+            raise ConfigError(f"topology.malicious_counts: duplicate count {m}")
     if cfg.dim < 1:
         raise ConfigError("model.dim must be at least 1")
     if cfg.noise_var <= 0:
@@ -305,8 +270,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("efficiency.trials must be at least 1000")
     if cfg.efficiency_sample_size < 2:
         raise ConfigError("efficiency.sample_size must be at least 2")
-    if cfg.metrics not in METRIC_CHOICES:
-        raise ConfigError(f"output.metrics must be one of {METRIC_CHOICES}")
 
 
 def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:

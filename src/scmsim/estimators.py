@@ -293,9 +293,6 @@ def monte_carlo_efficiency(
     edges = np.linspace(0, trials, EFFICIENCY_CI_BATCHES + 1).astype(int)
     rows = []
     for s, est in zip(specs, values):
-        if s.kind is AggregatorKind.SAMPLE_MEAN:
-            rows.append(EfficiencyRow(s.label, 1.0, 1.0, 1.0))
-            continue
         ratio = float(np.var(mean_values) / np.var(est))
         per_batch = np.array(
             [

@@ -30,22 +30,31 @@ def _contaminated_columns(base: np.ndarray, outliers: np.ndarray, count: int) ->
     return np.concatenate([cols, copies], axis=0)
 
 
+def _clean_base(agg: AggregatorSpec, base, count: int) -> tuple[np.ndarray, float]:
+    # The validated base set and its uncontaminated estimate.
+    a = _as_samples(base)
+    if count < 1:
+        raise ValueError("outlier count must be at least 1")
+    return a, estimate(agg, a)
+
+
+def _curve(agg: AggregatorSpec, a: np.ndarray, clean: float, zs: np.ndarray, count: int):
+    # n * (AGG(base + count copies of z) - AGG(base)), one entry per z.
+    contaminated = aggregate_matrix(agg, _contaminated_columns(a, zs, count)).values
+    return (a.size + count) * (contaminated - clean)
+
+
 def sensitivity_values(agg: AggregatorSpec, base, outliers, count: int = 1):
     """Sensitivity curve at one outlier value or at an array of them.
 
     ``count`` identical copies of each value join the base set.  A scalar
     ``outliers`` gives a float; an array gives one value per entry.
     """
-    a = _as_samples(base)
-    if count < 1:
-        raise ValueError("outlier count must be at least 1")
+    a, clean = _clean_base(agg, base, count)
     zs = np.asarray(outliers, dtype=float).ravel()
     if not np.isfinite(zs).all():
         raise ValueError("outlier values must be finite")
-    n = a.size + count
-    clean = estimate(agg, a)
-    contaminated = aggregate_matrix(agg, _contaminated_columns(a, zs, count)).values
-    out = n * (contaminated - clean)
+    out = _curve(agg, a, clean, zs, count)
     return float(out[0]) if np.isscalar(outliers) else out
 
 
@@ -136,7 +145,7 @@ def max_sc_numeric(
     of smallest magnitude is preferred (positive side on symmetric ties).
     Returns ``(z_star, sc_star)``.
     """
-    a = _as_samples(base)
+    a, clean = _clean_base(agg, base, count)
     if search_bounds is None:
         search_bounds = default_search_bounds(a)
     lo, hi = float(search_bounds[0]), float(search_bounds[1])
@@ -144,18 +153,18 @@ def max_sc_numeric(
         raise ValueError(f"invalid search bounds ({lo}, {hi})")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
+
+    def sc_at(z: float) -> float:
+        return float(_curve(agg, a, clean, np.array([z]), count)[0])
+
     zs = np.linspace(lo, hi, grid_points)
-    scs = sensitivity_values(agg, a, zs, count)
+    scs = _curve(agg, a, clean, zs, count)
     best = float(scs.max())
     candidates = zs[scs >= best - _TIE_TOL]
     z0 = float(min(candidates, key=lambda z: (abs(z), -z)))
-    sc0 = sensitivity_values(agg, a, z0, count)
+    sc0 = sc_at(z0)
     step = (hi - lo) / (grid_points - 1)
-    z_ref, sc_ref = _golden_section_max(
-        lambda z: sensitivity_values(agg, a, z, count),
-        max(lo, z0 - step),
-        min(hi, z0 + step),
-    )
+    z_ref, sc_ref = _golden_section_max(sc_at, max(lo, z0 - step), min(hi, z0 + step))
     if sc_ref > sc0:
         return z_ref, sc_ref
     return z0, sc0

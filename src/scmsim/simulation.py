@@ -161,19 +161,18 @@ def run_experiment(
     dim = model.dim
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_agents)]
     benign = topology.benign_agents
-    neighborhoods = {int(k): topology.neighborhood(int(k)) for k in benign}
-    benign_part = {
-        k: nb[~topology.malicious[nb]] for k, nb in neighborhoods.items()
-    }
-    malicious_counts = {
-        k: int(topology.malicious[nb].sum()) for k, nb in neighborhoods.items()
-    }
+    # One entry per receiver: (agent, benign neighbours, malicious count).
+    receivers = []
+    for k in benign:
+        nb = topology.neighborhood(int(k))
+        is_mal = topology.malicious[nb]
+        receivers.append((int(k), nb[~is_mal], int(is_mal.sum())))
 
     weights = np.zeros((n_agents, dim))
     phis = np.zeros_like(weights)
     iters = learning.iterations
-    loss_trace = np.empty(iters)
-    msd_trace = np.empty(iters)
+    loss_trace = np.full(iters, DIVERGENCE_SENTINEL)
+    msd_trace = np.full(iters, DIVERGENCE_SENTINEL)
     m_converged = np.ones(iters, dtype=bool)
     initial_msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))
     diverged = False
@@ -183,10 +182,6 @@ def run_experiment(
     targets = np.empty((benign.size, batch))
     with np.errstate(over="ignore"):
         for i in range(iters):
-            if diverged:
-                loss_trace[i] = DIVERGENCE_SENTINEL
-                msd_trace[i] = DIVERGENCE_SENTINEL
-                continue
             for j, k in enumerate(benign):
                 regressors[j], targets[j] = generate_batch(streams[k], model, batch)
             own = weights[benign]
@@ -194,10 +189,8 @@ def run_experiment(
             losses = huber_loss(residuals, learning.huber_delta).mean(axis=-1)
             phis[benign] = adapt(own, regressors, targets, learning)
             all_ok = True
-            for k in benign:
-                k = int(k)
-                visible = phis[benign_part[k]]
-                n_mal = malicious_counts[k]
+            for k, visible_ids, n_mal in receivers:
+                visible = phis[visible_ids]
                 if n_mal > 0:
                     crafted = craft_attack(CraftingContext(visible, n_mal), attack)
                     stacked = np.concatenate(
@@ -214,6 +207,7 @@ def run_experiment(
             msd_trace[i] = min(msd, DIVERGENCE_SENTINEL)
             if np.abs(weights[benign]).max() > DIVERGENCE_SENTINEL:
                 diverged = True
+                break
 
     return ExperimentTrace(
         iteration=np.arange(1, iters + 1),

@@ -51,13 +51,23 @@ class TestParseConfig:
         assert cfg.topology_seed is not None
         assert cfg.data_seed is not None
 
-    def test_too_many_malicious_rejected(self):
+    @pytest.mark.parametrize("counts", ["20", "3 3"], ids=["over-half", "duplicate"])
+    def test_too_many_malicious_rejected(self, counts):
         with pytest.raises(ConfigError, match="malicious_counts"):
-            parse_config("[topology]\nagents = 32\nmalicious_counts = 20\n")
+            parse_config(f"[topology]\nagents = 32\nmalicious_counts = {counts}\n")
 
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[topology]\nagents = 8\nturbo = yes\n",
+            "[output]\nmetrics = both\n",
+            "[sweep]\nmarkers = false\n",
+        ],
+        ids=["turbo", "output-metrics", "sweep-markers"],
+    )
+    def test_unknown_key_rejected(self, text):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("[topology]\nagents = 8\nturbo = yes\n")
+            parse_config(text)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown config section"):
@@ -267,7 +277,6 @@ class TestSweepCommand:
     def test_single_point_grid(self, tmp_path):
         cfg = parse_config(
             "[sweep]\nbase_size = 10\ngrid_min = 2.0\ngrid_max = 3.0\ngrid_points = 1\n"
-            "markers = false\n"
             f"[aggregators]\nschemes = median\n[output]\ndirectory = {tmp_path}\n"
         )
         cmd_sc_sweep(cfg)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scmsim import sensitivity
 from scmsim.estimators import AggregatorSpec, aggregate_matrix, mad, tuned_aggregators
 from scmsim.sensitivity import (
     SCTable,
@@ -203,6 +204,18 @@ class TestMaxNumeric:
         # the saturated plateau starts just above max(base); the reported
         # argmax must not wander far into it
         assert z <= 10.0
+
+    def test_clean_base_estimated_once_per_call(self, monkeypatch):
+        calls = []
+        original = sensitivity.estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "estimate", counting)
+        max_sc_numeric(TUKEY, np.random.default_rng(0).standard_normal(40), count=2)
+        assert len(calls) == 1
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
