@@ -30,19 +30,23 @@ from .simulation import run_experiment
 from .topology import TopologyError, generate_topology
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _edge_tag(p: float) -> str:
     return ("%g" % p).replace(".", "")
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        first, rest = row[0], row[1:]
-        lines.append(",".join([str(int(first))] + [_fmt(v) for v in rest]))
+def _cell(v) -> str:
+    # A label as written, an integer as an integer, any other number as the
+    # shortest text that reads back as the same float.
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write every CSV artifact: a header line, then one line per row."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -65,8 +69,8 @@ def _simulate_cell(
     header = ["iteration"] + [spec.label for spec in specs]
     iteration = traces[0].iteration
     loss_path, msd_path = out / f"train_loss_{stem}.csv", out / f"msd_{stem}.csv"
-    _write_csv(loss_path, header, [iteration] + [t.training_loss for t in traces])
-    _write_csv(msd_path, header, [iteration] + [t.msd for t in traces])
+    _write_csv(loss_path, header, zip(iteration, *(t.training_loss for t in traces)))
+    _write_csv(msd_path, header, zip(iteration, *(t.msd for t in traces)))
     return [str(loss_path), str(msd_path)]
 
 
@@ -111,8 +115,8 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
     specs = cfg.aggregator_specs()
     table = sc_sweep(specs, base, grid, cfg.sweep_outlier_count)
     sc_path = out / "SC.csv"
-    table.save(sc_path)
-    lines = ["aggregator,outlier_value,sensitivity"]
+    _write_csv(sc_path, ["outlier_value", *table.names], zip(table.grid, *table.values))
+    markers = []
     count = cfg.sweep_outlier_count
     ctx = CraftingContext(base, count)
     attack_on = {target: kind for kind, target in SCM_TARGET.items()}
@@ -120,19 +124,16 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
         if spec.kind not in attack_on:
             continue
         z = float(craft_attack(ctx, AttackSpec(attack_on[spec.kind], target=spec))[0])
-        sc = sensitivity_values(spec, base, z, count)
-        lines.append(f"{spec.label},{_fmt(z)},{_fmt(sc)}")
+        markers.append((spec.label, z, sensitivity_values(spec, base, z, count)))
     marker_path = out / "SC_max.csv"
-    marker_path.write_text("\n".join(lines) + "\n")
+    _write_csv(marker_path, ["aggregator", "outlier_value", "sensitivity"], markers)
     outputs = [sc_path, marker_path]
     write_manifest(out / "manifest.json", "sc-sweep", cfg, outputs)
     return outputs + [out / "manifest.json"]
 
 
-def cmd_efficiency_check(cfg: ExperimentConfig, stream=None) -> list[Path]:
+def cmd_efficiency_check(cfg: ExperimentConfig) -> list[Path]:
     """Monte Carlo Gaussian-efficiency report for the configured estimators."""
-    if stream is None:
-        stream = sys.stdout
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
     rows = monte_carlo_efficiency(
@@ -141,16 +142,13 @@ def cmd_efficiency_check(cfg: ExperimentConfig, stream=None) -> list[Path]:
         sample_size=cfg.efficiency_sample_size,
         seed=cfg.data_seed,
     )
-    lines = ["estimator,variance_ratio,ci_low,ci_high"]
     for r in rows:
-        lines.append(f"{r.label},{_fmt(r.variance_ratio)},{_fmt(r.ci_low)},{_fmt(r.ci_high)}")
         print(
             f"{r.label:14s} efficiency {r.variance_ratio:#.4g}"
-            f"  (95% CI {r.ci_low:#.4g} .. {r.ci_high:#.4g})",
-            file=stream,
+            f"  (95% CI {r.ci_low:#.4g} .. {r.ci_high:#.4g})"
         )
     path = out / "efficiency.csv"
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["estimator", "variance_ratio", "ci_low", "ci_high"], rows)
     write_manifest(out / "manifest.json", "efficiency-check", cfg, [path])
     return [path, out / "manifest.json"]
 

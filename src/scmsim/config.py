@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .attacks import SCM_TARGET, AttackKind, AttackSpec
+from .attacks import DEFAULT_LV_MAGNITUDE, SCM_TARGET, AttackKind, AttackSpec
 from .estimators import (
     TALWAR_C_95,
     TRIM_ALPHA_95,
@@ -105,12 +105,16 @@ class ExperimentConfig:
     malicious_counts: tuple[int, ...] = _key("topology", "malicious_counts", _int_list, (0,))
     topology_seed: int | None = _key("topology", "seed", _seed, None)
     dim: int = _key("model", "dim", int, 10)
-    noise_var: float = _key("model", "noise_var", _finite_float, 0.01)
+    noise_var: float = _key("model", "noise_var", _finite_float, LinearModelConfig.noise_var)
     weight_seed: int | None = _key("model", "weight_seed", _seed, None)
-    step_size: float = _key("learning", "step_size", _finite_float, 0.05)
-    iterations: int = _key("learning", "iterations", int, 300)
-    huber_delta: float = _key("learning", "huber_delta", _finite_float, 1.0)
-    batch_size: int = _key("learning", "batch_size", int, 1)
+    step_size: float = _key("learning", "step_size", _finite_float, LearningConfig.step_size)
+    iterations: int = _key("learning", "iterations", int, LearningConfig.iterations)
+    huber_delta: float = _key(
+        "learning", "huber_delta", _finite_float, LearningConfig.huber_delta
+    )
+    batch_size: int = _key(
+        "learning", "batch_size", int, LinearModelConfig.samples_per_iteration
+    )
     aggregator_names: tuple[str, ...] = _key(
         "aggregators", "schemes", _name_list, DEFAULT_AGGREGATOR_ORDER
     )
@@ -118,7 +122,7 @@ class ExperimentConfig:
     talwar_c: float = _key("aggregators", "talwar_c", _finite_float, TALWAR_C_95)
     tukey_c: float = _key("aggregators", "tukey_c", _finite_float, TUKEY_C_95)
     attack_names: tuple[str, ...] = _key("attack", "schemes", _name_list, ("none",))
-    lv_magnitude: float = _key("attack", "lv_magnitude", _finite_float, 1000.0)
+    lv_magnitude: float = _key("attack", "lv_magnitude", _finite_float, DEFAULT_LV_MAGNITUDE)
     sweep_base_size: int = _key("sweep", "base_size", int, 100)
     sweep_base_seed: int | None = _key("sweep", "base_seed", _seed, None)
     sweep_symmetric: bool = _key("sweep", "symmetric", _bool, False)
@@ -195,6 +199,11 @@ def _schema() -> dict[str, dict[str, tuple[str, Callable]]]:
 _SCHEMA = _schema()
 
 
+# Seeds left as ``auto`` are derived from the master seed, stream i for the
+# i-th field named here; the manifest records all of them.
+_DERIVED_SEEDS = ("topology_seed", "weight_seed", "sweep_base_seed", "data_seed")
+
+
 def _derive_seed(master_seed: int, stream: int) -> int:
     child = np.random.SeedSequence(master_seed).spawn(stream + 1)[stream]
     return int(np.random.default_rng(child).integers(0, 2**63))
@@ -202,12 +211,7 @@ def _derive_seed(master_seed: int, stream: int) -> int:
 
 def _resolve(cfg: ExperimentConfig) -> ExperimentConfig:
     updates = {}
-    for attr, stream in (
-        ("topology_seed", 0),
-        ("weight_seed", 1),
-        ("sweep_base_seed", 2),
-        ("data_seed", 3),
-    ):
+    for stream, attr in enumerate(_DERIVED_SEEDS):
         if getattr(cfg, attr) is None:
             updates[attr] = _derive_seed(cfg.master_seed, stream)
     return replace(cfg, **updates) if updates else cfg
@@ -251,8 +255,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             seen.add(name)
     if not 0.0 <= cfg.trim_alpha < 0.5:
         raise ConfigError("aggregators.trim_alpha must lie in [0, 0.5)")
-    if cfg.talwar_c <= 0 or cfg.tukey_c <= 0:
-        raise ConfigError("aggregators.talwar_c and tukey_c must be positive")
+    if cfg.talwar_c <= 0:
+        raise ConfigError("aggregators.talwar_c must be positive")
+    if cfg.tukey_c <= 0:
+        raise ConfigError("aggregators.tukey_c must be positive")
     if "none" in cfg.attack_names and any(m > 0 for m in cfg.malicious_counts):
         raise ConfigError(
             "attack.schemes includes 'none' but topology.malicious_counts has"
@@ -344,12 +350,7 @@ def write_manifest(
         "version": __version__,
         "command": command,
         "master_seed": cfg.master_seed,
-        "derived_seeds": {
-            "topology_seed": cfg.topology_seed,
-            "weight_seed": cfg.weight_seed,
-            "sweep_base_seed": cfg.sweep_base_seed,
-            "data_seed": cfg.data_seed,
-        },
+        "derived_seeds": {attr: getattr(cfg, attr) for attr in _DERIVED_SEEDS},
         "resolved_config": resolved_text(cfg),
         "outputs": {
             str(p.name): file_sha256(p) for p in sorted(outputs, key=lambda p: p.name)

@@ -16,11 +16,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimators import AggregatorSpec, _as_samples, aggregate_matrix, estimate, mad
+from .estimators import (
+    AggregatorSpec,
+    _as_samples,
+    aggregate_matrix,
+    estimate,
+    median_and_scale,
+)
 
 # Grid arg-maxima within this slack of the maximum count as ties; the
 # smallest-magnitude candidate wins, positive side on exact +/- ties.
 _TIE_TOL = 1e-9
+# The oracle's grid over its search window, and the evaluations of the
+# golden-section refinement around the best grid cell.
+ORACLE_GRID_POINTS = 4001
+_GOLDEN_SECTION_EVALS = 80
 
 
 def _contaminated_columns(base: np.ndarray, outliers: np.ndarray, count: int) -> np.ndarray:
@@ -66,16 +76,6 @@ class SCTable:
     names: tuple[str, ...]
     values: np.ndarray  # shape (len(names), len(grid))
 
-    def to_csv_text(self) -> str:
-        lines = ["outlier_value," + ",".join(self.names)]
-        for j, z in enumerate(self.grid):
-            lines.append(",".join([repr(float(z))] + [repr(float(v)) for v in self.values[:, j]]))
-        return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
 
 def sc_sweep(
     aggs: Sequence[AggregatorSpec], base, grid, count: int = 1
@@ -93,7 +93,7 @@ def sc_sweep(
 
 
 def _golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, evals: int = 80
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
     # Derivative-free local maximization; tracks the best evaluated point so
     # discontinuous objectives cannot lose a better endpoint.
@@ -106,7 +106,7 @@ def _golden_section_max(
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(evals):
+    for _ in range(_GOLDEN_SECTION_EVALS):
         for x, fx in ((x1, f1), (x2, f2)):
             if fx > best_f:
                 best_x, best_f = x, fx
@@ -125,45 +125,35 @@ def _golden_section_max(
 
 def default_search_bounds(base) -> tuple[float, float]:
     """Search window covering the redescending maxima: median +/- 10*(mad+1)."""
-    a = _as_samples(base)
-    center = float(np.median(a))
-    halfwidth = 10.0 * (mad(a, normalized=True) + 1.0)
-    return center - halfwidth, center + halfwidth
+    center, scale = median_and_scale(_as_samples(base))
+    halfwidth = 10.0 * (float(scale) + 1.0)
+    return float(center) - halfwidth, float(center) + halfwidth
 
 
-def max_sc_numeric(
-    agg: AggregatorSpec,
-    base,
-    count: int = 1,
-    search_bounds: tuple[float, float] | None = None,
-    grid_points: int = 4001,
-) -> tuple[float, float]:
+def max_sc_numeric(agg: AggregatorSpec, base, count: int = 1) -> tuple[float, float]:
     """Numerically maximize the sensitivity curve over the outlier value.
 
-    Dense grid search followed by golden-section refinement around the best
-    grid cell.  Among grid arg-maxima within 1e-9 of the maximum, the value
-    of smallest magnitude is preferred (positive side on symmetric ties).
-    Returns ``(z_star, sc_star)``.
+    Dense grid search over ``default_search_bounds(base)`` followed by
+    golden-section refinement around the best grid cell.  Among grid
+    arg-maxima within 1e-9 of the maximum, the value of smallest magnitude
+    is preferred (positive side on symmetric ties).  Returns
+    ``(z_star, sc_star)``.
     """
     a, clean = _clean_base(agg, base, count)
-    if search_bounds is None:
-        search_bounds = default_search_bounds(a)
-    lo, hi = float(search_bounds[0]), float(search_bounds[1])
+    lo, hi = default_search_bounds(a)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid search bounds ({lo}, {hi})")
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
 
     def sc_at(z: float) -> float:
         return float(_curve(agg, a, clean, np.array([z]), count)[0])
 
-    zs = np.linspace(lo, hi, grid_points)
+    zs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
     scs = _curve(agg, a, clean, zs, count)
     best = float(scs.max())
     candidates = zs[scs >= best - _TIE_TOL]
     z0 = float(min(candidates, key=lambda z: (abs(z), -z)))
     sc0 = sc_at(z0)
-    step = (hi - lo) / (grid_points - 1)
+    step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
     z_ref, sc_ref = _golden_section_max(sc_at, max(lo, z0 - step), min(hi, z0 + step))
     if sc_ref > sc0:
         return z_ref, sc_ref

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# generate_topology draws up to this many graphs before it gives up.
+# generate_topology draws up to this many graphs before it gives up, and
+# assign_roles up to this many role assignments per graph.
 MAX_GRAPH_ATTEMPTS = 100
+MAX_ROLE_ATTEMPTS = 100
 
 
 class TopologyError(RuntimeError):
@@ -100,14 +102,12 @@ def benign_subgraph_connected(adjacency: np.ndarray, malicious: np.ndarray) -> b
     return bool(seen.all())
 
 
-def assign_roles(
-    adjacency: np.ndarray, num_malicious: int, seed, max_attempts: int = 100
-) -> NetworkTopology:
+def assign_roles(adjacency: np.ndarray, num_malicious: int, seed) -> NetworkTopology:
     """Mark a uniformly random subset malicious, resampling until valid.
 
     Validity requires the benign-majority condition at every benign agent
     and a connected benign subgraph.  Raises ``TopologyError`` naming the
-    constraints that failed once ``max_attempts`` is exhausted.
+    constraints that failed after ``MAX_ROLE_ATTEMPTS`` draws.
     """
     agent_count = adjacency.shape[0]
     if not 0 <= num_malicious < agent_count / 2:
@@ -116,7 +116,7 @@ def assign_roles(
         )
     rng = np.random.default_rng(seed)
     failures = {"benign majority": 0, "benign connectivity": 0}
-    for _ in range(max_attempts):
+    for _ in range(MAX_ROLE_ATTEMPTS):
         malicious = np.zeros(agent_count, dtype=bool)
         malicious[rng.choice(agent_count, size=num_malicious, replace=False)] = True
         if not benign_majority_holds(adjacency, malicious):
@@ -128,7 +128,7 @@ def assign_roles(
         return NetworkTopology(adjacency, malicious)
     detail = ", ".join(f"{name} failed {n}x" for name, n in failures.items() if n)
     raise TopologyError(
-        f"no valid role assignment in {max_attempts} attempts ({detail})"
+        f"no valid role assignment in {MAX_ROLE_ATTEMPTS} attempts ({detail})"
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import string
 
 import numpy as np
@@ -29,6 +30,33 @@ schemes = large_value
 [output]
 directory = {out}
 """
+
+# The first invalid value of each range rule in the config validation; the
+# last malicious_counts case is a nonzero count under the default attack none.
+OUT_OF_RANGE = [
+    ("topology", "agents", "1"),
+    ("topology", "edge_probability", "0"),
+    ("topology", "edge_probability", "1.5"),
+    ("topology", "malicious_counts", "-1"),
+    ("model", "dim", "0"),
+    ("model", "noise_var", "0"),
+    ("learning", "step_size", "0"),
+    ("learning", "iterations", "0"),
+    ("learning", "huber_delta", "0"),
+    ("learning", "batch_size", "0"),
+    ("aggregators", "schemes", "bogus"),
+    ("attack", "schemes", "bogus"),
+    ("aggregators", "trim_alpha", "0.5"),
+    ("aggregators", "talwar_c", "0"),
+    ("aggregators", "tukey_c", "0"),
+    ("topology", "malicious_counts", "3"),
+    ("sweep", "base_size", "0"),
+    ("sweep", "grid_min", "10"),
+    ("sweep", "grid_points", "0"),
+    ("sweep", "outlier_count", "0"),
+    ("efficiency", "trials", "999"),
+    ("efficiency", "sample_size", "1"),
+]
 
 
 class TestParseConfig:
@@ -101,6 +129,15 @@ class TestParseConfig:
     def test_bad_value_names_key(self, text, master_seed, key):
         with pytest.raises(ConfigError, match=f"invalid value for {key}"):
             parse_config(text, master_seed=master_seed)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        OUT_OF_RANGE,
+        ids=[f"{key}={value}" for _, key, value in OUT_OF_RANGE],
+    )
+    def test_out_of_range_value_names_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
     def test_scm_attacks_target_the_configured_rules(self):
         cfg = parse_config(
@@ -254,6 +291,7 @@ class TestSweepCommand:
         lines = (tmp_path / "SC.csv").read_text().strip().split("\n")
         assert lines[0] == "outlier_value,sample_mean,trimmed_mean,talwar,tukey,median"
         assert len(lines) == 22
+        assert lines[1].startswith("-10.0,")
         markers = (tmp_path / "SC_max.csv").read_text().strip().split("\n")
         assert markers[0] == "aggregator,outlier_value,sensitivity"
         assert [m.split(",")[0] for m in markers[1:]] == ["trimmed_mean", "talwar", "tukey"]

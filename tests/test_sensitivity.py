@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from scmsim import sensitivity
-from scmsim.estimators import AggregatorSpec, aggregate_matrix, mad, tuned_aggregators
+from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
 from scmsim.sensitivity import (
+    ORACLE_GRID_POINTS,
     SCTable,
     default_search_bounds,
     max_sc_numeric,
@@ -151,13 +152,6 @@ class TestSweep:
         assert abs(tuk_row[0]) < 0.2 * np.abs(tuk_row).max()
         assert abs(tuk_row[-1]) < 0.2 * np.abs(tuk_row).max()
 
-    def test_csv_layout(self):
-        table = sc_sweep([MEAN, MEDIAN], [1.0, 2.0, 3.0], [-1.0, 1.0])
-        lines = table.to_csv_text().strip().split("\n")
-        assert lines[0] == "outlier_value,sample_mean,median"
-        assert len(lines) == 3
-        assert lines[1].startswith("-1.0,")
-
     def test_row_lookup(self):
         table = sc_sweep([MEAN, MEDIAN], [1.0, 2.0, 3.0], [-1.0, 1.0])
         assert isinstance(table, SCTable)
@@ -165,19 +159,23 @@ class TestSweep:
 
 class TestMaxNumeric:
     def test_mean_returns_upper_bound_exactly(self):
-        z, sc = max_sc_numeric(MEAN, [1.0, 2.0, 3.0], search_bounds=(-10.0, 20.0))
-        assert z == 20.0
-        assert sc == pytest.approx(18.0, abs=1e-9)
-        # and the returned boundary carries the larger |SC| of the two ends
-        assert abs(sc) >= abs(sensitivity_values(MEAN, [1.0, 2.0, 3.0], -10.0))
+        base = [1.0, 2.0, 3.0]
+        lo, hi = default_search_bounds(base)
+        z, sc = max_sc_numeric(MEAN, base)
+        assert z == hi
+        assert sc == pytest.approx(hi - 2.0, abs=1e-9)
+        # the window is centred on the median, here also the mean, so the
+        # lower end has the same |SC| with the opposite sign
+        assert sensitivity_values(MEAN, base, lo) == pytest.approx(-sc, abs=1e-9)
 
     def test_large_value_dominates_mean_within_window(self):
         # SC of the mean is monotone, so the large-value magnitude is the
         # within-window optimum.
         base = np.random.default_rng(7).standard_normal(20)
-        z, sc = max_sc_numeric(MEAN, base, search_bounds=(-1000.0, 1000.0))
-        assert z == 1000.0
-        assert sc >= sensitivity_values(MEAN, base, 999.0)
+        hi = default_search_bounds(base)[1]
+        z, sc = max_sc_numeric(MEAN, base)
+        assert z == hi
+        assert sc >= sensitivity_values(MEAN, base, hi - 1.0)
 
     def test_symmetric_tukey_peak_is_odd(self):
         base = [-1.0, 0.0, 1.0]
@@ -191,15 +189,14 @@ class TestMaxNumeric:
 
         base = symmetric_base(seed=9, half_size=40)
         z_analytic = mestimator_attack_values(base, 1, AggregatorKind.TALWAR, TALWAR.c)[0]
-        grid_points = 4001
         lo, hi = default_search_bounds(base)
-        cell = (hi - lo) / (grid_points - 1)
-        z_star, _ = max_sc_numeric(TALWAR, base, count=1, grid_points=grid_points)
+        cell = (hi - lo) / (ORACLE_GRID_POINTS - 1)
+        z_star, _ = max_sc_numeric(TALWAR, base, count=1)
         assert abs(z_star - z_analytic) <= cell
 
     def test_plateau_tie_prefers_smallest_magnitude(self):
         base = [1.0, 2.0, 3.0, 4.0]
-        z, sc = max_sc_numeric(MEDIAN, base, search_bounds=(-100.0, 100.0))
+        z, sc = max_sc_numeric(MEDIAN, base)
         assert sc == pytest.approx(2.5)
         # the saturated plateau starts just above max(base); the reported
         # argmax must not wander far into it
@@ -218,10 +215,9 @@ class TestMaxNumeric:
         assert len(calls) == 1
 
     def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            max_sc_numeric(MEAN, [1.0, 2.0], search_bounds=(3.0, 3.0))
-        with pytest.raises(ValueError):
-            max_sc_numeric(MEAN, [1.0, 2.0], grid_points=2)
+        # The MAD of this base overflows, so the derived window is infinite.
+        with pytest.raises(ValueError, match="search bounds"):
+            max_sc_numeric(MEAN, [1e308, -1e308, 0.0])
 
     def test_vectorized_values_match_scalar(self):
         base = np.random.default_rng(8).standard_normal(12)
