@@ -152,6 +152,18 @@ class TestSweep:
         assert abs(tuk_row[0]) < 0.2 * np.abs(tuk_row).max()
         assert abs(tuk_row[-1]) < 0.2 * np.abs(tuk_row).max()
 
+    def test_csv_layout(self, tmp_path):
+        # SC.csv is written from the table's names, grid and rows in this layout.
+        from scmsim.cli import _write_csv
+
+        table = sc_sweep([MEAN, MEDIAN], [1.0, 2.0, 3.0], [-1.0, 1.0])
+        path = tmp_path / "SC.csv"
+        _write_csv(path, ["outlier_value", *table.names], zip(table.grid, *table.values))
+        lines = path.read_text().strip().split("\n")
+        assert lines[0] == "outlier_value,sample_mean,median"
+        assert len(lines) == 3
+        assert lines[1].startswith("-1.0,")
+
     def test_row_lookup(self):
         table = sc_sweep([MEAN, MEDIAN], [1.0, 2.0, 3.0], [-1.0, 1.0])
         assert isinstance(table, SCTable)
