@@ -106,6 +106,21 @@ def _as_samples(values) -> np.ndarray:
     return a
 
 
+def _column_median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=0)`` for a finite array, bit for bit.
+
+    The middle order statistics come from one ``np.partition``; the sum
+    starts from 0.0 as ``np.median``'s mean does, so a -0.0 middle value
+    comes out as +0.0 whichever zero the partition put there.
+    """
+    n = a.shape[0]
+    h = n // 2
+    if n % 2:
+        return 0.0 + np.partition(a, h, axis=0)[h]
+    part = np.partition(a, (h - 1, h), axis=0)
+    return (0.0 + part[h - 1] + part[h]) / 2
+
+
 def median_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column medians of a (samples, columns) array and the normalized MADs.
 
@@ -113,8 +128,8 @@ def median_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1.4826: the defender's fixed M-estimation scale, and the one the
     M-estimator attack reads.
     """
-    med = np.median(a, axis=0)
-    return med, MAD_NORMALIZATION * np.median(np.abs(a - med), axis=0)
+    med = _column_median(a)
+    return med, MAD_NORMALIZATION * _column_median(np.abs(a - med))
 
 
 def mad(values, normalized: bool = False) -> float:
@@ -126,7 +141,7 @@ def mad(values, normalized: bool = False) -> float:
     a = _as_samples(values)
     if normalized:
         return float(median_and_scale(a)[1])
-    return float(np.median(np.abs(a - np.median(a))))
+    return float(_column_median(np.abs(a - _column_median(a))))
 
 
 def trim_count(n: int, alpha: float) -> int:
@@ -148,7 +163,10 @@ def psi(kind: AggregatorKind, x, c: float):
     if c <= 0.0:
         raise ValueError("tuning constant c must be positive")
     arr = np.asarray(x, dtype=float)
-    out = arr * _psi_weights(kind, arr, c)
+    w = _psi_weights(kind, arr, c)
+    # A rejected residual has weight 0 and psi 0, an infinite one too,
+    # whose product with the weight would be NaN.
+    out = np.multiply(arr, w, out=np.zeros_like(w), where=w != 0.0)
     return float(out) if np.isscalar(x) else out
 
 
@@ -175,6 +193,13 @@ def _m_estimate_columns(
     ``FIXED_POINT_MAX_ITER`` steps, keep their last iterate and are flagged
     non-converged.
     """
+    # Summation order is part of the result.  The numerator sums a
+    # fancy-indexed copy, each column pairwise; the denominator ``w.sum``
+    # and the final residual follow ``a``'s layout: pairwise per column when
+    # ``a`` has one column or is column-major, row by row when it is
+    # row-major with two or more columns.  A column therefore gets the same
+    # bits inside a wider call of the same layout (simulation.combine
+    # relies on this), but not with rows padded on.
     n, m = a.shape
     med, sigma = median_and_scale(a)
     loc = med.copy()
@@ -230,7 +255,7 @@ def aggregate_matrix(spec: AggregatorSpec, matrix) -> AggregationResult:
     if kind is AggregatorKind.SAMPLE_MEAN:
         return AggregationResult(a.mean(axis=0), True)
     if kind is AggregatorKind.MEDIAN:
-        return AggregationResult(np.median(a, axis=0), True)
+        return AggregationResult(_column_median(a), True)
     if kind is AggregatorKind.TRIMMED_MEAN:
         t = trim_count(n, spec.alpha)
         if n - 2 * t < 1:

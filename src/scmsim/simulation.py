@@ -21,6 +21,9 @@ from .topology import NetworkTopology
 
 # Traces are capped here; any weight beyond it marks the run as diverged.
 DIVERGENCE_SENTINEL = 1e30
+# Agents' data is drawn this many rounds at a time: one draw per agent per
+# chunk, with memory that does not grow with the iteration count.
+DATA_CHUNK_ROUNDS = 64
 
 
 def draw_true_weights(dim: int, seed) -> np.ndarray:
@@ -85,10 +88,24 @@ def huber_grad_factor(residual, delta: float):
     return float(out) if np.isscalar(residual) else out
 
 
-def generate_batch(rng: np.random.Generator, model: LinearModelConfig, size: int):
-    """A batch of samples: returns (regressors (size, dim), targets (size,))."""
-    regressors = rng.standard_normal((size, model.dim))
-    noise = rng.normal(0.0, math.sqrt(model.noise_var), size)
+def generate_batch(streams, model: LinearModelConfig, size: int, rounds: int):
+    """``rounds`` batches of ``size`` samples from each agent's stream.
+
+    Returns regressors (rounds, agents, size, dim) and targets
+    (rounds, agents, size).  Each stream makes one standard-normal draw of
+    shape (rounds, size*dim + size): per round the regressors, then the
+    noise.  That is the order of one (size, dim) draw plus one size-long
+    noise draw per round, so the values do not depend on how many rounds
+    one call covers.
+    """
+    width = size * model.dim
+    raw = np.empty((rounds, len(streams), width + size))
+    for j, rng in enumerate(streams):
+        raw[:, j] = rng.standard_normal((rounds, width + size))
+    regressors = np.ascontiguousarray(raw[..., :width]).reshape(
+        rounds, len(streams), size, model.dim
+    )
+    noise = math.sqrt(model.noise_var) * raw[..., width:]
     return regressors, regressors @ model.true_weights + noise
 
 
@@ -113,6 +130,26 @@ def adapt(
         raise ValueError("adapt requires a non-empty batch")
     g = huber_grad_factor(_residuals(weights, regressors, targets), learning.huber_delta)
     return weights + learning.step_size * (g[..., None] * regressors).mean(axis=-2)
+
+
+def combine(aggregator: AggregatorSpec, stacked: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Aggregate the neighbourhoods of several receivers of one size at once.
+
+    ``stacked`` is (size, receivers, dim), receiver r's rows at [:, r].  One
+    ``aggregate_matrix`` call on the (size, receivers*dim) matrix returns
+    the receivers' new weights (receivers, dim) and whether every
+    M-estimation column converged.  Each column is reduced in the same
+    order as in a call on its receiver alone, so the values are the same
+    bits: with dim 1 that call sums its one column pairwise, and the
+    matrix is passed column-major, where every column is summed pairwise;
+    with two or more columns both calls sum row by row.
+    """
+    size, count, dim = stacked.shape
+    matrix = stacked.reshape(size, count * dim)
+    if dim == 1:
+        matrix = np.asfortranarray(matrix)
+    result = aggregate_matrix(aggregator, matrix)
+    return result.values.reshape(count, dim), result.converged
 
 
 @dataclass(eq=False)
@@ -159,17 +196,32 @@ def run_experiment(
         raise ValueError("an attack scheme is required when malicious agents are present")
     n_agents = topology.agent_count
     dim = model.dim
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_agents)]
     benign = topology.benign_agents
-    # One entry per receiver: (agent, benign neighbours, malicious count).
-    receivers = []
+    agent_seeds = np.random.SeedSequence(seed).spawn(n_agents)
+    streams = [np.random.default_rng(agent_seeds[k]) for k in benign]
+    # Each round's values live in one source buffer: the agents' adapted
+    # weights, then one crafted row per attacked receiver.  A receiver's
+    # stacked rows are its visible benign ids, ascending, then its
+    # malicious count of copies of its crafted row; receivers with equally
+    # many rows share a (rows, receivers) index matrix and one combine.
+    attacked = []  # (visible benign ids, malicious count), one per crafted row
+    by_size: dict[int, tuple[list, list]] = {}
     for k in benign:
         nb = topology.neighborhood(int(k))
         is_mal = topology.malicious[nb]
-        receivers.append((int(k), nb[~is_mal], int(is_mal.sum())))
+        visible, n_mal = nb[~is_mal], int(is_mal.sum())
+        rows = visible.tolist()
+        if n_mal > 0:
+            rows += [n_agents + len(attacked)] * n_mal
+            attacked.append((visible, n_mal))
+        ks, columns = by_size.setdefault(len(rows), ([], []))
+        ks.append(int(k))
+        columns.append(rows)
+    groups = [(np.array(ks), np.array(columns).T) for ks, columns in by_size.values()]
 
     weights = np.zeros((n_agents, dim))
-    phis = np.zeros_like(weights)
+    source = np.zeros((n_agents + len(attacked), dim))
+    phis = source[:n_agents]
     iters = learning.iterations
     loss_trace = np.full(iters, DIVERGENCE_SENTINEL)
     msd_trace = np.full(iters, DIVERGENCE_SENTINEL)
@@ -177,30 +229,26 @@ def run_experiment(
     initial_msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))
     diverged = False
 
-    batch = model.samples_per_iteration
-    regressors = np.empty((benign.size, batch, dim))
-    targets = np.empty((benign.size, batch))
     with np.errstate(over="ignore"):
         for i in range(iters):
-            for j, k in enumerate(benign):
-                regressors[j], targets[j] = generate_batch(streams[k], model, batch)
+            j = i % DATA_CHUNK_ROUNDS
+            if j == 0:
+                chunk_u, chunk_d = generate_batch(
+                    streams, model, model.samples_per_iteration,
+                    min(DATA_CHUNK_ROUNDS, iters - i),
+                )
+            regressors, targets = chunk_u[j], chunk_d[j]
             own = weights[benign]
             residuals = _residuals(own, regressors, targets)
             losses = huber_loss(residuals, learning.huber_delta).mean(axis=-1)
             phis[benign] = adapt(own, regressors, targets, learning)
+            for a, (visible_ids, n_mal) in enumerate(attacked):
+                ctx = CraftingContext(phis[visible_ids], n_mal)
+                source[n_agents + a] = craft_attack(ctx, attack)
             all_ok = True
-            for k, visible_ids, n_mal in receivers:
-                visible = phis[visible_ids]
-                if n_mal > 0:
-                    crafted = craft_attack(CraftingContext(visible, n_mal), attack)
-                    stacked = np.concatenate(
-                        [visible, np.broadcast_to(crafted, (n_mal, dim))], axis=0
-                    )
-                else:
-                    stacked = visible
-                result = aggregate_matrix(aggregator, stacked)
-                weights[k] = result.values
-                all_ok &= result.converged
+            for ks, rows in groups:
+                weights[ks], ok = combine(aggregator, source[rows])
+                all_ok &= ok
             m_converged[i] = all_ok
             msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))
             loss_trace[i] = min(float(losses.mean()), DIVERGENCE_SENTINEL)

@@ -18,6 +18,7 @@ from scmsim.estimators import (
     psi,
     trim_count,
     tuned_aggregators,
+    _column_median,
 )
 
 ALL_SPECS = tuned_aggregators()
@@ -145,6 +146,13 @@ class TestPsi:
         vals = psi(AggregatorKind.TUKEY, xs, c)
         assert abs(xs[int(np.argmax(vals))] - x) < 1e-4
 
+    def test_infinite_residual_is_rejected_as_zero(self):
+        for kind in (AggregatorKind.TALWAR, AggregatorKind.TUKEY):
+            assert psi(kind, math.inf, 2.0) == 0.0
+            assert psi(kind, -math.inf, 2.0) == 0.0
+            out = psi(kind, np.array([-np.inf, 0.5, np.inf]), 2.0)
+            assert out[0] == 0.0 and out[2] == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             psi(AggregatorKind.MEDIAN, 1.0, 1.0)
@@ -158,6 +166,16 @@ class TestMEstimate:
         spec = AggregatorSpec.tukey()
         assert estimate(spec, s) == pytest.approx(2.0, abs=1e-12)
         assert aggregate_matrix(spec, s[:, None]).converged
+
+    @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
+    def test_overflowing_residual_still_converges(self, spec):
+        # (1.7e308 - median) / MAD overflows to inf; that sample is rejected
+        # and the fixed point on the rest is reported as converged.
+        s = np.array([0.0, 0.1, 0.2, 0.25, 0.3, 1.7e308])
+        with np.errstate(over="ignore"):
+            res = aggregate_matrix(spec, s[:, None])
+        assert res.converged
+        assert 0.0 <= res.values[0] <= 0.3
 
     def test_zero_scale_short_circuits_to_median(self):
         s = np.array([0.0, 0.0, 0.0, 0.0, 1000.0])
@@ -234,6 +252,27 @@ class TestAggregate:
             aggregate_matrix(MEDIAN, [])
         with pytest.raises(ValueError, match="empty"):
             aggregate_matrix(MEDIAN, np.empty((0, 2)))
+
+
+class TestColumnMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 26, 27])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_equals_np_median_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        draws = [
+            rng.standard_normal((n, m)),
+            np.round(rng.standard_normal((n, m))),  # ties, and -0.0 from rounding
+            rng.integers(-1, 2, (n, m)) * rng.choice([-0.0, 0.0, 1e300, 1e-300], (n, m)),
+            rng.choice([-0.0, 0.0], (n, m)),
+        ]
+        for a in draws:
+            for arr in (a, np.asfortranarray(a)):
+                assert _column_median(arr).tobytes() == np.median(arr, axis=0).tobytes()
+
+    def test_signed_zero_middles_give_positive_zero(self):
+        for a in ([-0.0], [-0.0, -0.0], [-1.0, -0.0, 2.0], [-0.0, -0.0, 0.0, 3.0]):
+            got = _column_median(np.array(a)[:, None])[0]
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 class TestEstimatorProperties:

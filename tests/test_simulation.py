@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,12 @@ from scmsim import simulation
 from scmsim.attacks import AttackSpec
 from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
 from scmsim.simulation import (
+    DATA_CHUNK_ROUNDS,
     DIVERGENCE_SENTINEL,
     LearningConfig,
     LinearModelConfig,
     adapt,
+    combine,
     draw_true_weights,
     generate_batch,
     huber_grad_factor,
@@ -55,22 +60,46 @@ class TestSampling:
         w = np.array([3.0, -2.0])
         model = LinearModelConfig(true_weights=w, noise_var=1e-30)
         rng = np.random.default_rng(0)
-        u, d = generate_batch(rng, model, 1)
-        assert d[0] == pytest.approx(u[0] @ w, abs=1e-9)
+        u, d = generate_batch([rng], model, 1, 1)
+        assert u.shape == (1, 1, 1, 2) and d.shape == (1, 1, 1)
+        assert d[0, 0, 0] == pytest.approx(u[0, 0, 0] @ w, abs=1e-9)
 
     def test_deterministic_stream(self):
         model = LinearModelConfig(true_weights=np.zeros(3))
-        a = generate_batch(np.random.default_rng(5), model, 4)
-        b = generate_batch(np.random.default_rng(5), model, 4)
+        a = generate_batch([np.random.default_rng(5)], model, 4, 3)
+        b = generate_batch([np.random.default_rng(5)], model, 4, 3)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_noise_variance_calibrated(self):
         model = LinearModelConfig(true_weights=draw_true_weights(10, seed=1), noise_var=0.01)
         rng = np.random.default_rng(2)
-        regressors, targets = generate_batch(rng, model, 100000)
-        noise = targets - regressors @ model.true_weights
+        regressors, targets = generate_batch([rng], model, 100000, 1)
+        noise = targets[0, 0] - regressors[0, 0] @ model.true_weights
         assert 0.0094 <= noise.var() <= 0.0106
+
+    @pytest.mark.parametrize("iterations", [65, 130])
+    def test_chunks_equal_per_round_draws(self, iterations):
+        # Chunked as run_experiment draws them, against one (batch, dim)
+        # regressor draw and one noise draw per round from the same stream.
+        model = LinearModelConfig(true_weights=draw_true_weights(3, seed=4), noise_var=0.02)
+        batch, seeds = 2, [11, 12, 13]
+        streams = [np.random.default_rng(s) for s in seeds]
+        parts = [
+            generate_batch(streams, model, batch, rounds)
+            for rounds in [DATA_CHUNK_ROUNDS] * (iterations // DATA_CHUNK_ROUNDS)
+            + [iterations % DATA_CHUNK_ROUNDS]
+        ]
+        regressors = np.concatenate([p[0] for p in parts])
+        targets = np.concatenate([p[1] for p in parts])
+        assert regressors.shape == (iterations, len(seeds), batch, 3)
+        for j, s in enumerate(seeds):
+            rng = np.random.default_rng(s)
+            for i in range(iterations):
+                u = rng.standard_normal((batch, 3))
+                d = u @ model.true_weights + rng.normal(0.0, math.sqrt(model.noise_var), batch)
+                assert np.array_equal(regressors[i, j], u)
+                assert np.array_equal(targets[i, j], d)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +183,21 @@ class TestCombine:
         assert 0.0 <= med <= 0.05
         mean = aggregate_matrix(AggregatorSpec.sample_mean(), rows).values[0]
         assert mean == pytest.approx((0.01 + 0.02 + 0.03 + 0.04 + 1000.0) / 6)
+
+
+class TestGroupedCombine:
+    @pytest.mark.parametrize("dim", [1, 10])
+    @pytest.mark.parametrize("spec", tuned_aggregators(), ids=lambda s: s.label)
+    def test_equals_per_receiver_calls(self, spec, dim):
+        rng = np.random.default_rng(dim)
+        for size in (5, 20, 27):
+            stacked = rng.standard_normal((size, 6, dim))
+            stacked[-3:] = 2.5  # copies of a crafted row near the M-estimators' cutoff
+            values, converged = combine(spec, stacked)
+            alone = [aggregate_matrix(spec, stacked[:, r]) for r in range(6)]
+            for r, res in enumerate(alone):
+                assert values[r].tobytes() == res.values.tobytes()
+            assert converged == all(res.converged for res in alone)
 
 
 class TestRunExperiment:
@@ -240,3 +284,54 @@ class TestRunExperiment:
         tr = run_experiment(topo, model, learn, AggregatorSpec.tukey(), None, seed=0)
         assert tr.m_converged.dtype == bool
         assert tr.m_converged.all()
+
+    @pytest.mark.parametrize("spec", [AggregatorSpec.talwar(), AggregatorSpec.tukey()],
+                             ids=lambda s: s.label)
+    def test_huge_attack_values_leave_m_estimates_converged(self, spec):
+        # The copies' residuals overflow to inf: psi must reject them, not
+        # turn the fixed-point residual into NaN.
+        topo, model = small_setup(num_malicious=2)
+        lv = AttackSpec.large_value(1.7e308)
+        tr = run_experiment(topo, model, LearningConfig(iterations=5), spec, lv, seed=0)
+        assert tr.m_converged.all()
+
+
+ALL_ATTACKS = [
+    AttackSpec.large_value(),
+    AttackSpec.trimmed_scm(),
+    AttackSpec.talwar_scm(2.7955),
+    AttackSpec.tukey_scm(4.685),
+]
+
+def _case_digest(dim, batch, num_malicious):
+    """sha256 over the traces of every rule (x attack) run of one case."""
+    topo = generate_topology(16, 0.6, num_malicious, seed=11)
+    model = LinearModelConfig(true_weights=draw_true_weights(dim, seed=12),
+                              samples_per_iteration=batch)
+    learn = LearningConfig(iterations=15)
+    h = hashlib.sha256()
+    for spec in tuned_aggregators():
+        for attack in ALL_ATTACKS if num_malicious else [None]:
+            tr = run_experiment(topo, model, learn, spec, attack, seed=5)
+            for arr in (tr.training_loss, tr.msd, tr.final_weights, tr.m_converged):
+                h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# Recorded with the per-receiver round (one aggregate_matrix call per
+# receiver, one data draw per agent and round) on x86-64 Linux, NumPy 2.4.
+# Any change to these bytes is a change to the traces.
+PINNED_TRACE_DIGESTS = {
+    (1, 1, 0): "4488e400265ecf842e8e50e6aa90a6e881a8a9618774849f9e2c53d8cf8c8538",
+    (1, 1, 2): "22367a603c49b6a00939270366f7ea87004c9b2296a5bb1149ee393dbfff45b8",
+    (3, 4, 0): "941e2bc9a397e3a43a02d385e5b032cb5ab8ce4a100cce9f23ec6a530301327f",
+    (3, 4, 2): "cf0a1b2a78574e5306986367ef45ea0f124a2a99a0fb34c4566dfa3bc44db389",
+    (10, 1, 0): "ca48802691bd57a01c7496e5b61436aedad695acb6360e9ec58c75ecc7feb9e9",
+    (10, 1, 2): "a84657deba7cad41d9acf379217f8bc5749dcff17727654763067e08312fd1c7",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_TRACE_DIGESTS),
+                         ids=lambda c: "dim%d-batch%d-mal%d" % c)
+def test_trace_bytes_pinned(case):
+    assert _case_digest(*case) == PINNED_TRACE_DIGESTS[case]
