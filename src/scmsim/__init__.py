@@ -18,7 +18,6 @@ from .sensitivity import (  # noqa: F401
     sensitivity_values,
 )
 from .attacks import (  # noqa: F401
-    AttackKind,
     AttackSpec,
     CraftingContext,
     craft_attack,

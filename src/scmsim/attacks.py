@@ -15,7 +15,6 @@ aggregate as far as possible without being rejected:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -43,61 +42,54 @@ SHIFT_CORRECTION_MAX_ROUNDS = 64
 SHIFT_CORRECTION_RTOL = 1e-9
 
 
-class AttackKind(enum.Enum):
-    LARGE_VALUE = "large_value"
-    TRIMMED_SCM = "trimmed_scm"
-    TALWAR_SCM = "talwar_scm"
-    TUKEY_SCM = "tukey_scm"
-
-
-# The aggregation rule each sensitivity-curve attack is crafted against.
+# Each sensitivity-curve attack, by name, and the aggregation rule it is
+# crafted against; an attack without a target rule is the large-value one.
 SCM_TARGET = {
-    AttackKind.TRIMMED_SCM: AggregatorKind.TRIMMED_MEAN,
-    AttackKind.TALWAR_SCM: AggregatorKind.TALWAR,
-    AttackKind.TUKEY_SCM: AggregatorKind.TUKEY,
+    "trimmed_scm": AggregatorKind.TRIMMED_MEAN,
+    "talwar_scm": AggregatorKind.TALWAR,
+    "tukey_scm": AggregatorKind.TUKEY,
 }
 
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Choice of attack scheme plus its parameters.
+    """An attack: the rule an SCM attack is crafted against, or none.
 
-    ``target`` is the aggregation rule an SCM attack is crafted against, of
-    the kind ``SCM_TARGET`` names; the large-value attack takes none.
+    ``target`` is the defender's ``AggregatorSpec``, of a kind ``SCM_TARGET``
+    names; without one the attack is the large-value attack, which reports
+    ``lv_magnitude`` in every coordinate.
     """
 
-    kind: AttackKind
-    lv_magnitude: float = DEFAULT_LV_MAGNITUDE
     target: AggregatorSpec | None = None
+    lv_magnitude: float = DEFAULT_LV_MAGNITUDE
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lv_magnitude):
             raise ValueError("lv_magnitude must be finite")
-        wanted = SCM_TARGET.get(self.kind)
-        if wanted is None and self.target is not None:
-            raise ValueError(f"{self.kind.value} takes no target rule")
-        if wanted is not None and (self.target is None or self.target.kind is not wanted):
-            raise ValueError(f"{self.kind.value} needs a {wanted.value} target rule")
+        if self.target is not None and self.target.kind not in SCM_TARGET.values():
+            raise ValueError(f"no SCM attack targets the {self.target.label} rule")
 
     @property
     def label(self) -> str:
-        return self.kind.value
+        if self.target is None:
+            return "large_value"
+        return next(name for name, kind in SCM_TARGET.items() if kind is self.target.kind)
 
     @staticmethod
     def large_value(magnitude: float = DEFAULT_LV_MAGNITUDE) -> "AttackSpec":
-        return AttackSpec(AttackKind.LARGE_VALUE, lv_magnitude=magnitude)
+        return AttackSpec(lv_magnitude=magnitude)
 
     @staticmethod
     def trimmed_scm(alpha: float = TRIM_ALPHA_95) -> "AttackSpec":
-        return AttackSpec(AttackKind.TRIMMED_SCM, target=AggregatorSpec.trimmed_mean(alpha))
+        return AttackSpec(AggregatorSpec.trimmed_mean(alpha))
 
     @staticmethod
     def talwar_scm(c: float) -> "AttackSpec":
-        return AttackSpec(AttackKind.TALWAR_SCM, target=AggregatorSpec.talwar(c))
+        return AttackSpec(AggregatorSpec.talwar(c))
 
     @staticmethod
     def tukey_scm(c: float) -> "AttackSpec":
-        return AttackSpec(AttackKind.TUKEY_SCM, target=AggregatorSpec.tukey(c))
+        return AttackSpec(AggregatorSpec.tukey(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +97,10 @@ class CraftingContext:
     """What an omniscient attacker knows when targeting one receiver.
 
     ``benign_values`` holds the current benign weight vectors visible in the
-    receiver's neighborhood, one row per benign agent; ``malicious_count``
-    is the number of malicious agents in that neighborhood, all of which
-    will report the crafted vector.
+    receiver's neighborhood, one row per benign agent (a 1-D array is one
+    coordinate); ``malicious_count`` is the number of malicious agents in
+    that neighborhood, all of which will report the crafted vector.  This is
+    the one check of crafting input: the crafters below trust it.
     """
 
     benign_values: np.ndarray
@@ -141,7 +134,7 @@ def psi_argmax(kind: AggregatorKind, c: float) -> float:
     return c / math.sqrt(5.0)
 
 
-def trimmed_attack_values(benign, malicious_count: int, alpha: float) -> np.ndarray:
+def _trimmed_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate value just below the trim-survival boundary.
 
     With N_k = n_benign + malicious_count received vectors, the defender
@@ -152,13 +145,9 @@ def trimmed_attack_values(benign, malicious_count: int, alpha: float) -> np.ndar
     placement keeps all copies.  When t = 0 nothing is trimmed and the
     largest benign value serves as the stealth boundary instead.
     """
-    a = np.asarray(benign, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
+    a = ctx.benign_values
     n_benign = a.shape[0]
-    if malicious_count < 0:
-        raise ValueError("malicious_count must be non-negative")
-    t = trim_count(n_benign + malicious_count, alpha)
+    t = trim_count(n_benign + ctx.malicious_count, target.alpha)
     if n_benign - t < 1:
         raise ValueError("trim boundary exceeds the benign neighborhood")
     s = np.sort(a, axis=0)
@@ -166,9 +155,7 @@ def trimmed_attack_values(benign, malicious_count: int, alpha: float) -> np.ndar
     return boundary - EPSILON_SCALE * (1.0 + (s[-1] - s[0]))
 
 
-def mestimator_attack_values(
-    benign, malicious_count: int, kind: AggregatorKind, c: float
-) -> np.ndarray:
+def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate peak-influence value against a Talwar/Tukey defender.
 
     Stage one places the value at the influence peak seen through the benign
@@ -183,17 +170,13 @@ def mestimator_attack_values(
     rounding.  A zero scale collapses to the median, the only undetectable
     choice there.
     """
-    a = np.asarray(benign, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if malicious_count < 0:
-        raise ValueError("malicious_count must be non-negative")
-    c0 = psi_argmax(kind, c) * (1.0 - BOUNDARY_MARGIN)
+    a = ctx.benign_values
+    c0 = psi_argmax(target.kind, target.c) * (1.0 - BOUNDARY_MARGIN)
     med, scale = median_and_scale(a)
     z = c0 * scale + med
     for _ in range(SHIFT_CORRECTION_MAX_ROUNDS):
         combined = np.concatenate(
-            [a, np.broadcast_to(z, (malicious_count, a.shape[1]))], axis=0
+            [a, np.broadcast_to(z, (ctx.malicious_count, a.shape[1]))], axis=0
         )
         med2, scale2 = median_and_scale(combined)
         z_next = c0 * scale2 + med2
@@ -206,11 +189,9 @@ def mestimator_attack_values(
 
 def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
     """Craft the vector every malicious neighbor reports to this receiver."""
-    if spec.kind is AttackKind.LARGE_VALUE:
-        return np.full(ctx.dim, spec.lv_magnitude)
     target = spec.target
-    if spec.kind is AttackKind.TRIMMED_SCM:
-        return trimmed_attack_values(ctx.benign_values, ctx.malicious_count, target.alpha)
-    return mestimator_attack_values(
-        ctx.benign_values, ctx.malicious_count, target.kind, target.c
-    )
+    if target is None:
+        return np.full(ctx.dim, spec.lv_magnitude)
+    if target.kind is AggregatorKind.TRIMMED_MEAN:
+        return _trimmed_values(ctx, target)
+    return _mestimator_values(ctx, target)

@@ -1,9 +1,9 @@
 """Command-line surface: simulate | sc-sweep | efficiency-check.
 
-Each command reads an optional config file, applies CLI overrides, writes
-plot-ready CSV artifacts into the output directory, and finishes by writing
-``manifest.json`` as the completion marker.  Identical configs produce
-byte-identical CSVs.
+Each command reads an optional config file, applies CLI overrides, computes
+its plot-ready tables, then writes them as CSVs into the output directory and
+finishes with ``manifest.json`` as the completion marker; a command that
+fails writes nothing.  Identical configs produce byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -50,11 +50,25 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _simulate_cell(
-    cfg: ExperimentConfig, attack_name: str, num_malicious: int, out_dir: str
-) -> list[str]:
-    """Run all configured aggregators for one (attack, contamination) cell."""
-    out = Path(out_dir)
+def _write_outputs(cfg: ExperimentConfig, command: str, tables) -> list[Path]:
+    """Write each ``(name, header, rows)`` table as a CSV, then the manifest.
+
+    Commands compute every table before calling this, so a command that
+    fails writes nothing, not even its output directory.
+    """
+    out = Path(cfg.output_directory)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, header, rows in tables:
+        paths.append(out / name)
+        _write_csv(paths[-1], header, rows)
+    write_manifest(out / "manifest.json", command, cfg, paths)
+    return paths + [out / "manifest.json"]
+
+
+def _simulate_cell(cfg: ExperimentConfig, attack_name: str, num_malicious: int) -> list[tuple]:
+    """Run all configured aggregators for one (attack, contamination) cell;
+    return its training-loss and MSD tables."""
     topology = generate_topology(
         cfg.agents, cfg.edge_probability, num_malicious, cfg.topology_seed
     )
@@ -68,37 +82,24 @@ def _simulate_cell(
     stem = f"edge_{_edge_tag(cfg.edge_probability)}_mal_{num_malicious}_out_{attack_name}"
     header = ["iteration"] + [spec.label for spec in specs]
     iteration = traces[0].iteration
-    loss_path, msd_path = out / f"train_loss_{stem}.csv", out / f"msd_{stem}.csv"
-    _write_csv(loss_path, header, zip(iteration, *(t.training_loss for t in traces)))
-    _write_csv(msd_path, header, zip(iteration, *(t.msd for t in traces)))
-    return [str(loss_path), str(msd_path)]
+    loss = list(zip(iteration, *(t.training_loss for t in traces)))
+    msd = list(zip(iteration, *(t.msd for t in traces)))
+    return [(f"train_loss_{stem}.csv", header, loss), (f"msd_{stem}.csv", header, msd)]
 
 
 def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Run the (attack x contamination) grid; one CSV per cell and metric."""
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    out = Path(cfg.output_directory)
-    out.mkdir(parents=True, exist_ok=True)
     cells = [(a, m) for a in cfg.attack_names for m in cfg.malicious_counts]
     # A worker per cell at most: under fork every worker starts up front.
     workers = min(threads, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _simulate_cell,
-                    [cfg] * len(cells),
-                    [a for a, _ in cells],
-                    [m for _, m in cells],
-                    [str(out)] * len(cells),
-                )
-            )
+            results = list(pool.map(_simulate_cell, [cfg] * len(cells), *zip(*cells)))
     else:
-        results = [_simulate_cell(cfg, a, m, str(out)) for a, m in cells]
-    outputs = [Path(p) for cell in results for p in cell]
-    write_manifest(out / "manifest.json", "simulate", cfg, outputs)
-    return outputs + [out / "manifest.json"]
+        results = [_simulate_cell(cfg, a, m) for a, m in cells]
+    return _write_outputs(cfg, "simulate", [table for cell in results for table in cell])
 
 
 def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
@@ -108,34 +109,25 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
     swept spec itself, reports on the sweep's base set; rules no attack
     targets get none.
     """
-    out = Path(cfg.output_directory)
-    out.mkdir(parents=True, exist_ok=True)
     base = cfg.sweep_base()
     grid = np.linspace(cfg.sweep_grid_min, cfg.sweep_grid_max, cfg.sweep_grid_points)
     specs = cfg.aggregator_specs()
-    table = sc_sweep(specs, base, grid, cfg.sweep_outlier_count)
-    sc_path = out / "SC.csv"
-    _write_csv(sc_path, ["outlier_value", *table.names], zip(table.grid, *table.values))
-    markers = []
     count = cfg.sweep_outlier_count
+    table = sc_sweep(specs, base, grid, count)
     ctx = CraftingContext(base, count)
-    attack_on = {target: kind for kind, target in SCM_TARGET.items()}
+    markers = []
     for spec in specs:
-        if spec.kind not in attack_on:
-            continue
-        z = float(craft_attack(ctx, AttackSpec(attack_on[spec.kind], target=spec))[0])
-        markers.append((spec.label, z, sensitivity_values(spec, base, z, count)))
-    marker_path = out / "SC_max.csv"
-    _write_csv(marker_path, ["aggregator", "outlier_value", "sensitivity"], markers)
-    outputs = [sc_path, marker_path]
-    write_manifest(out / "manifest.json", "sc-sweep", cfg, outputs)
-    return outputs + [out / "manifest.json"]
+        if spec.kind in SCM_TARGET.values():
+            z = float(craft_attack(ctx, AttackSpec(spec))[0])
+            markers.append((spec.label, z, sensitivity_values(spec, base, z, count)))
+    return _write_outputs(cfg, "sc-sweep", [
+        ("SC.csv", ["outlier_value", *table.names], zip(table.grid, *table.values)),
+        ("SC_max.csv", ["aggregator", "outlier_value", "sensitivity"], markers),
+    ])
 
 
 def cmd_efficiency_check(cfg: ExperimentConfig) -> list[Path]:
     """Monte Carlo Gaussian-efficiency report for the configured estimators."""
-    out = Path(cfg.output_directory)
-    out.mkdir(parents=True, exist_ok=True)
     rows = monte_carlo_efficiency(
         cfg.aggregator_specs(),
         trials=cfg.efficiency_trials,
@@ -147,10 +139,8 @@ def cmd_efficiency_check(cfg: ExperimentConfig) -> list[Path]:
             f"{r.label:14s} efficiency {r.variance_ratio:#.4g}"
             f"  (95% CI {r.ci_low:#.4g} .. {r.ci_high:#.4g})"
         )
-    path = out / "efficiency.csv"
-    _write_csv(path, ["estimator", "variance_ratio", "ci_low", "ci_high"], rows)
-    write_manifest(out / "manifest.json", "efficiency-check", cfg, [path])
-    return [path, out / "manifest.json"]
+    header = ["estimator", "variance_ratio", "ci_low", "ci_high"]
+    return _write_outputs(cfg, "efficiency-check", [("efficiency.csv", header, rows)])
 
 
 def _build_parser() -> argparse.ArgumentParser:

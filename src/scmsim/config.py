@@ -21,13 +21,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .attacks import DEFAULT_LV_MAGNITUDE, SCM_TARGET, AttackKind, AttackSpec
+from .attacks import DEFAULT_LV_MAGNITUDE, SCM_TARGET, AttackSpec
 from .estimators import (
     TALWAR_C_95,
     TRIM_ALPHA_95,
     TUKEY_C_95,
     AggregatorKind,
     AggregatorSpec,
+    trim_count,
     tuned_aggregators,
 )
 from .simulation import LearningConfig, LinearModelConfig, draw_true_weights
@@ -40,7 +41,7 @@ class ConfigError(ValueError):
 AGGREGATOR_NAMES = frozenset(k.value for k in AggregatorKind)
 # Trace CSVs carry the aggregator columns in exactly this order.
 DEFAULT_AGGREGATOR_ORDER = tuple(spec.label for spec in tuned_aggregators())
-ATTACK_NAMES = frozenset(("none",) + tuple(k.value for k in AttackKind))
+ATTACK_NAMES = frozenset(("none", "large_value", *SCM_TARGET))
 
 
 def _bool(text: str) -> bool:
@@ -86,9 +87,20 @@ def _seed(text: str) -> int | None:
     return _seed_int(text)
 
 
-def _key(section: str, key: str, parse: Callable, default):
-    """A config field: read from ``[section] key`` through ``parse``."""
-    return field(default=default, metadata={"key": (section, key, parse)})
+def _at_least(low):
+    return (lambda v: v >= low, f"must be at least {low}")
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+
+def _key(section: str, key: str, parse: Callable, default, rule=None):
+    """A config field: read from ``[section] key`` through ``parse``.
+
+    ``rule`` is the key's valid range as ``(predicate, requirement)``; a
+    value failing the predicate is rejected as "section.key requirement".
+    """
+    return field(default=default, metadata={"key": (section, key, parse), "rule": rule})
 
 
 @dataclass(frozen=True)
@@ -100,38 +112,49 @@ class ExperimentConfig:
 
     master_seed: int = _key("experiment", "master_seed", _seed_int, 0)
     data_seed: int | None = _key("experiment", "data_seed", _seed, None)
-    agents: int = _key("topology", "agents", int, 32)
-    edge_probability: float = _key("topology", "edge_probability", _finite_float, 0.7)
+    agents: int = _key("topology", "agents", int, 32, _at_least(2))
+    edge_probability: float = _key(
+        "topology", "edge_probability", _finite_float, 0.7,
+        (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    )
     malicious_counts: tuple[int, ...] = _key("topology", "malicious_counts", _int_list, (0,))
     topology_seed: int | None = _key("topology", "seed", _seed, None)
-    dim: int = _key("model", "dim", int, 10)
-    noise_var: float = _key("model", "noise_var", _finite_float, LinearModelConfig.noise_var)
+    dim: int = _key("model", "dim", int, 10, _at_least(1))
+    noise_var: float = _key(
+        "model", "noise_var", _finite_float, LinearModelConfig.noise_var, _POSITIVE
+    )
     weight_seed: int | None = _key("model", "weight_seed", _seed, None)
-    step_size: float = _key("learning", "step_size", _finite_float, LearningConfig.step_size)
-    iterations: int = _key("learning", "iterations", int, LearningConfig.iterations)
+    step_size: float = _key(
+        "learning", "step_size", _finite_float, LearningConfig.step_size, _POSITIVE
+    )
+    iterations: int = _key("learning", "iterations", int, LearningConfig.iterations, _at_least(1))
     huber_delta: float = _key(
-        "learning", "huber_delta", _finite_float, LearningConfig.huber_delta
+        "learning", "huber_delta", _finite_float, LearningConfig.huber_delta, _POSITIVE
     )
     batch_size: int = _key(
-        "learning", "batch_size", int, LinearModelConfig.samples_per_iteration
+        "learning", "batch_size", int, LinearModelConfig.samples_per_iteration,
+        _at_least(1),
     )
     aggregator_names: tuple[str, ...] = _key(
         "aggregators", "schemes", _name_list, DEFAULT_AGGREGATOR_ORDER
     )
-    trim_alpha: float = _key("aggregators", "trim_alpha", _finite_float, TRIM_ALPHA_95)
-    talwar_c: float = _key("aggregators", "talwar_c", _finite_float, TALWAR_C_95)
-    tukey_c: float = _key("aggregators", "tukey_c", _finite_float, TUKEY_C_95)
+    trim_alpha: float = _key(
+        "aggregators", "trim_alpha", _finite_float, TRIM_ALPHA_95,
+        (lambda v: 0.0 <= v < 0.5, "must lie in [0, 0.5)"),
+    )
+    talwar_c: float = _key("aggregators", "talwar_c", _finite_float, TALWAR_C_95, _POSITIVE)
+    tukey_c: float = _key("aggregators", "tukey_c", _finite_float, TUKEY_C_95, _POSITIVE)
     attack_names: tuple[str, ...] = _key("attack", "schemes", _name_list, ("none",))
     lv_magnitude: float = _key("attack", "lv_magnitude", _finite_float, DEFAULT_LV_MAGNITUDE)
-    sweep_base_size: int = _key("sweep", "base_size", int, 100)
+    sweep_base_size: int = _key("sweep", "base_size", int, 100, _at_least(1))
     sweep_base_seed: int | None = _key("sweep", "base_seed", _seed, None)
     sweep_symmetric: bool = _key("sweep", "symmetric", _bool, False)
     sweep_grid_min: float = _key("sweep", "grid_min", _finite_float, -10.0)
     sweep_grid_max: float = _key("sweep", "grid_max", _finite_float, 10.0)
-    sweep_grid_points: int = _key("sweep", "grid_points", int, 401)
-    sweep_outlier_count: int = _key("sweep", "outlier_count", int, 1)
-    efficiency_trials: int = _key("efficiency", "trials", int, 100000)
-    efficiency_sample_size: int = _key("efficiency", "sample_size", int, 100)
+    sweep_grid_points: int = _key("sweep", "grid_points", int, 401, _at_least(1))
+    sweep_outlier_count: int = _key("sweep", "outlier_count", int, 1, _at_least(1))
+    efficiency_trials: int = _key("efficiency", "trials", int, 100000, _at_least(1000))
+    efficiency_sample_size: int = _key("efficiency", "sample_size", int, 100, _at_least(2))
     output_directory: str = _key("output", "directory", str, "out")
 
     def aggregator_spec(self, kind: AggregatorKind) -> AggregatorSpec:
@@ -151,10 +174,9 @@ class ExperimentConfig:
     def attack_spec(self, name: str) -> AttackSpec | None:
         if name == "none":
             return None
-        kind = AttackKind(name)
-        if kind is AttackKind.LARGE_VALUE:
+        if name == "large_value":
             return AttackSpec.large_value(self.lv_magnitude)
-        return AttackSpec(kind, target=self.aggregator_spec(SCM_TARGET[kind]))
+        return AttackSpec(self.aggregator_spec(SCM_TARGET[name]))
 
     def model(self) -> LinearModelConfig:
         return LinearModelConfig(
@@ -218,10 +240,12 @@ def _resolve(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.agents < 2:
-        raise ConfigError("topology.agents must be at least 2")
-    if not 0.0 < cfg.edge_probability <= 1.0:
-        raise ConfigError("topology.edge_probability must lie in (0, 1]")
+    """Each key's own range, in field order, then the rules joining keys."""
+    for f in fields(ExperimentConfig):
+        rule = f.metadata["rule"]
+        if rule is not None and not rule[0](getattr(cfg, f.name)):
+            section, key, _ = f.metadata["key"]
+            raise ConfigError(f"{section}.{key} {rule[1]}")
     for i, m in enumerate(cfg.malicious_counts):
         if not 0 <= m < cfg.agents / 2:
             raise ConfigError(
@@ -230,18 +254,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             )
         if m in cfg.malicious_counts[:i]:
             raise ConfigError(f"topology.malicious_counts: duplicate count {m}")
-    if cfg.dim < 1:
-        raise ConfigError("model.dim must be at least 1")
-    if cfg.noise_var <= 0:
-        raise ConfigError("model.noise_var must be positive")
-    if cfg.step_size <= 0:
-        raise ConfigError("learning.step_size must be positive")
-    if cfg.iterations < 1:
-        raise ConfigError("learning.iterations must be at least 1")
-    if cfg.huber_delta <= 0:
-        raise ConfigError("learning.huber_delta must be positive")
-    if cfg.batch_size < 1:
-        raise ConfigError("learning.batch_size must be at least 1")
     for section, names, known in (
         ("aggregators", cfg.aggregator_names, AGGREGATOR_NAMES),
         ("attack", cfg.attack_names, ATTACK_NAMES),
@@ -253,29 +265,22 @@ def _validate(cfg: ExperimentConfig) -> None:
             if name in seen:
                 raise ConfigError(f"{section}.schemes: duplicate scheme {name!r}")
             seen.add(name)
-    if not 0.0 <= cfg.trim_alpha < 0.5:
-        raise ConfigError("aggregators.trim_alpha must lie in [0, 0.5)")
-    if cfg.talwar_c <= 0:
-        raise ConfigError("aggregators.talwar_c must be positive")
-    if cfg.tukey_c <= 0:
-        raise ConfigError("aggregators.tukey_c must be positive")
     if "none" in cfg.attack_names and any(m > 0 for m in cfg.malicious_counts):
         raise ConfigError(
             "attack.schemes includes 'none' but topology.malicious_counts has"
             " nonzero entries; malicious agents need an attack scheme"
         )
-    if cfg.sweep_base_size < 1:
-        raise ConfigError("sweep.base_size must be at least 1")
     if not cfg.sweep_grid_min < cfg.sweep_grid_max:
         raise ConfigError("sweep.grid_min must be below sweep.grid_max")
-    if cfg.sweep_grid_points < 1:
-        raise ConfigError("sweep.grid_points must be at least 1")
-    if cfg.sweep_outlier_count < 1:
-        raise ConfigError("sweep.outlier_count must be at least 1")
-    if cfg.efficiency_trials < 1000:
-        raise ConfigError("efficiency.trials must be at least 1000")
-    if cfg.efficiency_sample_size < 2:
-        raise ConfigError("efficiency.sample_size must be at least 2")
+    if not math.isfinite(cfg.sweep_grid_max - cfg.sweep_grid_min):
+        raise ConfigError("sweep.grid_max - sweep.grid_min must be a finite width")
+    # The trimmed-mean marker sits just below the base values the trim removes.
+    n, p = cfg.sweep_base_size, cfg.sweep_outlier_count
+    if "trimmed_mean" in cfg.aggregator_names and n - trim_count(n + p, cfg.trim_alpha) < 1:
+        raise ConfigError(
+            f"sweep.base_size {n} leaves no trimmed-mean marker: with sweep.outlier_count"
+            f" {p}, the aggregators.trim_alpha {cfg.trim_alpha} trim removes every base value"
+        )
 
 
 def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:

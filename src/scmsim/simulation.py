@@ -88,8 +88,9 @@ def huber_grad_factor(residual, delta: float):
     return float(out) if np.isscalar(residual) else out
 
 
-def generate_batch(streams, model: LinearModelConfig, size: int, rounds: int):
-    """``rounds`` batches of ``size`` samples from each agent's stream.
+def generate_batch(streams, model: LinearModelConfig, rounds: int):
+    """``rounds`` batches of ``size = model.samples_per_iteration`` samples
+    from each agent's stream.
 
     Returns regressors (rounds, agents, size, dim) and targets
     (rounds, agents, size).  Each stream makes one standard-normal draw of
@@ -98,6 +99,7 @@ def generate_batch(streams, model: LinearModelConfig, size: int, rounds: int):
     noise draw per round, so the values do not depend on how many rounds
     one call covers.
     """
+    size = model.samples_per_iteration
     width = size * model.dim
     raw = np.empty((rounds, len(streams), width + size))
     for j, rng in enumerate(streams):
@@ -234,8 +236,7 @@ def run_experiment(
             j = i % DATA_CHUNK_ROUNDS
             if j == 0:
                 chunk_u, chunk_d = generate_batch(
-                    streams, model, model.samples_per_iteration,
-                    min(DATA_CHUNK_ROUNDS, iters - i),
+                    streams, model, min(DATA_CHUNK_ROUNDS, iters - i)
                 )
             regressors, targets = chunk_u[j], chunk_d[j]
             own = weights[benign]

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from scmsim.attacks import (
-    AttackSpec,
-    mestimator_attack_values,
-    psi_argmax,
-    trimmed_attack_values,
-)
+from scmsim.attacks import AttackSpec, CraftingContext, craft_attack, psi_argmax
 from scmsim.cli import cmd_simulate
 from scmsim.config import file_sha256, parse_config
 from scmsim.estimators import (
@@ -165,10 +160,7 @@ def test_criterion_2_sc_shape_reproduction():
 
     ratios = {}
     for spec in (AggregatorSpec.trimmed_mean(), tal, tuk):
-        if spec.kind is AggregatorKind.TRIMMED_MEAN:
-            z = trimmed_attack_values(base, 1, spec.alpha)[0]
-        else:
-            z = mestimator_attack_values(base, 1, spec.kind, spec.c)[0]
+        z = craft_attack(CraftingContext(base, 1), AttackSpec(spec))[0]
         sc = sensitivity_values(spec, base, z, 1)
         _, sc_star = max_sc_numeric(spec, base, count=1)
         ratios[spec.label] = sc / sc_star
@@ -203,7 +195,7 @@ def test_criterion_3_attack_near_optimality():
             (AggregatorKind.TALWAR, TALWAR_C_95, AggregatorSpec.talwar()),
             (AggregatorKind.TUKEY, TUKEY_C_95, AggregatorSpec.tukey()),
         ):
-            z = mestimator_attack_values(base, p, kind, c)[0]
+            z = craft_attack(CraftingContext(base, p), AttackSpec(spec))[0]
             sc = sensitivity_values(spec, base, z, p)
             _, sc_star = max_sc_numeric(spec, base, count=p)
             combined = np.concatenate([base, np.full(p, z)])

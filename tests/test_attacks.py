@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from scmsim.attacks import (
-    AttackKind,
+    SCM_TARGET,
     AttackSpec,
     CraftingContext,
     craft_attack,
-    mestimator_attack_values,
     psi_argmax,
-    trimmed_attack_values,
 )
 from scmsim.estimators import (
     MAD_NORMALIZATION,
@@ -67,13 +65,13 @@ class TestTrimmedScm:
         # benign {1..7}, P=2, alpha so that floor(alpha*9) = 1: the trim
         # removes the single largest value, so copies just below 7 survive
         # at the largest surviving position.
-        z = trimmed_attack_values(np.arange(1.0, 8.0), 2, 0.12)[0]
+        z = craft_attack(make_ctx(np.arange(1.0, 8.0), 2), AttackSpec.trimmed_scm(0.12))[0]
         eps = 1e-6 * (1.0 + 6.0)
         assert z == pytest.approx(7.0 - eps, abs=1e-12)
 
     def test_survivors_and_upward_bias_by_enumeration(self):
         benign = np.arange(1.0, 8.0)
-        z = trimmed_attack_values(benign, 2, 0.12)[0]
+        z = craft_attack(make_ctx(benign, 2), AttackSpec.trimmed_scm(0.12))[0]
         received = np.concatenate([benign, [z, z]])
         t = trim_count(received.size, 0.12)
         survivors = np.sort(received)[t : received.size - t]
@@ -89,7 +87,7 @@ class TestTrimmedScm:
             n_benign = int(rng.integers(12, 28))
             count = int(rng.integers(1, 7))
             benign = rng.standard_normal(n_benign)
-            z = trimmed_attack_values(benign, count, TRIM_ALPHA_95)[0]
+            z = craft_attack(make_ctx(benign, count), AttackSpec.trimmed_scm(TRIM_ALPHA_95))[0]
             received = np.concatenate([benign, np.full(count, z)])
             t = trim_count(received.size, TRIM_ALPHA_95)
             survivors = np.sort(received)[t : received.size - t]
@@ -102,14 +100,14 @@ class TestTrimmedScm:
         spec = AggregatorSpec.trimmed_mean()
         for _ in range(15):
             base = rng.standard_normal(int(rng.integers(20, 60)))
-            z = trimmed_attack_values(base, 1, TRIM_ALPHA_95)[0]
+            z = craft_attack(make_ctx(base, 1), AttackSpec(spec))[0]
             sc = sensitivity_values(spec, base, z, 1)
             _, sc_star = max_sc_numeric(spec, base, count=1)
             assert sc >= 0.99 * sc_star
 
     def test_boundary_error_when_trim_swallows_benign(self):
         with pytest.raises(ValueError):
-            trimmed_attack_values(np.array([1.0]), 12, 0.14)
+            craft_attack(make_ctx([1.0], 12), AttackSpec.trimmed_scm(0.14))
 
 
 class TestMEstimatorScm:
@@ -118,30 +116,20 @@ class TestMEstimatorScm:
         # normalized mad 1.4826; stage two re-centers on the 4-element set
         # whose median is 0.5 and normalized mad is again 1.4826.
         c0 = TUKEY_C_95 / math.sqrt(5.0)
-        z = mestimator_attack_values(
-            np.array([-1.0, 0.0, 1.0]), 1, AggregatorKind.TUKEY, TUKEY_C_95
-        )[0]
+        z = craft_attack(make_ctx([-1.0, 0.0, 1.0], 1), AttackSpec.tukey_scm(TUKEY_C_95))[0]
         expected = c0 * MAD_NORMALIZATION + 0.5
         assert z == pytest.approx(expected, rel=1e-8)
 
     def test_example_achieves_99_percent_of_optimum(self):
         spec = AggregatorSpec.tukey()
         base = [-1.0, 0.0, 1.0]
-        z = mestimator_attack_values(np.array(base), 1, AggregatorKind.TUKEY, spec.c)[0]
+        z = craft_attack(make_ctx(base, 1), AttackSpec(spec))[0]
         sc = sensitivity_values(spec, base, z, 1)
         _, sc_star = max_sc_numeric(spec, base, count=1)
         assert sc >= 0.99 * sc_star
 
-    def test_zero_count_returns_first_stage(self):
-        base = np.array([-1.0, 0.0, 1.0])
-        c0 = psi_argmax(AggregatorKind.TUKEY, TUKEY_C_95)
-        z0 = mestimator_attack_values(base, 0, AggregatorKind.TUKEY, TUKEY_C_95)[0]
-        assert z0 == pytest.approx(c0 * MAD_NORMALIZATION, rel=1e-8)
-
     def test_degenerate_scale_falls_back_to_median(self):
-        z = mestimator_attack_values(
-            np.array([5.0, 5.0, 5.0, 5.0]), 2, AggregatorKind.TALWAR, TALWAR_C_95
-        )[0]
+        z = craft_attack(make_ctx([5.0, 5.0, 5.0, 5.0], 2), AttackSpec.talwar_scm(TALWAR_C_95))[0]
         assert z == pytest.approx(5.0)
 
     def test_shift_correction_is_a_fixed_point(self):
@@ -151,7 +139,7 @@ class TestMEstimatorScm:
             p = int(rng.integers(1, max(2, n // 2 + 1)))
             base = rng.standard_normal(n)
             for kind, c in ((AggregatorKind.TALWAR, TALWAR_C_95), (AggregatorKind.TUKEY, TUKEY_C_95)):
-                z = mestimator_attack_values(base, p, kind, c)[0]
+                z = craft_attack(make_ctx(base, p), AttackSpec(AggregatorSpec(kind, c=c)))[0]
                 c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
                 combined = np.concatenate([base, np.full(p, z)])
                 z_again = c0 * mad(combined, normalized=True) + estimate(MEDIAN, combined)
@@ -164,7 +152,7 @@ class TestMEstimatorScm:
             n = int(rng.integers(5, 51))
             p = int(rng.integers(1, max(2, n // 3 + 1)))
             base = rng.standard_normal(n)
-            z = mestimator_attack_values(base, p, AggregatorKind.TUKEY, spec.c)[0]
+            z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
             sigma = mad(combined, normalized=True)
@@ -182,7 +170,7 @@ class TestMEstimatorScm:
             n = int(rng.integers(5, 51))
             p = int(rng.integers(1, max(2, n // 3 + 1)))
             base = rng.standard_normal(n)
-            z = mestimator_attack_values(base, p, AggregatorKind.TALWAR, spec.c)[0]
+            z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
             sigma = mad(combined, normalized=True)
@@ -201,11 +189,8 @@ class TestMEstimatorScm:
             n = int(rng.integers(10, 51))
             p = int(rng.integers(1, max(2, n // 3 + 1)))
             base = rng.standard_normal(n)
-            for kind, spec in (
-                (AggregatorKind.TALWAR, AggregatorSpec.talwar()),
-                (AggregatorKind.TUKEY, AggregatorSpec.tukey()),
-            ):
-                z = mestimator_attack_values(base, p, kind, spec.c)[0]
+            for spec in (AggregatorSpec.talwar(), AggregatorSpec.tukey()):
+                z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
                 sc = sensitivity_values(spec, base, z, p)
                 _, sc_star = max_sc_numeric(spec, base, count=p)
                 ratios.append(sc / sc_star)
@@ -220,32 +205,20 @@ class TestMEstimatorScm:
             half = rng.standard_normal(int(rng.integers(4, 20)))
             base = np.concatenate([half, -half])
             p = int(rng.integers(1, 4))
-            z = mestimator_attack_values(base, p, AggregatorKind.TUKEY, spec.c)[0]
+            z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
             sc_pos = sensitivity_values(spec, base, z, p)
             sc_neg = sensitivity_values(spec, base, -z, p)
             assert abs(sc_neg) == pytest.approx(abs(sc_pos), rel=0.05)
 
 
 class TestCraftAttack:
-    def test_dispatch_matches_scalar_crafters(self):
-        rng = np.random.default_rng(37)
-        benign = rng.standard_normal((9, 4))
-        ctx = CraftingContext(benign, 3)
-        np.testing.assert_allclose(
-            craft_attack(ctx, AttackSpec.trimmed_scm(0.1)),
-            trimmed_attack_values(benign, 3, 0.1),
-        )
-        np.testing.assert_allclose(
-            craft_attack(ctx, AttackSpec.tukey_scm(TUKEY_C_95)),
-            mestimator_attack_values(benign, 3, AggregatorKind.TUKEY, TUKEY_C_95),
-        )
-
     def test_one_dimensional_context_reduces_to_scalar(self):
         base = np.array([-1.0, 0.0, 1.0])
         ctx = CraftingContext(base, 1)
-        z = craft_attack(ctx, AttackSpec.talwar_scm(TALWAR_C_95))
+        spec = AttackSpec.talwar_scm(TALWAR_C_95)
+        z = craft_attack(ctx, spec)
         assert z.shape == (1,)
-        assert z[0] == mestimator_attack_values(base, 1, AggregatorKind.TALWAR, TALWAR_C_95)[0]
+        assert z[0] == craft_attack(make_ctx(base[:, None], 1), spec)[0]
 
     def test_per_receiver_contexts_differ(self):
         rng = np.random.default_rng(38)
@@ -279,9 +252,11 @@ class TestCraftAttack:
             AttackSpec.talwar_scm(0.0)
         with pytest.raises(ValueError):
             AttackSpec.trimmed_scm(0.7)
-        with pytest.raises(ValueError, match="needs a talwar target"):
-            AttackSpec(AttackKind.TALWAR_SCM, target=AggregatorSpec.tukey())
-        with pytest.raises(ValueError, match="no target"):
-            AttackSpec(AttackKind.LARGE_VALUE, target=AggregatorSpec.sample_mean())
-        with pytest.raises(ValueError, match="needs a talwar target"):
-            AttackSpec(AttackKind.TALWAR_SCM)
+        for unsupported in (AggregatorSpec.sample_mean(), MEDIAN):
+            with pytest.raises(ValueError, match="no SCM attack targets"):
+                AttackSpec(unsupported)
+
+    def test_label_names_the_attack_on_the_target(self):
+        assert AttackSpec.large_value().label == "large_value"
+        for name, kind in SCM_TARGET.items():
+            assert AttackSpec(AggregatorSpec(kind, alpha=0.1, c=1.0)).label == name

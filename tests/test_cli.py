@@ -11,6 +11,7 @@ from scmsim.cli import cmd_efficiency_check, cmd_sc_sweep, cmd_simulate, main
 from scmsim.config import (
     ConfigError,
     ExperimentConfig,
+    file_sha256,
     parse_config,
     resolved_text,
 )
@@ -199,6 +200,23 @@ class TestParseConfig:
             except ConfigError:
                 pass  # structured rejection is the only acceptable failure
 
+    def test_trimmed_marker_needs_a_base_value_left(self, tmp_path, capsys):
+        text = "[sweep]\nbase_size = 3\noutlier_count = 5\n[aggregators]\ntrim_alpha = 0.4\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        for key in ("sweep.base_size", "sweep.outlier_count", "aggregators.trim_alpha"):
+            assert key in str(err.value)
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(text)
+        assert main(["sc-sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert "sweep.base_size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_grid_width_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[sweep]\ngrid_min = -1e308\ngrid_max = 1e308\n")
+        assert "sweep.grid_min" in str(err.value) and "sweep.grid_max" in str(err.value)
+
 
 class TestSimulateCommand:
     def test_grid_files_and_layout(self, tmp_path):
@@ -264,6 +282,17 @@ class TestSimulateCommand:
         outputs = cmd_simulate(parse_config(text), threads=threads)
         assert started == pools
         assert len(outputs) == 2 * len(counts.split()) + 1
+
+    def test_failed_cell_writes_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(
+            FAST_SIM.format(out=tmp_path / "run").replace(
+                "agents = 12\nedge_probability = 0.8", "agents = 6\nedge_probability = 0.01"
+            )
+        )
+        assert main(["simulate", "--config", str(cfg_file)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_manifest_reproduces_outputs(self, tmp_path):
         cfg = parse_config(FAST_SIM.format(out=tmp_path / "first"))
@@ -384,3 +413,31 @@ class TestMainEntry:
         assert rc == 1
         assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+# sha256 of the offline outputs, recorded before the commands were routed
+# through one compute-then-write path, on x86-64 Linux, NumPy 2.4.  Any
+# change to these bytes is a change to the sweep or efficiency numbers.
+PINNED_OFFLINE_DIGESTS = {
+    "sweep-defaults": ("sc-sweep", "", {
+        "SC.csv": "9537783ca72ec79e6322402f1afc7a96f8fbe73d58d5d7b571b35265a4b0ba95",
+        "SC_max.csv": "82e507702c954d64b1b4e94b4c09376cfd6c491747c85fcb87037a3e522b61c7",
+    }),
+    "sweep-symmetric-3": ("sc-sweep", "[sweep]\nsymmetric = true\noutlier_count = 3\n", {
+        "SC.csv": "fbcc3d807466d00ca0d9430e1aa39648d1d5c3b189b21770ca896b768649e283",
+        "SC_max.csv": "e71196e77415eab6bd2c0fb47411511923661c9be6ebe78e6aa74d26f953cae6",
+    }),
+    "efficiency-2000": ("efficiency-check", "[efficiency]\ntrials = 2000\nsample_size = 30\n", {
+        "efficiency.csv": "1c2d407e539c2fccbfeec36b7aefecb6f35b644694415c67ddd0d0ba3fcc3898",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_OFFLINE_DIGESTS))
+def test_offline_bytes_pinned(tmp_path, case):
+    command, text, digests = PINNED_OFFLINE_DIGESTS[case]
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text(text)
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+    for name, digest in digests.items():
+        assert file_sha256(tmp_path / "out" / name) == digest

@@ -60,21 +60,22 @@ class TestSampling:
         w = np.array([3.0, -2.0])
         model = LinearModelConfig(true_weights=w, noise_var=1e-30)
         rng = np.random.default_rng(0)
-        u, d = generate_batch([rng], model, 1, 1)
+        u, d = generate_batch([rng], model, 1)
         assert u.shape == (1, 1, 1, 2) and d.shape == (1, 1, 1)
         assert d[0, 0, 0] == pytest.approx(u[0, 0, 0] @ w, abs=1e-9)
 
     def test_deterministic_stream(self):
-        model = LinearModelConfig(true_weights=np.zeros(3))
-        a = generate_batch([np.random.default_rng(5)], model, 4, 3)
-        b = generate_batch([np.random.default_rng(5)], model, 4, 3)
+        model = LinearModelConfig(true_weights=np.zeros(3), samples_per_iteration=4)
+        a = generate_batch([np.random.default_rng(5)], model, 3)
+        b = generate_batch([np.random.default_rng(5)], model, 3)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_noise_variance_calibrated(self):
-        model = LinearModelConfig(true_weights=draw_true_weights(10, seed=1), noise_var=0.01)
+        model = LinearModelConfig(true_weights=draw_true_weights(10, seed=1), noise_var=0.01,
+                                  samples_per_iteration=100000)
         rng = np.random.default_rng(2)
-        regressors, targets = generate_batch([rng], model, 100000, 1)
+        regressors, targets = generate_batch([rng], model, 1)
         noise = targets[0, 0] - regressors[0, 0] @ model.true_weights
         assert 0.0094 <= noise.var() <= 0.0106
 
@@ -82,11 +83,12 @@ class TestSampling:
     def test_chunks_equal_per_round_draws(self, iterations):
         # Chunked as run_experiment draws them, against one (batch, dim)
         # regressor draw and one noise draw per round from the same stream.
-        model = LinearModelConfig(true_weights=draw_true_weights(3, seed=4), noise_var=0.02)
         batch, seeds = 2, [11, 12, 13]
+        model = LinearModelConfig(true_weights=draw_true_weights(3, seed=4), noise_var=0.02,
+                                  samples_per_iteration=batch)
         streams = [np.random.default_rng(s) for s in seeds]
         parts = [
-            generate_batch(streams, model, batch, rounds)
+            generate_batch(streams, model, rounds)
             for rounds in [DATA_CHUNK_ROUNDS] * (iterations // DATA_CHUNK_ROUNDS)
             + [iterations % DATA_CHUNK_ROUNDS]
         ]
