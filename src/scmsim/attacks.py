@@ -25,6 +25,7 @@ from .estimators import (
     AggregatorSpec,
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
+    _check_tuning_constant,
     median_and_scale,
     trim_count,
 )
@@ -127,8 +128,7 @@ def psi_argmax(kind: AggregatorKind, c: float) -> float:
     """Residual value at which the influence function peaks: c, or c/sqrt(5)."""
     if kind not in M_ESTIMATOR_KINDS:
         raise ValueError(f"psi_argmax is defined for Talwar/Tukey only, got {kind}")
-    if c <= 0.0:
-        raise ValueError("tuning constant c must be positive")
+    _check_tuning_constant(c)
     if kind is AggregatorKind.TALWAR:
         return c
     return c / math.sqrt(5.0)

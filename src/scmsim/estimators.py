@@ -29,6 +29,10 @@ TUKEY_C_95 = 4.685
 # FIXED_POINT_TOL scales, or after FIXED_POINT_MAX_ITER reweighted means.
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 100
+# Wide M-estimation calls run this many columns at a time: a 100-row
+# block's per-step temporaries stay in cache, and each block stops as soon
+# as its own slowest column settles.
+_BLOCK_COLUMNS = 512
 
 
 class AggregatorKind(enum.Enum):
@@ -58,8 +62,8 @@ class AggregatorSpec:
     def __post_init__(self) -> None:
         if self.kind is AggregatorKind.TRIMMED_MEAN and not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"trim fraction must lie in [0, 0.5), got {self.alpha}")
-        if self.kind in M_ESTIMATOR_KINDS and self.c <= 0.0:
-            raise ValueError(f"tuning constant c must be positive, got {self.c}")
+        if self.kind in M_ESTIMATOR_KINDS:
+            _check_tuning_constant(self.c)
 
     @property
     def label(self) -> str:
@@ -84,6 +88,12 @@ class AggregatorSpec:
     @staticmethod
     def tukey(c: float = TUKEY_C_95) -> "AggregatorSpec":
         return AggregatorSpec(AggregatorKind.TUKEY, c=c)
+
+
+def _check_tuning_constant(c: float) -> None:
+    # NaN fails both comparisons.
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"tuning constant c must be finite and positive, got {c}")
 
 
 def tuned_aggregators() -> list[AggregatorSpec]:
@@ -160,8 +170,7 @@ def psi(kind: AggregatorKind, x, c: float):
     """
     if kind not in M_ESTIMATOR_KINDS:
         raise ValueError(f"psi is defined for Talwar/Tukey only, got {kind}")
-    if c <= 0.0:
-        raise ValueError("tuning constant c must be positive")
+    _check_tuning_constant(c)
     arr = np.asarray(x, dtype=float)
     w = _psi_weights(kind, arr, c)
     # A rejected residual has weight 0 and psi 0, an infinite one too,
@@ -199,7 +208,27 @@ def _m_estimate_columns(
     # ``a`` has one column or is column-major, row by row when it is
     # row-major with two or more columns.  A column therefore gets the same
     # bits inside a wider call of the same layout (simulation.combine
-    # relies on this), but not with rows padded on.
+    # relies on this), but not with rows padded on.  A call at least two
+    # blocks wide runs in slices ``a[:, lo:hi]`` of _BLOCK_COLUMNS columns,
+    # the last one taking any remainder of one column: a slice keeps its
+    # parent's layout and never has a single column, so the blocks change
+    # no bit, and the call's iteration count is the largest block's.
+    m = a.shape[1]
+    if m < 2 * _BLOCK_COLUMNS:
+        return _fixed_point(a, kind, c)
+    edges = list(range(0, m, _BLOCK_COLUMNS)) + [m]
+    if edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    locs, flags, iters = zip(
+        *(_fixed_point(a[:, lo:hi], kind, c) for lo, hi in zip(edges[:-1], edges[1:]))
+    )
+    return np.concatenate(locs), np.concatenate(flags), max(iters)
+
+
+def _fixed_point(
+    a: np.ndarray, kind: AggregatorKind, c: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    # One block of _m_estimate_columns.
     n, m = a.shape
     med, sigma = median_and_scale(a)
     loc = med.copy()
@@ -304,6 +333,8 @@ def monte_carlo_efficiency(
     """
     if trials < EFFICIENCY_CI_BATCHES:
         raise ValueError("trials must be at least the number of CI batches")
+    if sample_size < 2:
+        raise ValueError(f"sample_size must be at least 2, got {sample_size}")
     rng = np.random.default_rng(seed)
     values = [np.empty(trials) for _ in specs]
     mean_values = np.empty(trials)

@@ -45,8 +45,9 @@ class TestPsiArgmax:
     def test_rejects_non_m_kinds_and_bad_c(self):
         with pytest.raises(ValueError):
             psi_argmax(AggregatorKind.MEDIAN, 1.0)
-        with pytest.raises(ValueError):
-            psi_argmax(AggregatorKind.TALWAR, 0.0)
+        for bad_c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                psi_argmax(AggregatorKind.TALWAR, bad_c)
 
 
 class TestLargeValue:
@@ -248,10 +249,16 @@ class TestCraftAttack:
             CraftingContext(np.array([[np.nan, 1.0]]), 1)
 
     def test_attack_spec_validation(self):
-        with pytest.raises(ValueError):
-            AttackSpec.talwar_scm(0.0)
-        with pytest.raises(ValueError):
-            AttackSpec.trimmed_scm(0.7)
+        for make in (
+            lambda: AttackSpec.talwar_scm(0.0),
+            lambda: AttackSpec.trimmed_scm(0.7),
+            lambda: AggregatorSpec.talwar(math.nan),
+            lambda: AggregatorSpec.tukey(math.inf),
+            lambda: AttackSpec.talwar_scm(math.nan),
+            lambda: AttackSpec.tukey_scm(math.inf),
+        ):
+            with pytest.raises(ValueError):
+                make()
         for unsupported in (AggregatorSpec.sample_mean(), MEDIAN):
             with pytest.raises(ValueError, match="no SCM attack targets"):
                 AttackSpec(unsupported)

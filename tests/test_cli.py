@@ -430,6 +430,10 @@ PINNED_OFFLINE_DIGESTS = {
     "efficiency-2000": ("efficiency-check", "[efficiency]\ntrials = 2000\nsample_size = 30\n", {
         "efficiency.csv": "1c2d407e539c2fccbfeec36b7aefecb6f35b644694415c67ddd0d0ba3fcc3898",
     }),
+    # Ten M-estimation blocks, the last one taking the one-column remainder.
+    "efficiency-5121": ("efficiency-check", "[efficiency]\ntrials = 5121\nsample_size = 60\n", {
+        "efficiency.csv": "b6c5e3d6cc20b10ddcba5a2d5f23a9a06d55acf0bb4366f99930d627e8922628",
+    }),
 }
 
 

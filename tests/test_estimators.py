@@ -15,10 +15,13 @@ from scmsim.estimators import (
     aggregate_matrix,
     estimate,
     mad,
+    monte_carlo_efficiency,
     psi,
     trim_count,
     tuned_aggregators,
+    _BLOCK_COLUMNS,
     _column_median,
+    _m_estimate_columns,
 )
 
 ALL_SPECS = tuned_aggregators()
@@ -156,8 +159,9 @@ class TestPsi:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             psi(AggregatorKind.MEDIAN, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            psi(AggregatorKind.TALWAR, 1.0, 0.0)
+        for bad_c in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                psi(AggregatorKind.TALWAR, 1.0, bad_c)
 
 
 class TestMEstimate:
@@ -225,6 +229,45 @@ class TestMEstimate:
                 sigma = mad(s, normalized=True)
                 resid = psi(spec.kind, (s - estimate(spec, s)) / sigma, spec.c).sum()
                 assert abs(resid) <= s.size * FIXED_POINT_TOL * (1 + 1e-12)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
+    @pytest.mark.parametrize(
+        "width",
+        [2 * _BLOCK_COLUMNS - 1, 2 * _BLOCK_COLUMNS, 2 * _BLOCK_COLUMNS + 1, 3 * _BLOCK_COLUMNS + 1],
+    )
+    def test_column_bits_do_not_depend_on_call_width(self, spec, width):
+        # A wide call is tiled from 40 source columns.  Row-major, each
+        # column must equal its source in a 2-column call; column-major, in
+        # a 1-column call.  The slowest source sits only in the last column,
+        # which a 3B+1 or 2B+1 call adds to its last block.
+        rng = np.random.default_rng(width)
+        cols = rng.standard_normal((24, 40))
+        cols[:, 0] = 1.5  # zero scale: the median is returned directly
+        cols[:, 1] = np.repeat([-50.0, 50.0], 12)  # every sample rejected below c = 0.67
+        for c in (spec.c, 0.3):
+            for layout, narrow in (
+                (np.ascontiguousarray, lambda k: np.ascontiguousarray(cols[:, [k, k]])),
+                (np.asfortranarray, lambda k: np.asfortranarray(cols[:, k : k + 1])),
+            ):
+                refs = [_m_estimate_columns(narrow(k), spec.kind, c) for k in range(40)]
+                ref_iters = [it for _, _, it in refs]
+                slow = int(np.argmax(ref_iters))
+                source = rng.choice(np.delete(np.arange(40), slow), width)
+                source[-1] = slow
+                loc, conv, iters = _m_estimate_columns(layout(cols[:, source]), spec.kind, c)
+                assert loc.tobytes() == np.array([refs[k][0][0] for k in source]).tobytes()
+                assert conv.tolist() == [bool(refs[k][1][0]) for k in source]
+                assert iters == ref_iters[slow]
+                assert refs[0][1][0] and refs[1][1][0] == (c > 0.67)
+
+
+class TestEfficiency:
+    def test_sample_size_below_two_rejected(self):
+        for sample_size in (0, 1):
+            with pytest.raises(ValueError, match="sample_size"):
+                monte_carlo_efficiency([MEDIAN], 100, sample_size, seed=0)
 
 
 class TestAggregate:

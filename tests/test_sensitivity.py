@@ -169,6 +169,20 @@ class TestSweep:
         assert isinstance(table, SCTable)
 
 
+# repr of max_sc_numeric's (z*, SC*) for (rule, seed, n, count), with a
+# standard-normal base of size n drawn from default_rng(seed).
+PINNED_ORACLE = {
+    ("talwar", 1, 5, 1): "(1.7921554150500718, 3.71437517598532)",
+    ("tukey", 1, 5, 1): "(1.6548633423708385, 2.4321540293860817)",
+    ("talwar", 2, 17, 3): "(3.1169424068510394, 9.286401966348553)",
+    ("tukey", 2, 17, 3): "(2.522835989859914, 5.367318920374795)",
+    ("talwar", 0, 40, 2): "(2.3688064631593684, 2.4197160899908536)",
+    ("tukey", 0, 40, 2): "(1.8319677631535007, 2.948236804051135)",
+    ("talwar", 3, 50, 12): "(3.3752024274093215, 47.733816167284594)",
+    ("tukey", 3, 50, 12): "(2.8326824062480993, 29.015836318050805)",
+}
+
+
 class TestMaxNumeric:
     def test_mean_returns_upper_bound_exactly(self):
         base = [1.0, 2.0, 3.0]
@@ -224,6 +238,15 @@ class TestMaxNumeric:
         monkeypatch.setattr(sensitivity, "estimate", counting)
         max_sc_numeric(TUKEY, np.random.default_rng(0).standard_normal(40), count=2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", list(PINNED_ORACLE), ids=lambda case: "-".join(map(str, case)))
+    def test_oracle_bits_pinned(self, case):
+        # The grid search estimates all ORACLE_GRID_POINTS columns in one
+        # wide M-estimation call; its result must keep every bit.
+        label, seed, n, count = case
+        spec = {TALWAR.label: TALWAR, TUKEY.label: TUKEY}[label]
+        base = np.random.default_rng(seed).standard_normal(n)
+        assert repr(max_sc_numeric(spec, base, count)) == PINNED_ORACLE[case]
 
     def test_invalid_bounds_rejected(self):
         # The MAD of this base overflows, so the derived window is infinite.
