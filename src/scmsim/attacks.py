@@ -11,12 +11,17 @@ aggregate as far as possible without being rejected:
 * M-estimator targeting: the argmax of the influence function, mapped
   through the defender's robust location/scale estimates, corrected for
   the shift those injected values themselves cause.
+
+Every crafter reads only order statistics of the benign values, so a
+whole round of receivers is crafted in one call: their neighborhoods are
+padded to one row count, and each column's ranks are read below its own
+count from one sort, which gives every receiver the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from .estimators import (
     AggregatorSpec,
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
+    _check_count,
     _check_tuning_constant,
     median_and_scale,
     trim_count,
@@ -95,33 +101,67 @@ class AttackSpec:
 
 @dataclass(frozen=True, eq=False)
 class CraftingContext:
-    """What an omniscient attacker knows when targeting one receiver.
+    """What an omniscient attacker knows when targeting receivers.
 
-    ``benign_values`` holds the current benign weight vectors visible in the
-    receiver's neighborhood, one row per benign agent (a 1-D array is one
-    coordinate); ``malicious_count`` is the number of malicious agents in
-    that neighborhood, all of which will report the crafted vector.  This is
-    the one check of crafting input: the crafters below trust it.
+    For one receiver, ``benign_values`` holds the current benign weight
+    vectors visible in its neighborhood, one row per benign agent (a 1-D
+    array is one coordinate), and ``malicious_count`` is the number of
+    malicious agents in that neighborhood, all of which will report the
+    crafted vector.
+
+    For a whole round, ``benign_values`` is (rows, receivers, dim):
+    receiver r's vectors fill the first ``benign_count[r]`` rows of
+    ``[:, r]`` (every row when ``benign_count`` is None) and the rows past
+    them are padding, which is ignored.  ``malicious_count`` is then one
+    count per receiver, or one count for all of them.
+
+    This is the one check of crafting input: the crafters below trust it.
     """
 
     benign_values: np.ndarray
-    malicious_count: int
+    malicious_count: int | np.ndarray
+    benign_count: np.ndarray | None = None
+    # The crafters' view: a (rows, receivers*dim) matrix whose padding is
+    # +inf, and every column's benign and malicious counts.
+    _columns: np.ndarray = field(init=False, repr=False)
+    _benign: np.ndarray = field(init=False, repr=False)
+    _malicious: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.benign_values, dtype=float)
         if a.ndim == 1:
             a = a[:, None]
-        if a.ndim != 2 or a.shape[0] == 0:
-            raise ValueError("benign_values must be a non-empty (agents, dim) array")
-        if not np.isfinite(a).all():
+        if a.ndim not in (2, 3) or a.size == 0:
+            raise ValueError(
+                "benign_values must be a non-empty (agents, dim) or (rows, receivers, dim) array"
+            )
+        rows, dim = a.shape[0], a.shape[-1]
+        receivers = a.shape[1] if a.ndim == 3 else 1
+        m = _check_count(self.malicious_count, "malicious_count")
+        if np.ndim(m) and (a.ndim == 2 or np.shape(m) != (receivers,)):
+            raise ValueError("malicious_count must be one count, or one per receiver of a round")
+        if self.benign_count is None:
+            n = np.full(receivers, rows)
+        elif a.ndim == 2:
+            raise ValueError("benign_count is given only with a (rows, receivers, dim) round")
+        else:
+            n = _check_count(self.benign_count, "benign_count")
+            if np.shape(n) != (receivers,) or (n > rows).any():
+                raise ValueError("benign_count must be one count per receiver, at most the rows")
+        columns = a.reshape(rows, receivers * dim)
+        benign = np.repeat(n, dim)
+        valid = np.arange(rows)[:, None] < benign
+        if not (np.isfinite(columns) | ~valid).all():
             raise ValueError("benign_values contains non-finite entries")
-        if self.malicious_count < 1:
-            raise ValueError("malicious_count must be at least 1")
         object.__setattr__(self, "benign_values", a)
+        object.__setattr__(self, "malicious_count", m)
+        object.__setattr__(self, "_columns", np.where(valid, columns, np.inf))
+        object.__setattr__(self, "_benign", benign)
+        object.__setattr__(self, "_malicious", np.repeat(np.broadcast_to(m, receivers), dim))
 
     @property
     def dim(self) -> int:
-        return self.benign_values.shape[1]
+        return self.benign_values.shape[-1]
 
 
 def psi_argmax(kind: AggregatorKind, c: float) -> float:
@@ -143,16 +183,17 @@ def _trimmed_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
     benign values above the copies: the trim removes those, every malicious
     copy survives at the largest surviving position, and no higher
     placement keeps all copies.  When t = 0 nothing is trimmed and the
-    largest benign value serves as the stealth boundary instead.
+    largest benign value serves as the stealth boundary instead.  Every
+    column's ranks are read from one sort of the padded matrix.
     """
-    a = ctx.benign_values
-    n_benign = a.shape[0]
-    t = trim_count(n_benign + ctx.malicious_count, target.alpha)
-    if n_benign - t < 1:
+    a, n = ctx._columns, ctx._benign
+    t = trim_count(n + ctx._malicious, target.alpha)
+    if (n - t < 1).any():
         raise ValueError("trim boundary exceeds the benign neighborhood")
     s = np.sort(a, axis=0)
-    boundary = s[n_benign - t] if t >= 1 else s[n_benign - 1]
-    return boundary - EPSILON_SCALE * (1.0 + (s[-1] - s[0]))
+    cols = np.arange(a.shape[1])
+    boundary = s[np.where(t >= 1, n - t, n - 1), cols]
+    return boundary - EPSILON_SCALE * (1.0 + (s[n - 1, cols] - s[0]))
 
 
 def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
@@ -164,34 +205,47 @@ def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarr
     injection itself causes.  The correction is repeated until the placement
     is self-consistent, which the first application almost always already
     is: the copies sit well above the median and MAD ranks, so re-adding
-    them at the corrected value leaves both statistics unchanged.  The peak
+    them at the corrected value leaves both statistics unchanged.  Each
+    receiver stops correcting once all of its coordinates settle; the
+    others go on, so a receiver gets the bits it gets alone.  The peak
     residual is backed off by a relative ``BOUNDARY_MARGIN`` so that the
     Talwar copies survive the defender's hard |r| <= c cutoff under float
     rounding.  A zero scale collapses to the median, the only undetectable
     choice there.
     """
-    a = ctx.benign_values
+    a, n, p = ctx._columns, ctx._benign, ctx._malicious
     c0 = psi_argmax(target.kind, target.c) * (1.0 - BOUNDARY_MARGIN)
-    med, scale = median_and_scale(a)
+    med, scale = median_and_scale(a, n)
     z = c0 * scale + med
+    copy_rows = np.arange(p.max())[:, None]
+    cols = np.arange(a.shape[1])  # the columns of the receivers still correcting
     for _ in range(SHIFT_CORRECTION_MAX_ROUNDS):
-        combined = np.concatenate(
-            [a, np.broadcast_to(z, (ctx.malicious_count, a.shape[1]))], axis=0
-        )
-        med2, scale2 = median_and_scale(combined)
+        # Each column: its benign values, then its copies of z, then +inf.
+        z_cols = z[cols]
+        copies = np.where(copy_rows < p[cols], z_cols, np.inf)
+        combined = np.concatenate([a[:, cols], copies], axis=0)
+        med2, scale2 = median_and_scale(combined, n[cols] + p[cols])
         z_next = c0 * scale2 + med2
-        drift = np.abs(z_next - z) <= SHIFT_CORRECTION_RTOL * (1.0 + np.abs(z))
-        z = z_next
-        if drift.all():
+        drift = np.abs(z_next - z_cols) <= SHIFT_CORRECTION_RTOL * (1.0 + np.abs(z_cols))
+        z[cols] = z_next
+        moving = ~drift.reshape(-1, ctx.dim).all(axis=1)
+        if not moving.any():
             break
+        cols = cols.reshape(-1, ctx.dim)[moving].ravel()
     return z
 
 
 def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
-    """Craft the vector every malicious neighbor reports to this receiver."""
+    """Craft the vector every malicious neighbor reports to each receiver.
+
+    One receiver's context gives its (dim,) vector; a round's context gives
+    (receivers, dim), one row per receiver, in one call.
+    """
     target = spec.target
     if target is None:
-        return np.full(ctx.dim, spec.lv_magnitude)
-    if target.kind is AggregatorKind.TRIMMED_MEAN:
-        return _trimmed_values(ctx, target)
-    return _mestimator_values(ctx, target)
+        z = np.full(ctx._columns.shape[1], spec.lv_magnitude)
+    elif target.kind is AggregatorKind.TRIMMED_MEAN:
+        z = _trimmed_values(ctx, target)
+    else:
+        z = _mestimator_values(ctx, target)
+    return z.reshape(ctx.benign_values.shape[1:])

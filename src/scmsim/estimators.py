@@ -96,6 +96,23 @@ def _check_tuning_constant(c: float) -> None:
         raise ValueError(f"tuning constant c must be finite and positive, got {c}")
 
 
+def _check_count(value, name: str):
+    """``value`` as a whole number of at least 1, or an int array of them.
+
+    A bool, a fraction or a non-number raises ``ValueError`` naming ``name``
+    instead of reaching NumPy as a shape or a silently truncated index.
+    """
+    a = np.asarray(value)
+    whole = a.dtype.kind in "iu" or (
+        a.dtype.kind == "f" and np.isfinite(a).all() and (np.floor(a) == a).all()
+    )
+    if not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if (a < 1).any():
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return a.astype(int) if a.ndim else int(a)
+
+
 def tuned_aggregators() -> list[AggregatorSpec]:
     """The five standard rules, tuned for 95% efficiency, in trace-column order."""
     return [
@@ -116,30 +133,43 @@ def _as_samples(values) -> np.ndarray:
     return a
 
 
-def _column_median(a: np.ndarray) -> np.ndarray:
+def _column_median(a: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
     """``np.median(a, axis=0)`` for a finite array, bit for bit.
 
-    The middle order statistics come from one ``np.partition``; the sum
-    starts from 0.0 as ``np.median``'s mean does, so a -0.0 middle value
-    comes out as +0.0 whichever zero the partition put there.
+    With per-column ``counts``, column j holds ``counts[j]`` finite values
+    and +inf padding in its other rows, and gets the median of its values
+    alone.  The middle order statistics are read by rank from one
+    ``np.sort(axis=0)``: sorting is exact and the padding sorts last, so it
+    changes no rank below a column's count.  The sum starts from 0.0 as
+    ``np.median``'s mean does, so a -0.0 middle value comes out as +0.0
+    whichever zero the sort put there.
     """
-    n = a.shape[0]
-    h = n // 2
-    if n % 2:
-        return 0.0 + np.partition(a, h, axis=0)[h]
-    part = np.partition(a, (h - 1, h), axis=0)
-    return (0.0 + part[h - 1] + part[h]) / 2
+    s = np.sort(a, axis=0)
+    if counts is None:
+        n = s.shape[0]
+        h = n // 2
+        if n % 2:
+            return 0.0 + s[h]
+        return (0.0 + s[h - 1] + s[h]) / 2
+    cols = np.arange(s.shape[1])
+    med = 0.0 + s[(counts - 1) // 2, cols]
+    even = np.flatnonzero(counts % 2 == 0)
+    med[even] = (med[even] + s[counts[even] // 2, even]) / 2
+    return med
 
 
-def median_and_scale(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def median_and_scale(
+    a: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Column medians of a (samples, columns) array and the normalized MADs.
 
     The scale is the median absolute deviation about the median times
     1.4826: the defender's fixed M-estimation scale, and the one the
-    M-estimator attack reads.
+    M-estimator attack reads.  ``counts`` reads padded columns as
+    ``_column_median`` does; the padding's deviations stay +inf.
     """
-    med = _column_median(a)
-    return med, MAD_NORMALIZATION * _column_median(np.abs(a - med))
+    med = _column_median(a, counts)
+    return med, MAD_NORMALIZATION * _column_median(np.abs(a - med), counts)
 
 
 def mad(values, normalized: bool = False) -> float:
@@ -154,10 +184,15 @@ def mad(values, normalized: bool = False) -> float:
     return float(_column_median(np.abs(a - _column_median(a))))
 
 
-def trim_count(n: int, alpha: float) -> int:
-    """Number of samples discarded per side: floor(alpha * n)."""
+def trim_count(n, alpha: float):
+    """Number of samples discarded per side: floor(alpha * n).
+
+    An integer array ``n`` gives one count per entry.
+    """
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"trim fraction must lie in [0, 0.5), got {alpha}")
+    if isinstance(n, np.ndarray):
+        return (alpha * n).astype(int)
     return int(alpha * n)
 
 
@@ -331,8 +366,11 @@ def monte_carlo_efficiency(
     with a normal-theory confidence band from ``EFFICIENCY_CI_BATCHES``
     disjoint batches.
     """
-    if trials < EFFICIENCY_CI_BATCHES:
-        raise ValueError("trials must be at least the number of CI batches")
+    if trials < 2 * EFFICIENCY_CI_BATCHES:
+        # A one-trial batch has variance 0 and a 0/0 ratio.
+        raise ValueError(
+            f"trials must be at least {2 * EFFICIENCY_CI_BATCHES}, two per CI batch, got {trials}"
+        )
     if sample_size < 2:
         raise ValueError(f"sample_size must be at least 2, got {sample_size}")
     rng = np.random.default_rng(seed)

@@ -19,6 +19,7 @@ import numpy as np
 from .estimators import (
     AggregatorSpec,
     _as_samples,
+    _check_count,
     aggregate_matrix,
     estimate,
     median_and_scale,
@@ -40,12 +41,11 @@ def _contaminated_columns(base: np.ndarray, outliers: np.ndarray, count: int) ->
     return np.concatenate([cols, copies], axis=0)
 
 
-def _clean_base(agg: AggregatorSpec, base, count: int) -> tuple[np.ndarray, float]:
-    # The validated base set and its uncontaminated estimate.
+def _clean_base(agg: AggregatorSpec, base, count: int) -> tuple[np.ndarray, int, float]:
+    # The validated base set and outlier count, and the uncontaminated estimate.
     a = _as_samples(base)
-    if count < 1:
-        raise ValueError("outlier count must be at least 1")
-    return a, estimate(agg, a)
+    count = _check_count(count, "outlier count")
+    return a, count, estimate(agg, a)
 
 
 def _curve(agg: AggregatorSpec, a: np.ndarray, clean: float, zs: np.ndarray, count: int):
@@ -60,7 +60,7 @@ def sensitivity_values(agg: AggregatorSpec, base, outliers, count: int = 1):
     ``count`` identical copies of each value join the base set.  A scalar
     ``outliers`` gives a float; an array gives one value per entry.
     """
-    a, clean = _clean_base(agg, base, count)
+    a, count, clean = _clean_base(agg, base, count)
     zs = np.asarray(outliers, dtype=float).ravel()
     if not np.isfinite(zs).all():
         raise ValueError("outlier values must be finite")
@@ -139,7 +139,7 @@ def max_sc_numeric(agg: AggregatorSpec, base, count: int = 1) -> tuple[float, fl
     is preferred (positive side on symmetric ties).  Returns
     ``(z_star, sc_star)``.
     """
-    a, clean = _clean_base(agg, base, count)
+    a, count, clean = _clean_base(agg, base, count)
     lo, hi = default_search_bounds(a)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid search bounds ({lo}, {hi})")

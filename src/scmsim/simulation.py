@@ -4,8 +4,9 @@ Each benign agent repeatedly takes a Huber-loss stochastic gradient step on
 fresh local data (adapt) and then aggregates the intermediate weights of
 its neighborhood with a robust rule (combine).  Malicious agents skip
 adaptation entirely; each iteration they report per-receiver crafted
-vectors instead.  All randomness derives from per-agent streams spawned
-from the experiment seed, so traces are reproducible bit for bit.
+vectors instead, all crafted in one ``craft_attack`` call per round.  All
+randomness derives from per-agent streams spawned from the experiment
+seed, so traces are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -220,6 +221,15 @@ def run_experiment(
         ks.append(int(k))
         columns.append(rows)
     groups = [(np.array(ks), np.array(columns).T) for ks, columns in by_size.values()]
+    # The attacked receivers' visible benign ids, as one (rows, receivers)
+    # index padded past each receiver's count: one gather and one
+    # craft_attack call craft the round.
+    if attacked:
+        craft_counts = np.array([len(visible) for visible, _ in attacked])
+        craft_index = np.zeros((craft_counts.max(), len(attacked)), dtype=int)
+        for r, (visible, _) in enumerate(attacked):
+            craft_index[: len(visible), r] = visible
+        craft_malicious = np.array([n_mal for _, n_mal in attacked])
 
     weights = np.zeros((n_agents, dim))
     source = np.zeros((n_agents + len(attacked), dim))
@@ -243,9 +253,9 @@ def run_experiment(
             residuals = _residuals(own, regressors, targets)
             losses = huber_loss(residuals, learning.huber_delta).mean(axis=-1)
             phis[benign] = adapt(own, regressors, targets, learning)
-            for a, (visible_ids, n_mal) in enumerate(attacked):
-                ctx = CraftingContext(phis[visible_ids], n_mal)
-                source[n_agents + a] = craft_attack(ctx, attack)
+            if attacked:
+                ctx = CraftingContext(phis[craft_index], craft_malicious, craft_counts)
+                source[n_agents:] = craft_attack(ctx, attack)
             all_ok = True
             for ks, rows in groups:
                 weights[ks], ok = combine(aggregator, source[rows])

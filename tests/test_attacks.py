@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scmsim import attacks
 from scmsim.attacks import (
     SCM_TARGET,
     AttackSpec,
@@ -247,6 +248,26 @@ class TestCraftAttack:
             CraftingContext(np.ones((3, 2)), 0)
         with pytest.raises(ValueError):
             CraftingContext(np.array([[np.nan, 1.0]]), 1)
+        # Counts are whole numbers: a fraction is not truncated, a bool is
+        # not 1, whether one count or one per receiver of a round.
+        line = np.arange(1.0, 21.0)
+        round_values = np.ones((4, 2, 3))
+        for values, bad in (
+            (line, 2.5), (line, True), (line, np.float64(0.5)), (line, "3"), (line, [2]),
+            (round_values, [1.5, 2.0]), (round_values, [True, True]), (round_values, [1, 1, 1]),
+        ):
+            with pytest.raises(ValueError, match="malicious_count"):
+                CraftingContext(values, bad)
+        assert CraftingContext(line, 3.0).malicious_count == 3
+        for bad in ([1, 2, 3], [0, 2], [2, 5], [2.5, 3], [True, True]):
+            with pytest.raises(ValueError, match="benign_count"):
+                CraftingContext(round_values, 1, np.array(bad))
+        with pytest.raises(ValueError, match="benign_count"):
+            CraftingContext(np.ones((4, 3)), 1, np.array([4]))
+        round_values[3, 0] = np.nan  # padding past receiver 0's three rows
+        CraftingContext(round_values, 1, np.array([3, 4]))
+        with pytest.raises(ValueError, match="non-finite"):
+            CraftingContext(round_values, 1, np.array([4, 4]))
 
     def test_attack_spec_validation(self):
         for make in (
@@ -267,3 +288,92 @@ class TestCraftAttack:
         assert AttackSpec.large_value().label == "large_value"
         for name, kind in SCM_TARGET.items():
             assert AttackSpec(AggregatorSpec(kind, alpha=0.1, c=1.0)).label == name
+
+
+ROUND_ATTACKS = [
+    AttackSpec.large_value(),
+    AttackSpec.trimmed_scm(TRIM_ALPHA_95),
+    AttackSpec.talwar_scm(TALWAR_C_95),
+    AttackSpec.tukey_scm(TUKEY_C_95),
+]
+
+
+def draw_receivers(rng, receivers, dim):
+    """Ragged benign sets (n 1-29) and malicious counts (p 1-9), each
+    receiver drawn from one of four families with a spread from 1e-3 to 50."""
+    n = rng.permutation(np.resize(np.arange(1, 30), receivers))
+    p = rng.permutation(np.resize(np.arange(1, 10), receivers))
+    sets = []
+    for r in range(receivers):
+        spread = 10.0 ** rng.uniform(-3.0, math.log10(50.0))
+        v = spread * rng.standard_normal((n[r], dim))
+        family = r % 4
+        if family == 1:
+            v = np.round(v)  # ties, and -0.0 from rounding
+        elif family == 2:
+            v = spread * rng.choice([-0.0, 0.0, -1.0, 1.0], (n[r], dim))
+        elif family == 3:
+            v = rng.choice([-0.0, 0.0], (n[r], dim))  # zero scale
+        sets.append(v)
+    return sets, p
+
+
+def padded_round(sets):
+    """(rows, receivers, dim) with NaN padding, and the benign counts."""
+    n = np.array([len(v) for v in sets])
+    values = np.full((n.max(), len(sets), sets[0].shape[1]), np.nan)
+    for r, v in enumerate(sets):
+        values[: len(v), r] = v
+    return values, n
+
+
+def correction_rounds(monkeypatch, ctx, spec):
+    # median_and_scale runs once on the benign set, then once per round.
+    calls = []
+    original = attacks.median_and_scale
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(attacks, "median_and_scale", counting)
+    craft_attack(ctx, spec)
+    monkeypatch.setattr(attacks, "median_and_scale", original)
+    return len(calls) - 1
+
+
+class TestRoundCraft:
+    @pytest.mark.parametrize("spec", ROUND_ATTACKS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("dim", [1, 3, 10])
+    def test_round_equals_per_receiver_calls(self, spec, dim):
+        rng = np.random.default_rng(dim)
+        sets, p = draw_receivers(rng, 58, dim)
+        values, n = padded_round(sets)
+        got = craft_attack(CraftingContext(values, p, n), spec)
+        assert got.shape == (58, dim)
+        for r, v in enumerate(sets):
+            alone = craft_attack(CraftingContext(v, p[r]), spec)
+            assert got[r].tobytes() == alone.tobytes()
+
+    def test_one_count_for_every_receiver(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((12, 5, 3))
+        spec = AttackSpec.tukey_scm(TUKEY_C_95)
+        got = craft_attack(CraftingContext(values, 4), spec)
+        for r in range(5):
+            assert got[r].tobytes() == craft_attack(CraftingContext(values[:, r], 4), spec).tobytes()
+
+    @pytest.mark.parametrize("spec", ROUND_ATTACKS[2:], ids=lambda s: s.label)
+    def test_receivers_stop_correcting_independently(self, spec, monkeypatch):
+        # Receivers that settle after 1, 2, 3 or more correction rounds, and
+        # ones still moving at SHIFT_CORRECTION_MAX_ROUNDS, share one round.
+        rng = np.random.default_rng(61)
+        sets, p = draw_receivers(rng, 240, 3)
+        rounds = [correction_rounds(monkeypatch, CraftingContext(v, p[r]), spec)
+                  for r, v in enumerate(sets)]
+        assert {1, 2, attacks.SHIFT_CORRECTION_MAX_ROUNDS} <= set(rounds)
+        assert any(2 < k < attacks.SHIFT_CORRECTION_MAX_ROUNDS for k in rounds)
+        values, n = padded_round(sets)
+        got = craft_attack(CraftingContext(values, p, n), spec)
+        for r, v in enumerate(sets):
+            assert got[r].tobytes() == craft_attack(CraftingContext(v, p[r]), spec).tobytes()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import median_abs_deviation
 
+from scmsim.attacks import EPSILON_SCALE, AttackSpec, CraftingContext, craft_attack
 from scmsim.estimators import (
+    EFFICIENCY_CI_BATCHES,
     FIXED_POINT_TOL,
     AggregatorKind,
     AggregatorSpec,
@@ -15,6 +17,7 @@ from scmsim.estimators import (
     aggregate_matrix,
     estimate,
     mad,
+    median_and_scale,
     monte_carlo_efficiency,
     psi,
     trim_count,
@@ -264,6 +267,15 @@ class TestBlocks:
 
 
 class TestEfficiency:
+    def test_fewer_than_two_trials_per_batch_rejected(self):
+        # A one-trial batch has variance 0: its ratio would be 0/0 and the
+        # band NaN.
+        for trials in (EFFICIENCY_CI_BATCHES, 2 * EFFICIENCY_CI_BATCHES - 1):
+            with pytest.raises(ValueError, match="trials"):
+                monte_carlo_efficiency([MEDIAN], trials, 2, seed=0)
+        (row,) = monte_carlo_efficiency([MEDIAN], 2 * EFFICIENCY_CI_BATCHES, 2, seed=0)
+        assert np.isfinite([row.variance_ratio, row.ci_low, row.ci_high]).all()
+
     def test_sample_size_below_two_rejected(self):
         for sample_size in (0, 1):
             with pytest.raises(ValueError, match="sample_size"):
@@ -297,20 +309,61 @@ class TestAggregate:
             aggregate_matrix(MEDIAN, np.empty((0, 2)))
 
 
+def draw_families(rng, n, m):
+    return [
+        rng.standard_normal((n, m)),
+        np.round(rng.standard_normal((n, m))),  # ties, and -0.0 from rounding
+        rng.integers(-1, 2, (n, m)) * rng.choice([-0.0, 0.0, 1e300, 1e-300], (n, m)),
+        rng.choice([-0.0, 0.0], (n, m)),
+    ]
+
+
 class TestColumnMedian:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 26, 27])
     @pytest.mark.parametrize("m", [1, 7])
     def test_equals_np_median_bit_for_bit(self, n, m):
         rng = np.random.default_rng(100 * n + m)
-        draws = [
-            rng.standard_normal((n, m)),
-            np.round(rng.standard_normal((n, m))),  # ties, and -0.0 from rounding
-            rng.integers(-1, 2, (n, m)) * rng.choice([-0.0, 0.0, 1e300, 1e-300], (n, m)),
-            rng.choice([-0.0, 0.0], (n, m)),
-        ]
-        for a in draws:
+        for a in draw_families(rng, n, m):
             for arr in (a, np.asfortranarray(a)):
                 assert _column_median(arr).tobytes() == np.median(arr, axis=0).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 7, 40])
+    def test_counted_column_equals_np_median_of_its_values(self, m):
+        # Column j holds counts[j] values and +inf padding; its median and
+        # normalized MAD are those of its values alone, bit for bit.
+        rng = np.random.default_rng(m)
+        rows = 27
+        counts = rng.integers(1, rows + 1, m)
+        counts[0] = rows
+        valid = np.arange(rows)[:, None] < counts
+        for a in draw_families(rng, rows, m):
+            padded = np.where(valid, a, np.inf)
+            med, scale = median_and_scale(padded, counts)
+            for j, k in enumerate(counts):
+                values = a[:k, j : j + 1]
+                want_med, want_scale = median_and_scale(values)
+                assert med[j].tobytes() == np.median(values).tobytes() == want_med[0].tobytes()
+                assert scale[j].tobytes() == want_scale[0].tobytes()
+            assert _column_median(padded, counts).tobytes() == med.tobytes()
+
+    def test_trimmed_boundary_read_by_count(self):
+        # The trimmed crafter reads rank n - t (n - 1 when t = 0) of each
+        # padded column: the same value as in the column's values alone.
+        rng = np.random.default_rng(3)
+        rows, m = 29, 12
+        counts = np.resize(np.arange(1, rows + 1), m)
+        rng.shuffle(counts)
+        malicious = rng.integers(1, 10, m)
+        valid = np.arange(rows)[:, None] < counts
+        for a in draw_families(rng, rows, m):
+            ctx = CraftingContext(np.where(valid, a, np.nan)[:, :, None], malicious, counts)
+            got = craft_attack(ctx, AttackSpec.trimmed_scm())[:, 0]
+            for j, (n, p) in enumerate(zip(counts, malicious)):
+                s = np.sort(a[:n, j])
+                t = trim_count(n + p, TRIM_ALPHA_95)
+                boundary = s[n - t] if t >= 1 else s[n - 1]
+                want = boundary - EPSILON_SCALE * (1.0 + (s[-1] - s[0]))
+                assert got[j].tobytes() == want.tobytes()
 
     def test_signed_zero_middles_give_positive_zero(self):
         for a in ([-0.0], [-0.0, -0.0], [-1.0, -0.0, 2.0], [-0.0, -0.0, 0.0, 3.0]):

@@ -63,6 +63,18 @@ class TestSensitivityCurve:
         with pytest.raises(ValueError):
             sensitivity_values(MEAN, [1, 2], 1.0, 0)
 
+    def test_count_must_be_whole(self):
+        base = [0.5, 1.0, 2.0, 4.0]
+        for bad in (1.5, True):
+            for call in (
+                lambda: sensitivity_values(TUKEY, base, 1.0, bad),
+                lambda: sc_sweep([TUKEY], base, [0.0, 1.0], bad),
+                lambda: max_sc_numeric(TUKEY, base, bad),
+            ):
+                with pytest.raises(ValueError, match="outlier count"):
+                    call()
+        assert sensitivity_values(MEAN, [0, 0], 3.0, 2.0) == pytest.approx(6.0)
+
 
 class TestMultiOutlier:
     def test_mean_two_copies(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scmsim import simulation
-from scmsim.attacks import AttackSpec
+from scmsim.attacks import AttackSpec, craft_attack
 from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
 from scmsim.simulation import (
     DATA_CHUNK_ROUNDS,
@@ -226,6 +226,28 @@ class TestRunExperiment:
         run_experiment(topo, model, LearningConfig(iterations=6),
                        AggregatorSpec.trimmed_mean(), att, seed=0)
         assert calls == [(topo.benign_agents.size, model.dim)] * 6
+
+    def test_one_craft_call_per_round(self, monkeypatch):
+        calls = []
+
+        def counting_craft(ctx, spec):
+            calls.append((ctx.benign_values.shape, spec.label))
+            return craft_attack(ctx, spec)
+
+        monkeypatch.setattr(simulation, "craft_attack", counting_craft)
+        topo, model = small_setup(num_malicious=2)
+        attacked = sum(topo.malicious[topo.neighborhood(int(k))].any() for k in topo.benign_agents)
+        att = AttackSpec.tukey_scm(4.685)
+        run_experiment(topo, model, LearningConfig(iterations=6),
+                       AggregatorSpec.tukey(), att, seed=0)
+        assert len(calls) == 6
+        for shape, label in calls:
+            assert shape[1:] == (attacked, model.dim) and label == "tukey_scm"
+        calls.clear()
+        topo, model = small_setup()
+        run_experiment(topo, model, LearningConfig(iterations=6),
+                       AggregatorSpec.tukey(), None, seed=0)
+        assert calls == []
 
     def test_deterministic_traces(self):
         topo, model = small_setup(num_malicious=2)
