@@ -215,16 +215,38 @@ def psi(kind: AggregatorKind, x, c: float):
 
 
 def _psi_weights(kind: AggregatorKind, r: np.ndarray, c: float) -> np.ndarray:
-    # psi(r)/r with the limit value 1 at r = 0, for both families.
-    inside = np.abs(r) <= c
+    # psi(r)/r with the limit value 1 at r = 0, for both families.  Tukey's
+    # fmax takes a NaN residual, like an infinite one, to weight 0.
     if kind is AggregatorKind.TALWAR:
-        return inside.astype(float)
-    u = np.where(inside, 1.0 - (r / c) ** 2, 0.0)
-    return u * u
+        return (np.abs(r) <= c).astype(float)
+    u = np.divide(r, c, out=np.empty_like(r))
+    np.square(u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.fmax(u, 0.0, out=u)
+    return np.square(u, out=u)
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Column sums of a 2-D array, each added row by row from the top.
+
+    A column's sum then depends neither on the width or layout of its array
+    nor on -0.0 rows below it, since x + -0.0 == x for every x.  NumPy sums
+    a C-ordered array of two or more columns in this order, starting from
+    +0.0, but a single column pairwise, so that one goes through ``cumsum``
+    with the same +0.0 start: a column of -0.0 sums to +0.0 either way.
+    """
+    if a.shape[1] == 1:
+        return 0.0 + np.cumsum(a[:, 0])[-1:]
+    return np.add.reduce(np.ascontiguousarray(a), axis=0)
+
+
+def _pad(a: np.ndarray, valid: np.ndarray | None, fill: float) -> np.ndarray:
+    # ``a`` with ``fill`` in its padding: +inf sorts last, -0.0 adds nothing.
+    return a if valid is None else np.where(valid, a, fill)
 
 
 def _m_estimate_columns(
-    a: np.ndarray, kind: AggregatorKind, c: float
+    a: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Column-wise M-estimation on a (samples, columns) matrix.
 
@@ -235,63 +257,64 @@ def _m_estimate_columns(
     with a zero scale estimate return the median directly.  Columns whose
     samples are all rejected, or that are still moving after
     ``FIXED_POINT_MAX_ITER`` steps, keep their last iterate and are flagged
-    non-converged.
+    non-converged.  With per-column ``counts``, rows past a column's count
+    are padding, whatever they hold, and leave its bits unchanged.  A call
+    at least two blocks wide runs in slices of _BLOCK_COLUMNS columns; the
+    call's iteration count is the largest block's.
     """
-    # Summation order is part of the result.  The numerator sums a
-    # fancy-indexed copy, each column pairwise; the denominator ``w.sum``
-    # and the final residual follow ``a``'s layout: pairwise per column when
-    # ``a`` has one column or is column-major, row by row when it is
-    # row-major with two or more columns.  A column therefore gets the same
-    # bits inside a wider call of the same layout (simulation.combine
-    # relies on this), but not with rows padded on.  A call at least two
-    # blocks wide runs in slices ``a[:, lo:hi]`` of _BLOCK_COLUMNS columns,
-    # the last one taking any remainder of one column: a slice keeps its
-    # parent's layout and never has a single column, so the blocks change
-    # no bit, and the call's iteration count is the largest block's.
-    m = a.shape[1]
+    n, m = a.shape
+    if counts is None:
+        counts = np.full(m, n)
     if m < 2 * _BLOCK_COLUMNS:
-        return _fixed_point(a, kind, c)
-    edges = list(range(0, m, _BLOCK_COLUMNS)) + [m]
-    if edges[-1] - edges[-2] == 1:
-        del edges[-2]
+        return _fixed_point(a, kind, c, counts)
     locs, flags, iters = zip(
-        *(_fixed_point(a[:, lo:hi], kind, c) for lo, hi in zip(edges[:-1], edges[1:]))
+        *(
+            _fixed_point(a[:, lo : lo + _BLOCK_COLUMNS], kind, c, counts[lo : lo + _BLOCK_COLUMNS])
+            for lo in range(0, m, _BLOCK_COLUMNS)
+        )
     )
     return np.concatenate(locs), np.concatenate(flags), max(iters)
 
 
 def _fixed_point(
-    a: np.ndarray, kind: AggregatorKind, c: float
+    a: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    # One block of _m_estimate_columns.
-    n, m = a.shape
-    med, sigma = median_and_scale(a)
+    # One block of _m_estimate_columns.  ``high`` pads with +inf, which
+    # sorts last and gets weight 0; ``low`` pads with -0.0, which adds
+    # nothing to the numerator's sums.
+    valid = np.arange(a.shape[0])[:, None] < counts
+    if valid.all():
+        valid = None
+    high, low = _pad(a, valid, np.inf), _pad(a, valid, -0.0)
+    med, sigma = median_and_scale(high, counts)
     loc = med.copy()
     degenerate = sigma == 0.0
     safe_sigma = np.where(degenerate, 1.0, sigma)
     done = degenerate.copy()
-    all_rejected = np.zeros(m, dtype=bool)
+    all_rejected = np.zeros(a.shape[1], dtype=bool)
     iterations = 0
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         if done.all():
             iterations -= 1
             break
-        r = (a - loc) / safe_sigma
+        r = np.subtract(high, loc)
+        r /= safe_sigma
         w = _psi_weights(kind, r, c)
-        wsum = w.sum(axis=0)
+        wsum = _row_sum(w)
         dead = ~done & (wsum == 0.0)
         all_rejected |= dead
         done |= dead
         active = np.flatnonzero(~done)
         if active.size == 0:
             break
-        new = (w[:, active] * a[:, active]).sum(axis=0) / wsum[active]
+        w *= low
+        new = _row_sum(w)[active] / wsum[active]
         step = np.abs(new - loc[active])
         loc[active] = new
         done[active[step <= FIXED_POINT_TOL * sigma[active]]] = True
-    r = (a - loc) / safe_sigma
-    residual = np.abs(psi(kind, r, c).sum(axis=0))
-    converged = degenerate | (~all_rejected & (residual <= n * FIXED_POINT_TOL))
+    r = (high - loc) / safe_sigma
+    residual = np.abs(_row_sum(psi(kind, r, c)))
+    converged = degenerate | (~all_rejected & (residual <= counts * FIXED_POINT_TOL))
     return loc, converged, iterations
 
 
@@ -300,33 +323,56 @@ class AggregationResult(NamedTuple):
     converged: bool
 
 
-def aggregate_matrix(spec: AggregatorSpec, matrix) -> AggregationResult:
+def aggregate_matrix(spec: AggregatorSpec, matrix, counts=None) -> AggregationResult:
     """Apply the chosen scalar estimator to every column of ``matrix``.
 
     ``matrix`` has one row per received vector and one column per model
-    coordinate.  ``converged`` is False only when an M-estimation column
-    failed to converge.
+    coordinate.  With ``counts``, one whole number per column, column j
+    holds ``counts[j]`` vectors' values and padding below them, which may
+    hold anything and changes no bit of the column's result.  ``converged``
+    is False only when an M-estimation column failed to converge.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D (vectors, coordinates) array, got ndim={a.ndim}")
-    n = a.shape[0]
+    a = np.ascontiguousarray(a)
+    n, m = a.shape
     if n == 0:
         raise ValueError("cannot aggregate an empty collection of vectors")
-    if not np.isfinite(a).all():
+    if counts is None:
+        counts = np.full(m, n)
+        valid = None
+        finite = np.isfinite(a).all()
+    else:
+        counts = _check_count(counts, "counts")
+        if np.shape(counts) != (m,):
+            raise ValueError(
+                f"counts must hold one count per column ({m}), got shape {np.shape(counts)}"
+            )
+        if (counts > n).any():
+            raise ValueError(f"counts must not exceed the {n} rows, got {counts.max()}")
+        valid = np.arange(n)[:, None] < counts
+        finite = (np.isfinite(a) | ~valid).all()
+    if not finite:
         raise ValueError("aggregation input contains non-finite values")
     kind = spec.kind
     if kind is AggregatorKind.SAMPLE_MEAN:
-        return AggregationResult(a.mean(axis=0), True)
+        return AggregationResult(_row_sum(_pad(a, valid, -0.0)) / counts, True)
     if kind is AggregatorKind.MEDIAN:
-        return AggregationResult(_column_median(a), True)
+        return AggregationResult(_column_median(_pad(a, valid, np.inf), counts), True)
     if kind is AggregatorKind.TRIMMED_MEAN:
-        t = trim_count(n, spec.alpha)
-        if n - 2 * t < 1:
+        t = trim_count(counts, spec.alpha)
+        if (counts - 2 * t < 1).any():
             raise ValueError("trimming would discard every sample")
-        s = np.sort(a, axis=0)
-        return AggregationResult(s[t : n - t].mean(axis=0), True)
-    loc, conv, _ = _m_estimate_columns(a, kind, spec.c)
+        # The rows that hold any column's window; with padding, each
+        # column's rows outside its own window are set to -0.0 in place.
+        lo, hi = t.min(initial=n), (counts - t).max(initial=0)
+        window = np.sort(_pad(a, valid, np.inf), axis=0)[lo:hi]
+        if valid is not None:
+            rows = np.arange(lo, hi)[:, None]
+            np.copyto(window, -0.0, where=(rows < t) | (rows >= counts - t))
+        return AggregationResult(_row_sum(window) / (counts - 2 * t), True)
+    loc, conv, _ = _m_estimate_columns(a, kind, spec.c, counts)
     return AggregationResult(loc, bool(conv.all()))
 
 
@@ -380,7 +426,7 @@ def monte_carlo_efficiency(
     while start < trials:
         stop = min(start + EFFICIENCY_CHUNK, trials)
         draws = rng.standard_normal((sample_size, stop - start))
-        mean_values[start:stop] = draws.mean(axis=0)
+        mean_values[start:stop] = _row_sum(draws) / sample_size
         for s, out in zip(specs, values):
             out[start:stop] = aggregate_matrix(s, draws).values
         start = stop

@@ -4,9 +4,12 @@ Each benign agent repeatedly takes a Huber-loss stochastic gradient step on
 fresh local data (adapt) and then aggregates the intermediate weights of
 its neighborhood with a robust rule (combine).  Malicious agents skip
 adaptation entirely; each iteration they report per-receiver crafted
-vectors instead, all crafted in one ``craft_attack`` call per round.  All
-randomness derives from per-agent streams spawned from the experiment
-seed, so traces are reproducible bit for bit.
+vectors instead, all crafted in one ``craft_attack`` call per round.  The
+round's neighbourhoods, padded to the largest, are combined in one
+``aggregate_matrix`` call with a count per column, which gives each
+receiver the bits of a call on its rows alone.  All randomness derives
+from per-agent streams spawned from the experiment seed, so traces are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -135,24 +138,14 @@ def adapt(
     return weights + learning.step_size * (g[..., None] * regressors).mean(axis=-2)
 
 
-def combine(aggregator: AggregatorSpec, stacked: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Aggregate the neighbourhoods of several receivers of one size at once.
-
-    ``stacked`` is (size, receivers, dim), receiver r's rows at [:, r].  One
-    ``aggregate_matrix`` call on the (size, receivers*dim) matrix returns
-    the receivers' new weights (receivers, dim) and whether every
-    M-estimation column converged.  Each column is reduced in the same
-    order as in a call on its receiver alone, so the values are the same
-    bits: with dim 1 that call sums its one column pairwise, and the
-    matrix is passed column-major, where every column is summed pairwise;
-    with two or more columns both calls sum row by row.
-    """
-    size, count, dim = stacked.shape
-    matrix = stacked.reshape(size, count * dim)
-    if dim == 1:
-        matrix = np.asfortranarray(matrix)
-    result = aggregate_matrix(aggregator, matrix)
-    return result.values.reshape(count, dim), result.converged
+def _padded_index(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    # One column per list of source rows, zero-padded below its length, and
+    # the lengths.
+    counts = np.array([len(r) for r in rows])
+    index = np.zeros((counts.max(), len(rows)), dtype=int)
+    for j, r in enumerate(rows):
+        index[: len(r), j] = r
+    return index, counts
 
 
 @dataclass(eq=False)
@@ -204,11 +197,12 @@ def run_experiment(
     streams = [np.random.default_rng(agent_seeds[k]) for k in benign]
     # Each round's values live in one source buffer: the agents' adapted
     # weights, then one crafted row per attacked receiver.  A receiver's
-    # stacked rows are its visible benign ids, ascending, then its
-    # malicious count of copies of its crafted row; receivers with equally
-    # many rows share a (rows, receivers) index matrix and one combine.
+    # rows are its visible benign ids, ascending, then its malicious count
+    # of copies of its crafted row.  The benign receivers' rows make one
+    # (rows, receivers) index, padded past each receiver's count: one
+    # gather and one aggregate_matrix call combine the round.
     attacked = []  # (visible benign ids, malicious count), one per crafted row
-    by_size: dict[int, tuple[list, list]] = {}
+    receiver_rows = []
     for k in benign:
         nb = topology.neighborhood(int(k))
         is_mal = topology.malicious[nb]
@@ -217,18 +211,13 @@ def run_experiment(
         if n_mal > 0:
             rows += [n_agents + len(attacked)] * n_mal
             attacked.append((visible, n_mal))
-        ks, columns = by_size.setdefault(len(rows), ([], []))
-        ks.append(int(k))
-        columns.append(rows)
-    groups = [(np.array(ks), np.array(columns).T) for ks, columns in by_size.values()]
-    # The attacked receivers' visible benign ids, as one (rows, receivers)
-    # index padded past each receiver's count: one gather and one
-    # craft_attack call craft the round.
+        receiver_rows.append(rows)
+    combine_index, combine_counts = _padded_index(receiver_rows)
+    combine_counts = np.repeat(combine_counts, dim)
+    # The attacked receivers' visible benign ids, padded the same way: one
+    # gather and one craft_attack call craft the round.
     if attacked:
-        craft_counts = np.array([len(visible) for visible, _ in attacked])
-        craft_index = np.zeros((craft_counts.max(), len(attacked)), dtype=int)
-        for r, (visible, _) in enumerate(attacked):
-            craft_index[: len(visible), r] = visible
+        craft_index, craft_counts = _padded_index([visible for visible, _ in attacked])
         craft_malicious = np.array([n_mal for _, n_mal in attacked])
 
     weights = np.zeros((n_agents, dim))
@@ -256,11 +245,11 @@ def run_experiment(
             if attacked:
                 ctx = CraftingContext(phis[craft_index], craft_malicious, craft_counts)
                 source[n_agents:] = craft_attack(ctx, attack)
-            all_ok = True
-            for ks, rows in groups:
-                weights[ks], ok = combine(aggregator, source[rows])
-                all_ok &= ok
-            m_converged[i] = all_ok
+            combined = aggregate_matrix(
+                aggregator, source[combine_index].reshape(len(combine_index), -1), combine_counts
+            )
+            weights[benign] = combined.values.reshape(-1, dim)
+            m_converged[i] = combined.converged
             msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))
             loss_trace[i] = min(float(losses.mean()), DIVERGENCE_SENTINEL)
             msd_trace[i] = min(msd, DIVERGENCE_SENTINEL)

@@ -415,24 +415,24 @@ class TestMainEntry:
         assert not (tmp_path / "run").exists()
 
 
-# sha256 of the offline outputs, recorded before the commands were routed
-# through one compute-then-write path, on x86-64 Linux, NumPy 2.4.  Any
-# change to these bytes is a change to the sweep or efficiency numbers.
+# sha256 of the offline outputs, recorded with every estimator sum taken
+# row by row, on x86-64 Linux, NumPy 2.4.  Any change to these bytes is a
+# change to the sweep or efficiency numbers.
 PINNED_OFFLINE_DIGESTS = {
     "sweep-defaults": ("sc-sweep", "", {
-        "SC.csv": "9537783ca72ec79e6322402f1afc7a96f8fbe73d58d5d7b571b35265a4b0ba95",
-        "SC_max.csv": "82e507702c954d64b1b4e94b4c09376cfd6c491747c85fcb87037a3e522b61c7",
+        "SC.csv": "718ce3d550fe7035de460c4786c058fa1653ae15ad2a24466e99624c5abdfd74",
+        "SC_max.csv": "8dd874df6ce2375f05a2812b59dc691be23d760a69bc6a7ebfe4e8ac391f628a",
     }),
     "sweep-symmetric-3": ("sc-sweep", "[sweep]\nsymmetric = true\noutlier_count = 3\n", {
-        "SC.csv": "fbcc3d807466d00ca0d9430e1aa39648d1d5c3b189b21770ca896b768649e283",
-        "SC_max.csv": "e71196e77415eab6bd2c0fb47411511923661c9be6ebe78e6aa74d26f953cae6",
+        "SC.csv": "45534b79f16135632d220fe52891698bd0b3fbd191248f435222b08129093e94",
+        "SC_max.csv": "53a9da56446b4ae405596c80eb0681318d955cca8e7acd95146b24311b97d9bd",
     }),
     "efficiency-2000": ("efficiency-check", "[efficiency]\ntrials = 2000\nsample_size = 30\n", {
-        "efficiency.csv": "1c2d407e539c2fccbfeec36b7aefecb6f35b644694415c67ddd0d0ba3fcc3898",
+        "efficiency.csv": "eb36c4f08409d734b7103a2dac0a57a5baef5be9449e75124f642ee59de5cf2c",
     }),
-    # Ten M-estimation blocks, the last one taking the one-column remainder.
+    # Eleven M-estimation blocks, the last one a single column.
     "efficiency-5121": ("efficiency-check", "[efficiency]\ntrials = 5121\nsample_size = 60\n", {
-        "efficiency.csv": "b6c5e3d6cc20b10ddcba5a2d5f23a9a06d55acf0bb4366f99930d627e8922628",
+        "efficiency.csv": "7a1924fa9dc057d09d558162db1e78447cddf0761c9006ec554996d8a8b2f062",
     }),
 }
 

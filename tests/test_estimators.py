@@ -1,13 +1,17 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 from scipy.stats import median_abs_deviation
 
+from scmsim import estimators
 from scmsim.attacks import EPSILON_SCALE, AttackSpec, CraftingContext, craft_attack
 from scmsim.estimators import (
     EFFICIENCY_CI_BATCHES,
     FIXED_POINT_TOL,
+    M_ESTIMATOR_KINDS,
     AggregatorKind,
     AggregatorSpec,
     MAD_NORMALIZATION,
@@ -25,6 +29,8 @@ from scmsim.estimators import (
     _BLOCK_COLUMNS,
     _column_median,
     _m_estimate_columns,
+    _psi_weights,
+    _row_sum,
 )
 
 ALL_SPECS = tuned_aggregators()
@@ -159,6 +165,21 @@ class TestPsi:
             out = psi(kind, np.array([-np.inf, 0.5, np.inf]), 2.0)
             assert out[0] == 0.0 and out[2] == 0.0
 
+    def test_tukey_weights_bits_match_masked_formula(self):
+        # The mask-free fmax(1 - (r/c)^2, 0)^2 against the masked form it
+        # replaced, on and beside the rejection boundary, at signed and tiny
+        # zeros, at infinite and NaN residuals, and on random draws.
+        rng = np.random.default_rng(31)
+        for c in (1.0, TUKEY_C_95, 0.3):
+            edge = np.array([c, np.nextafter(c, np.inf), np.nextafter(c, 0.0), 0.0, 1e-300,
+                             np.inf, np.nan])
+            r = np.concatenate([edge, -edge, c * rng.uniform(-1.5, 1.5, 2000),
+                                rng.standard_normal(2000)]).reshape(2, -1)
+            u = np.where(np.abs(r) <= c, 1.0 - (r / c) ** 2, 0.0)
+            assert _psi_weights(AggregatorKind.TUKEY, r, c).tobytes() == (u * u).tobytes()
+        for kind in M_ESTIMATOR_KINDS:
+            assert psi(kind, math.nan, 2.0) == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             psi(AggregatorKind.MEDIAN, 1.0, 1.0)
@@ -241,10 +262,10 @@ class TestBlocks:
         [2 * _BLOCK_COLUMNS - 1, 2 * _BLOCK_COLUMNS, 2 * _BLOCK_COLUMNS + 1, 3 * _BLOCK_COLUMNS + 1],
     )
     def test_column_bits_do_not_depend_on_call_width(self, spec, width):
-        # A wide call is tiled from 40 source columns.  Row-major, each
-        # column must equal its source in a 2-column call; column-major, in
-        # a 1-column call.  The slowest source sits only in the last column,
-        # which a 3B+1 or 2B+1 call adds to its last block.
+        # A wide call is tiled from 40 source columns.  In either layout,
+        # each column must equal its source in a 2-column and in a 1-column
+        # call.  The slowest source sits only in the last column, which a
+        # 3B+1 or 2B+1 call runs as a one-column last block.
         rng = np.random.default_rng(width)
         cols = rng.standard_normal((24, 40))
         cols[:, 0] = 1.5  # zero scale: the median is returned directly
@@ -307,6 +328,86 @@ class TestAggregate:
             aggregate_matrix(MEDIAN, [])
         with pytest.raises(ValueError, match="empty"):
             aggregate_matrix(MEDIAN, np.empty((0, 2)))
+
+    def test_counts_validated(self):
+        a = np.zeros((4, 3))
+        for bad in ([1, 2], [[1, 2, 3]], 3, [1, 2, 5], [0, 1, 2], [1.5, 2, 3],
+                    np.ones(3, dtype=bool), ["1", "2", "3"]):
+            with pytest.raises(ValueError, match="counts"):
+                aggregate_matrix(MEDIAN, a, bad)
+        assert aggregate_matrix(MEDIAN, a, [4.0, 1, 2]).values.tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+    def test_non_finite_checked_on_counted_rows_only(self, spec):
+        a = np.arange(8.0).reshape(4, 2)
+        a[3, 0] = np.nan
+        a[2:, 1] = np.inf
+        got = aggregate_matrix(spec, a, [3, 2]).values
+        assert got.tolist() == [estimate(spec, a[:3, 0]), estimate(spec, a[:2, 1])]
+        for counts in ([4, 2], [3, 3]):
+            with pytest.raises(ValueError, match="non-finite"):
+                aggregate_matrix(spec, a, counts)
+
+    def test_trimmed_infeasible_column_rejected(self, monkeypatch):
+        # floor(alpha * n) < n / 2 for every n and every alpha < 0.5, so a
+        # valid spec keeps a sample of every column; a trim count that
+        # swallows one column of several is still refused.
+        n = np.arange(1, 100001)
+        assert (n - 2 * trim_count(n, np.nextafter(0.5, 0.0)) >= 1).all()
+        monkeypatch.setattr(estimators, "trim_count", lambda n, alpha: n // 2)
+        with pytest.raises(ValueError, match="trimming would discard every sample"):
+            aggregate_matrix(AggregatorSpec.trimmed_mean(), np.zeros((4, 2)), [3, 4])
+
+
+class TestRowOrder:
+    def test_row_sum_adds_rows_in_order(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((27, 5)) * 10.0 ** rng.integers(-8, 9, (27, 5))
+        want = [functools.reduce(operator.add, a[:, j].tolist()) for j in range(5)]
+        for arr in (a, np.asfortranarray(a)):
+            assert _row_sum(arr).tolist() == want
+            for j in range(5):
+                assert _row_sum(arr[:, j : j + 1]).tolist() == [want[j]]
+
+    @pytest.mark.parametrize(
+        "spec", ALL_SPECS + [AggregatorSpec.talwar(0.3), AggregatorSpec.tukey(0.3)],
+        ids=lambda s: f"{s.label}-{s.c}" if s.c else s.label,
+    )
+    def test_column_bits_invariant_to_width_layout_padding(self, spec):
+        # 40 source columns of 1 to 28 values, each estimated alone as an
+        # (n, 1) call, are tiled into calls of several widths, C- and
+        # F-ordered, with padding of one value below each column's count
+        # and three rows below every count.
+        rng = np.random.default_rng(51)
+        rows = 28
+        cols = rng.standard_normal((rows, 40)) * rng.uniform(1e-3, 50.0, 40)
+        cols[:, 10:20] = np.round(cols[:, 10:20])  # ties and -0.0
+        cols[:, 20:25] = rng.choice([-0.0, 0.0, 1e-3, 1.0], (rows, 5))
+        cols[:, 0] = 1.5  # zero scale: the median is returned directly
+        cols[:, 1] = np.repeat([-50.0, 50.0], rows // 2)  # all rejected when c = 0.3
+        cols[:, 25] = -0.0  # its sums stay -0.0 only if padding adds -0.0
+        cols[-6:, 2:10] = 2.5  # copies near the M-estimators' cutoff
+        counts = rng.integers(1, rows + 1, 40)
+        counts[:3] = rows
+        alone = [aggregate_matrix(spec, cols[:k, j : j + 1]) for j, k in enumerate(counts)]
+        if spec.kind in M_ESTIMATOR_KINDS:
+            flags = [_m_estimate_columns(cols[:k, j : j + 1], spec.kind, spec.c)[1][0]
+                     for j, k in enumerate(counts)]
+            assert not flags[1] if spec.c == 0.3 else flags[1]
+        for width in (1, 2, 7, 40, 2 * _BLOCK_COLUMNS + 1):
+            source = rng.permutation(np.resize(np.arange(40), width))
+            pad = np.arange(rows + 3)[:, None] >= counts[source]
+            tiled = np.vstack([cols[:, source], np.zeros((3, width))])
+            want = np.array([alone[k].values[0] for k in source])
+            for fill in (np.nan, np.inf, -1e300, -0.0, 2.5):
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    a = layout(np.where(pad, fill, tiled))
+                    res = aggregate_matrix(spec, a, counts[source])
+                    assert res.values.tobytes() == want.tobytes()
+                    assert res.converged == all(alone[k].converged for k in source)
+                    if spec.kind in M_ESTIMATOR_KINDS:
+                        got = _m_estimate_columns(a, spec.kind, spec.c, counts[source])[1]
+                        assert got.tolist() == [flags[k] for k in source]
 
 
 def draw_families(rng, n, m):

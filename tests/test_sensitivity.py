@@ -186,12 +186,12 @@ class TestSweep:
 PINNED_ORACLE = {
     ("talwar", 1, 5, 1): "(1.7921554150500718, 3.71437517598532)",
     ("tukey", 1, 5, 1): "(1.6548633423708385, 2.4321540293860817)",
-    ("talwar", 2, 17, 3): "(3.1169424068510394, 9.286401966348553)",
-    ("tukey", 2, 17, 3): "(2.522835989859914, 5.367318920374795)",
-    ("talwar", 0, 40, 2): "(2.3688064631593684, 2.4197160899908536)",
-    ("tukey", 0, 40, 2): "(1.8319677631535007, 2.948236804051135)",
-    ("talwar", 3, 50, 12): "(3.3752024274093215, 47.733816167284594)",
-    ("tukey", 3, 50, 12): "(2.8326824062480993, 29.015836318050805)",
+    ("talwar", 2, 17, 3): "(3.1169424068510394, 9.286401966348555)",
+    ("tukey", 2, 17, 3): "(2.522835989859914, 5.367318920374794)",
+    ("talwar", 0, 40, 2): "(2.3688064631593684, 2.419716089990855)",
+    ("tukey", 0, 40, 2): "(1.8319677631535007, 2.9482368040511355)",
+    ("talwar", 3, 50, 12): "(3.3752024274093215, 47.73381616728459)",
+    ("tukey", 3, 50, 12): "(2.832682411848019, 29.01583631805082)",
 }
 
 

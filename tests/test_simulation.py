@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scmsim import simulation
-from scmsim.attacks import AttackSpec, craft_attack
+from scmsim.attacks import SCM_TARGET, AttackSpec, craft_attack
 from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
 from scmsim.simulation import (
     DATA_CHUNK_ROUNDS,
@@ -13,7 +13,6 @@ from scmsim.simulation import (
     LearningConfig,
     LinearModelConfig,
     adapt,
-    combine,
     draw_true_weights,
     generate_batch,
     huber_grad_factor,
@@ -190,16 +189,28 @@ class TestCombine:
 class TestGroupedCombine:
     @pytest.mark.parametrize("dim", [1, 10])
     @pytest.mark.parametrize("spec", tuned_aggregators(), ids=lambda s: s.label)
-    def test_equals_per_receiver_calls(self, spec, dim):
-        rng = np.random.default_rng(dim)
-        for size in (5, 20, 27):
-            stacked = rng.standard_normal((size, 6, dim))
-            stacked[-3:] = 2.5  # copies of a crafted row near the M-estimators' cutoff
-            values, converged = combine(spec, stacked)
-            alone = [aggregate_matrix(spec, stacked[:, r]) for r in range(6)]
-            for r, res in enumerate(alone):
-                assert values[r].tobytes() == res.values.tobytes()
-            assert converged == all(res.converged for res in alone)
+    def test_equals_per_receiver_calls(self, spec, dim, monkeypatch):
+        # Every round's one padded combine call, its padding overwritten
+        # with NaN, gives each receiver the bits of a call on its rows alone.
+        rounds = []
+
+        def checking_aggregate(aggregator, matrix, counts):
+            padded = np.where(np.arange(len(matrix))[:, None] < counts, matrix, np.nan)
+            result = aggregate_matrix(aggregator, padded, counts)
+            alone = [
+                aggregate_matrix(aggregator, matrix[: counts[r * dim], r * dim : (r + 1) * dim])
+                for r in range(matrix.shape[1] // dim)
+            ]
+            assert result.values.tobytes() == np.concatenate([a.values for a in alone]).tobytes()
+            assert result.converged == all(a.converged for a in alone)
+            rounds.append(counts)
+            return result
+
+        monkeypatch.setattr(simulation, "aggregate_matrix", checking_aggregate)
+        topo, model = small_setup(num_malicious=3, agents=16, dim=dim)
+        attack = AttackSpec(spec) if spec.kind in SCM_TARGET.values() else AttackSpec.large_value()
+        run_experiment(topo, model, LearningConfig(iterations=4), spec, attack, seed=0)
+        assert len(rounds) == 4 and len(set(rounds[0].tolist())) > 1
 
 
 class TestRunExperiment:
@@ -248,6 +259,21 @@ class TestRunExperiment:
         run_experiment(topo, model, LearningConfig(iterations=6),
                        AggregatorSpec.tukey(), None, seed=0)
         assert calls == []
+
+    def test_one_combine_call_per_round(self, monkeypatch):
+        calls = []
+
+        def counting_aggregate(aggregator, matrix, counts):
+            calls.append(matrix.shape)
+            return aggregate_matrix(aggregator, matrix, counts)
+
+        monkeypatch.setattr(simulation, "aggregate_matrix", counting_aggregate)
+        topo, model = small_setup(num_malicious=2)
+        benign = topo.benign_agents
+        max_rows = max(topo.neighborhood(int(k)).size for k in benign)
+        run_experiment(topo, model, LearningConfig(iterations=6),
+                       AggregatorSpec.tukey(), AttackSpec.tukey_scm(4.685), seed=0)
+        assert calls == [(max_rows, benign.size * model.dim)] * 6
 
     def test_deterministic_traces(self):
         topo, model = small_setup(num_malicious=2)
@@ -342,16 +368,16 @@ def _case_digest(dim, batch, num_malicious):
     return h.hexdigest()
 
 
-# Recorded with the per-receiver round (one aggregate_matrix call per
-# receiver, one data draw per agent and round) on x86-64 Linux, NumPy 2.4.
-# Any change to these bytes is a change to the traces.
+# Recorded with one padded aggregate_matrix call per round, every column
+# summed row by row, on x86-64 Linux, NumPy 2.4.  Any change to these
+# bytes is a change to the traces.
 PINNED_TRACE_DIGESTS = {
-    (1, 1, 0): "4488e400265ecf842e8e50e6aa90a6e881a8a9618774849f9e2c53d8cf8c8538",
-    (1, 1, 2): "22367a603c49b6a00939270366f7ea87004c9b2296a5bb1149ee393dbfff45b8",
-    (3, 4, 0): "941e2bc9a397e3a43a02d385e5b032cb5ab8ce4a100cce9f23ec6a530301327f",
-    (3, 4, 2): "cf0a1b2a78574e5306986367ef45ea0f124a2a99a0fb34c4566dfa3bc44db389",
-    (10, 1, 0): "ca48802691bd57a01c7496e5b61436aedad695acb6360e9ec58c75ecc7feb9e9",
-    (10, 1, 2): "a84657deba7cad41d9acf379217f8bc5749dcff17727654763067e08312fd1c7",
+    (1, 1, 0): "c5cc0df9a9df01299a5a93e74cc7019e9997c2a3e728faf18b42e463268f16b2",
+    (1, 1, 2): "035c9cd9a65c5841418de38ff9229512e296c47bd9e2b9cd44efad9e4a716f8c",
+    (3, 4, 0): "d063111b7ab84e8fc6a446ec161591495d57e11de09fad7be9fa909724896f94",
+    (3, 4, 2): "8c5a85a72a54949f59d782cb926b612e46e3a5e6af9a0726e16c7fa90579b013",
+    (10, 1, 0): "707f0be2147986aa21f49adc4d1db45913ad4021f59c3a9bc2a712b484c9000f",
+    (10, 1, 2): "9972e268c0fdba605ea621227490a6fdaef1f42670cb505a84a55402d2d6304a",
 }
 
 
