@@ -12,10 +12,11 @@ aggregate as far as possible without being rejected:
   through the defender's robust location/scale estimates, corrected for
   the shift those injected values themselves cause.
 
-Every crafter reads only order statistics of the benign values, so a
-whole round of receivers is crafted in one call: their neighborhoods are
-padded to one row count, and each column's ranks are read below its own
-count from one sort, which gives every receiver the bits it gets alone.
+Every crafter works column by column on order statistics of the benign
+values, so a whole round is crafted in one call on the padded
+(rows, columns) form that ``aggregate_matrix`` combines, one column per
+receiver and coordinate: each column's ranks are read below its own count
+from one sort, which gives every column the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .estimators import (
     TRIM_ALPHA_95,
     _check_count,
     _check_tuning_constant,
+    _counted,
+    _pad,
     median_and_scale,
     trim_count,
 )
@@ -103,17 +106,13 @@ class AttackSpec:
 class CraftingContext:
     """What an omniscient attacker knows when targeting receivers.
 
-    For one receiver, ``benign_values`` holds the current benign weight
-    vectors visible in its neighborhood, one row per benign agent (a 1-D
-    array is one coordinate), and ``malicious_count`` is the number of
-    malicious agents in that neighborhood, all of which will report the
-    crafted vector.
-
-    For a whole round, ``benign_values`` is (rows, receivers, dim):
-    receiver r's vectors fill the first ``benign_count[r]`` rows of
-    ``[:, r]`` (every row when ``benign_count`` is None) and the rows past
-    them are padding, which is ignored.  ``malicious_count`` is then one
-    count per receiver, or one count for all of them.
+    ``benign_values`` is one column per targeted coordinate, in the form
+    ``aggregate_matrix`` takes: column j holds the benign values its
+    receiver sees in its first ``benign_count[j]`` rows (every row when
+    ``benign_count`` is None), and the rows below them are padding, which
+    is ignored.  A 1-D array is one column.  ``malicious_count`` is the
+    number of malicious agents that will report the crafted value, one
+    count for every column or one per column.
 
     This is the one check of crafting input: the crafters below trust it.
     """
@@ -121,8 +120,8 @@ class CraftingContext:
     benign_values: np.ndarray
     malicious_count: int | np.ndarray
     benign_count: np.ndarray | None = None
-    # The crafters' view: a (rows, receivers*dim) matrix whose padding is
-    # +inf, and every column's benign and malicious counts.
+    # The crafters' view: ``benign_values`` with +inf padding, and every
+    # column's benign and malicious counts.
     _columns: np.ndarray = field(init=False, repr=False)
     _benign: np.ndarray = field(init=False, repr=False)
     _malicious: np.ndarray = field(init=False, repr=False)
@@ -131,37 +130,17 @@ class CraftingContext:
         a = np.asarray(self.benign_values, dtype=float)
         if a.ndim == 1:
             a = a[:, None]
-        if a.ndim not in (2, 3) or a.size == 0:
-            raise ValueError(
-                "benign_values must be a non-empty (agents, dim) or (rows, receivers, dim) array"
-            )
-        rows, dim = a.shape[0], a.shape[-1]
-        receivers = a.shape[1] if a.ndim == 3 else 1
+        if a.ndim != 2 or a.size == 0:
+            raise ValueError("benign_values must be a non-empty 1-D or (rows, columns) array")
+        n, valid = _counted(a, self.benign_count, "benign_count")
         m = _check_count(self.malicious_count, "malicious_count")
-        if np.ndim(m) and (a.ndim == 2 or np.shape(m) != (receivers,)):
-            raise ValueError("malicious_count must be one count, or one per receiver of a round")
-        if self.benign_count is None:
-            n = np.full(receivers, rows)
-        elif a.ndim == 2:
-            raise ValueError("benign_count is given only with a (rows, receivers, dim) round")
-        else:
-            n = _check_count(self.benign_count, "benign_count")
-            if np.shape(n) != (receivers,) or (n > rows).any():
-                raise ValueError("benign_count must be one count per receiver, at most the rows")
-        columns = a.reshape(rows, receivers * dim)
-        benign = np.repeat(n, dim)
-        valid = np.arange(rows)[:, None] < benign
-        if not (np.isfinite(columns) | ~valid).all():
-            raise ValueError("benign_values contains non-finite entries")
+        if np.ndim(m) and np.shape(m) != (a.shape[1],):
+            raise ValueError("malicious_count must be one count, or one per column")
         object.__setattr__(self, "benign_values", a)
         object.__setattr__(self, "malicious_count", m)
-        object.__setattr__(self, "_columns", np.where(valid, columns, np.inf))
-        object.__setattr__(self, "_benign", benign)
-        object.__setattr__(self, "_malicious", np.repeat(np.broadcast_to(m, receivers), dim))
-
-    @property
-    def dim(self) -> int:
-        return self.benign_values.shape[-1]
+        object.__setattr__(self, "_columns", _pad(a, valid, np.inf))
+        object.__setattr__(self, "_benign", n)
+        object.__setattr__(self, "_malicious", np.broadcast_to(m, a.shape[1]))
 
 
 def psi_argmax(kind: AggregatorKind, c: float) -> float:
@@ -206,19 +185,18 @@ def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarr
     is self-consistent, which the first application almost always already
     is: the copies sit well above the median and MAD ranks, so re-adding
     them at the corrected value leaves both statistics unchanged.  Each
-    receiver stops correcting once all of its coordinates settle; the
-    others go on, so a receiver gets the bits it gets alone.  The peak
-    residual is backed off by a relative ``BOUNDARY_MARGIN`` so that the
-    Talwar copies survive the defender's hard |r| <= c cutoff under float
-    rounding.  A zero scale collapses to the median, the only undetectable
-    choice there.
+    column stops correcting once it settles; the others go on, so a column
+    gets the bits it gets alone.  The peak residual is backed off by a
+    relative ``BOUNDARY_MARGIN`` so that the Talwar copies survive the
+    defender's hard |r| <= c cutoff under float rounding.  A zero scale
+    collapses to the median, the only undetectable choice there.
     """
     a, n, p = ctx._columns, ctx._benign, ctx._malicious
     c0 = psi_argmax(target.kind, target.c) * (1.0 - BOUNDARY_MARGIN)
     med, scale = median_and_scale(a, n)
     z = c0 * scale + med
     copy_rows = np.arange(p.max())[:, None]
-    cols = np.arange(a.shape[1])  # the columns of the receivers still correcting
+    cols = np.arange(a.shape[1])  # the columns still correcting
     for _ in range(SHIFT_CORRECTION_MAX_ROUNDS):
         # Each column: its benign values, then its copies of z, then +inf.
         z_cols = z[cols]
@@ -226,26 +204,20 @@ def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarr
         combined = np.concatenate([a[:, cols], copies], axis=0)
         med2, scale2 = median_and_scale(combined, n[cols] + p[cols])
         z_next = c0 * scale2 + med2
-        drift = np.abs(z_next - z_cols) <= SHIFT_CORRECTION_RTOL * (1.0 + np.abs(z_cols))
+        moving = np.abs(z_next - z_cols) > SHIFT_CORRECTION_RTOL * (1.0 + np.abs(z_cols))
         z[cols] = z_next
-        moving = ~drift.reshape(-1, ctx.dim).all(axis=1)
         if not moving.any():
             break
-        cols = cols.reshape(-1, ctx.dim)[moving].ravel()
+        cols = cols[moving]
     return z
 
 
 def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
-    """Craft the vector every malicious neighbor reports to each receiver.
-
-    One receiver's context gives its (dim,) vector; a round's context gives
-    (receivers, dim), one row per receiver, in one call.
-    """
+    """Craft the value every malicious neighbor reports in each column of
+    ``ctx``: one entry per column, all columns in one call."""
     target = spec.target
     if target is None:
-        z = np.full(ctx._columns.shape[1], spec.lv_magnitude)
-    elif target.kind is AggregatorKind.TRIMMED_MEAN:
-        z = _trimmed_values(ctx, target)
-    else:
-        z = _mestimator_values(ctx, target)
-    return z.reshape(ctx.benign_values.shape[1:])
+        return np.full(ctx._columns.shape[1], spec.lv_magnitude)
+    if target.kind is AggregatorKind.TRIMMED_MEAN:
+        return _trimmed_values(ctx, target)
+    return _mestimator_values(ctx, target)

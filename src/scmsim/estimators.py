@@ -113,6 +113,35 @@ def _check_count(value, name: str):
     return a.astype(int) if a.ndim else int(a)
 
 
+def _counted(a: np.ndarray, counts, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The per-column counts of a (rows, columns) array and its counted rows.
+
+    Column j's values are its first ``counts[j]`` rows, every row when
+    ``counts`` is None; the rows below them are padding, which may hold
+    anything.  Returns the counts and the (rows, columns) mask of counted
+    rows, None when ``counts`` is None.  A count that is not one whole
+    number of at least 1 per column, at most the rows, raises
+    ``ValueError`` naming ``name``, and so does a non-finite counted value.
+    """
+    n, m = a.shape
+    if counts is None:
+        counts, valid = np.full(m, n), None
+        finite = np.isfinite(a).all()
+    else:
+        counts = _check_count(counts, name)
+        if np.shape(counts) != (m,):
+            raise ValueError(
+                f"{name} must hold one count per column ({m}), got shape {np.shape(counts)}"
+            )
+        if (counts > n).any():
+            raise ValueError(f"{name} must not exceed the {n} rows, got {counts.max()}")
+        valid = np.arange(n)[:, None] < counts
+        finite = (np.isfinite(a) | ~valid).all()
+    if not finite:
+        raise ValueError("non-finite values in the counted rows")
+    return counts, valid
+
+
 def tuned_aggregators() -> list[AggregatorSpec]:
     """The five standard rules, tuned for 95% efficiency, in trace-column order."""
     return [
@@ -134,24 +163,21 @@ def _as_samples(values) -> np.ndarray:
 
 
 def _column_median(a: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
-    """``np.median(a, axis=0)`` for a finite array, bit for bit.
+    """Column medians of a (rows, columns) array, each of its counted rows.
 
-    With per-column ``counts``, column j holds ``counts[j]`` finite values
-    and +inf padding in its other rows, and gets the median of its values
-    alone.  The middle order statistics are read by rank from one
-    ``np.sort(axis=0)``: sorting is exact and the padding sorts last, so it
-    changes no rank below a column's count.  The sum starts from 0.0 as
-    ``np.median``'s mean does, so a -0.0 middle value comes out as +0.0
-    whichever zero the sort put there.
+    Column j holds ``counts[j]`` finite values (every row without
+    ``counts``) and +inf padding in its other rows, and gets
+    ``np.median`` of its values alone, bit for bit.  The middle order
+    statistics are read by rank from one ``np.sort(axis=0)``: sorting is
+    exact and the padding sorts last, so it changes no rank below a
+    column's count.  The sum starts from 0.0 as ``np.median``'s mean does,
+    so a -0.0 middle value comes out as +0.0 whichever zero the sort put
+    there.
     """
     s = np.sort(a, axis=0)
-    if counts is None:
-        n = s.shape[0]
-        h = n // 2
-        if n % 2:
-            return 0.0 + s[h]
-        return (0.0 + s[h - 1] + s[h]) / 2
     cols = np.arange(s.shape[1])
+    if counts is None:
+        counts = np.full(cols.size, s.shape[0])
     med = 0.0 + s[(counts - 1) // 2, cols]
     even = np.flatnonzero(counts % 2 == 0)
     med[even] = (med[even] + s[counts[even] // 2, even]) / 2
@@ -178,10 +204,10 @@ def mad(values, normalized: bool = False) -> float:
     With ``normalized=True`` the raw MAD is multiplied by 1.4826 so that it
     is consistent for the standard deviation under Gaussian data.
     """
-    a = _as_samples(values)
+    a = _as_samples(values)[:, None]
     if normalized:
-        return float(median_and_scale(a)[1])
-    return float(_column_median(np.abs(a - _column_median(a))))
+        return float(median_and_scale(a)[1][0])
+    return float(_column_median(np.abs(a - _column_median(a)))[0])
 
 
 def trim_count(n, alpha: float):
@@ -207,7 +233,8 @@ def psi(kind: AggregatorKind, x, c: float):
         raise ValueError(f"psi is defined for Talwar/Tukey only, got {kind}")
     _check_tuning_constant(c)
     arr = np.asarray(x, dtype=float)
-    w = _psi_weights(kind, arr, c)
+    with np.errstate(over="ignore"):  # (r/c)**2 past the float range: weight 0
+        w = _psi_weights(kind, arr, c)
     # A rejected residual has weight 0 and psi 0, an infinite one too,
     # whose product with the weight would be NaN.
     out = np.multiply(arr, w, out=np.zeros_like(w), where=w != 0.0)
@@ -297,9 +324,10 @@ def _fixed_point(
         if done.all():
             iterations -= 1
             break
-        r = np.subtract(high, loc)
-        r /= safe_sigma
-        w = _psi_weights(kind, r, c)
+        with np.errstate(over="ignore"):  # a residual past the float range: weight 0
+            r = np.subtract(high, loc)
+            r /= safe_sigma
+            w = _psi_weights(kind, r, c)
         wsum = _row_sum(w)
         dead = ~done & (wsum == 0.0)
         all_rejected |= dead
@@ -312,7 +340,8 @@ def _fixed_point(
         step = np.abs(new - loc[active])
         loc[active] = new
         done[active[step <= FIXED_POINT_TOL * sigma[active]]] = True
-    r = (high - loc) / safe_sigma
+    with np.errstate(over="ignore"):
+        r = (high - loc) / safe_sigma
     residual = np.abs(_row_sum(psi(kind, r, c)))
     converged = degenerate | (~all_rejected & (residual <= counts * FIXED_POINT_TOL))
     return loc, converged, iterations
@@ -336,25 +365,10 @@ def aggregate_matrix(spec: AggregatorSpec, matrix, counts=None) -> AggregationRe
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D (vectors, coordinates) array, got ndim={a.ndim}")
     a = np.ascontiguousarray(a)
-    n, m = a.shape
-    if n == 0:
+    if a.shape[0] == 0:
         raise ValueError("cannot aggregate an empty collection of vectors")
-    if counts is None:
-        counts = np.full(m, n)
-        valid = None
-        finite = np.isfinite(a).all()
-    else:
-        counts = _check_count(counts, "counts")
-        if np.shape(counts) != (m,):
-            raise ValueError(
-                f"counts must hold one count per column ({m}), got shape {np.shape(counts)}"
-            )
-        if (counts > n).any():
-            raise ValueError(f"counts must not exceed the {n} rows, got {counts.max()}")
-        valid = np.arange(n)[:, None] < counts
-        finite = (np.isfinite(a) | ~valid).all()
-    if not finite:
-        raise ValueError("aggregation input contains non-finite values")
+    counts, valid = _counted(a, counts, "counts")
+    n = a.shape[0]
     kind = spec.kind
     if kind is AggregatorKind.SAMPLE_MEAN:
         return AggregationResult(_row_sum(_pad(a, valid, -0.0)) / counts, True)

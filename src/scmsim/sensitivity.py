@@ -125,9 +125,9 @@ def _golden_section_max(
 
 def default_search_bounds(base) -> tuple[float, float]:
     """Search window covering the redescending maxima: median +/- 10*(mad+1)."""
-    center, scale = median_and_scale(_as_samples(base))
-    halfwidth = 10.0 * (float(scale) + 1.0)
-    return float(center) - halfwidth, float(center) + halfwidth
+    center, scale = (float(v[0]) for v in median_and_scale(_as_samples(base)[:, None]))
+    halfwidth = 10.0 * (scale + 1.0)
+    return center - halfwidth, center + halfwidth
 
 
 def max_sc_numeric(agg: AggregatorSpec, base, count: int = 1) -> tuple[float, float]:

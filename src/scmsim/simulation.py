@@ -4,10 +4,11 @@ Each benign agent repeatedly takes a Huber-loss stochastic gradient step on
 fresh local data (adapt) and then aggregates the intermediate weights of
 its neighborhood with a robust rule (combine).  Malicious agents skip
 adaptation entirely; each iteration they report per-receiver crafted
-vectors instead, all crafted in one ``craft_attack`` call per round.  The
-round's neighbourhoods, padded to the largest, are combined in one
-``aggregate_matrix`` call with a count per column, which gives each
-receiver the bits of a call on its rows alone.  All randomness derives
+vectors instead.  A round is one padded matrix with a column per receiver
+and coordinate and a count per column: one ``craft_attack`` call reads
+the attacked columns' benign rows and fills their copy rows, and one
+``aggregate_matrix`` call combines the matrix, which gives each receiver
+the bits of calls on its rows alone.  All randomness derives
 from per-agent streams spawned from the experiment seed, so traces are
 reproducible bit for bit.
 """
@@ -138,16 +139,6 @@ def adapt(
     return weights + learning.step_size * (g[..., None] * regressors).mean(axis=-2)
 
 
-def _padded_index(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    # One column per list of source rows, zero-padded below its length, and
-    # the lengths.
-    counts = np.array([len(r) for r in rows])
-    index = np.zeros((counts.max(), len(rows)), dtype=int)
-    for j, r in enumerate(rows):
-        index[: len(r), j] = r
-    return index, counts
-
-
 @dataclass(eq=False)
 class ExperimentTrace:
     """Per-iteration metrics of one (aggregator, attack) run.
@@ -195,34 +186,33 @@ def run_experiment(
     benign = topology.benign_agents
     agent_seeds = np.random.SeedSequence(seed).spawn(n_agents)
     streams = [np.random.default_rng(agent_seeds[k]) for k in benign]
-    # Each round's values live in one source buffer: the agents' adapted
-    # weights, then one crafted row per attacked receiver.  A receiver's
-    # rows are its visible benign ids, ascending, then its malicious count
-    # of copies of its crafted row.  The benign receivers' rows make one
-    # (rows, receivers) index, padded past each receiver's count: one
-    # gather and one aggregate_matrix call combine the round.
-    attacked = []  # (visible benign ids, malicious count), one per crafted row
-    receiver_rows = []
+    # Each round is one (rows, receivers*dim) matrix, one column per benign
+    # receiver and coordinate: the receiver's visible benign agents'
+    # weights, ascending by id, then one copy row per malicious neighbor,
+    # then padding.  One gather of an index built here fills the benign
+    # rows, one craft_attack call on the attacked columns and one copyto
+    # fill the copy rows, and one aggregate_matrix call combines the round.
+    visible, n_malicious = [], []
     for k in benign:
         nb = topology.neighborhood(int(k))
         is_mal = topology.malicious[nb]
-        visible, n_mal = nb[~is_mal], int(is_mal.sum())
-        rows = visible.tolist()
-        if n_mal > 0:
-            rows += [n_agents + len(attacked)] * n_mal
-            attacked.append((visible, n_mal))
-        receiver_rows.append(rows)
-    combine_index, combine_counts = _padded_index(receiver_rows)
-    combine_counts = np.repeat(combine_counts, dim)
-    # The attacked receivers' visible benign ids, padded the same way: one
-    # gather and one craft_attack call craft the round.
-    if attacked:
-        craft_index, craft_counts = _padded_index([visible for visible, _ in attacked])
-        craft_malicious = np.array([n_mal for _, n_mal in attacked])
+        visible.append(nb[~is_mal])
+        n_malicious.append(int(is_mal.sum()))
+    benign_counts = np.repeat([v.size for v in visible], dim)
+    malicious_counts = np.repeat(n_malicious, dim)
+    counts = benign_counts + malicious_counts
+    index = np.zeros((counts.max(), benign.size), dtype=int)
+    for j, v in enumerate(visible):
+        index[: v.size, j] = v
+    row = np.arange(len(index))[:, None]
+    copy_rows = (row >= benign_counts) & (row < counts)
+    attacked = np.flatnonzero(malicious_counts)
+    craft_benign, craft_malicious = benign_counts[attacked], malicious_counts[attacked]
+    craft_rows = craft_benign.max(initial=0)
+    crafted = np.zeros(counts.size)
 
     weights = np.zeros((n_agents, dim))
-    source = np.zeros((n_agents + len(attacked), dim))
-    phis = source[:n_agents]
+    phis = np.zeros((n_agents, dim))
     iters = learning.iterations
     loss_trace = np.full(iters, DIVERGENCE_SENTINEL)
     msd_trace = np.full(iters, DIVERGENCE_SENTINEL)
@@ -242,12 +232,12 @@ def run_experiment(
             residuals = _residuals(own, regressors, targets)
             losses = huber_loss(residuals, learning.huber_delta).mean(axis=-1)
             phis[benign] = adapt(own, regressors, targets, learning)
-            if attacked:
-                ctx = CraftingContext(phis[craft_index], craft_malicious, craft_counts)
-                source[n_agents:] = craft_attack(ctx, attack)
-            combined = aggregate_matrix(
-                aggregator, source[combine_index].reshape(len(combine_index), -1), combine_counts
-            )
+            matrix = phis[index].reshape(len(index), -1)
+            if attacked.size:
+                ctx = CraftingContext(matrix[:craft_rows, attacked], craft_malicious, craft_benign)
+                crafted[attacked] = craft_attack(ctx, attack)
+                np.copyto(matrix, crafted, where=copy_rows)
+            combined = aggregate_matrix(aggregator, matrix, counts)
             weights[benign] = combined.values.reshape(-1, dim)
             m_converged[i] = combined.converged
             msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))

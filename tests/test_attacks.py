@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -249,22 +250,23 @@ class TestCraftAttack:
         with pytest.raises(ValueError):
             CraftingContext(np.array([[np.nan, 1.0]]), 1)
         # Counts are whole numbers: a fraction is not truncated, a bool is
-        # not 1, whether one count or one per receiver of a round.
+        # not 1, whether one count or one per column.
         line = np.arange(1.0, 21.0)
-        round_values = np.ones((4, 2, 3))
+        round_values = np.ones((4, 2))
         for values, bad in (
-            (line, 2.5), (line, True), (line, np.float64(0.5)), (line, "3"), (line, [2]),
+            (line, 2.5), (line, True), (line, np.float64(0.5)), (line, "3"), (line, [2, 2]),
             (round_values, [1.5, 2.0]), (round_values, [True, True]), (round_values, [1, 1, 1]),
         ):
             with pytest.raises(ValueError, match="malicious_count"):
                 CraftingContext(values, bad)
         assert CraftingContext(line, 3.0).malicious_count == 3
+        assert CraftingContext(line, [2]).malicious_count.tolist() == [2]
         for bad in ([1, 2, 3], [0, 2], [2, 5], [2.5, 3], [True, True]):
             with pytest.raises(ValueError, match="benign_count"):
                 CraftingContext(round_values, 1, np.array(bad))
         with pytest.raises(ValueError, match="benign_count"):
             CraftingContext(np.ones((4, 3)), 1, np.array([4]))
-        round_values[3, 0] = np.nan  # padding past receiver 0's three rows
+        round_values[3, 0] = np.nan  # padding past column 0's three rows
         CraftingContext(round_values, 1, np.array([3, 4]))
         with pytest.raises(ValueError, match="non-finite"):
             CraftingContext(round_values, 1, np.array([4, 4]))
@@ -319,12 +321,14 @@ def draw_receivers(rng, receivers, dim):
 
 
 def padded_round(sets):
-    """(rows, receivers, dim) with NaN padding, and the benign counts."""
+    """One column per receiver and coordinate, with NaN padding, and the
+    per-column benign counts of ``draw_receivers``' sets."""
     n = np.array([len(v) for v in sets])
-    values = np.full((n.max(), len(sets), sets[0].shape[1]), np.nan)
+    dim = sets[0].shape[1]
+    values = np.full((n.max(), len(sets), dim), np.nan)
     for r, v in enumerate(sets):
         values[: len(v), r] = v
-    return values, n
+    return values.reshape(n.max(), -1), np.repeat(n, dim)
 
 
 def correction_rounds(monkeypatch, ctx, spec):
@@ -342,6 +346,29 @@ def correction_rounds(monkeypatch, ctx, spec):
     return len(calls) - 1
 
 
+# sha256 of each round craft of the draws below, recorded when a receiver's
+# columns stopped the shift correction together: stopping each column on
+# its own changes no byte.  (draw seed, receivers, dim, attack): digest.
+CRAFT_DIGESTS = {
+    (1, 58, 1, "large_value"): "fb6128003e2827834f9c5632e6d274bd5f89ab823642b40806f399c64a16bd12",
+    (1, 58, 1, "trimmed_scm"): "f996cf6ab5066cc941779f6471b95e8270b4b042ee3ae29d91969bf7561825ed",
+    (1, 58, 1, "talwar_scm"): "3cb8f08989e2368e3666ac94beb963b1a3956251d0c0dfe7eb5eaf15a72d0d94",
+    (1, 58, 1, "tukey_scm"): "b0be45d6cb3b2f40d546ef28d524706c983fc99c8ec06c9a964d5230f142bcec",
+    (3, 58, 3, "large_value"): "282b263cc4bcd7910e95fc84649f5a21360204d10233b7081b92381303fb5b19",
+    (3, 58, 3, "trimmed_scm"): "3dde8c45e96a4d445c397bbe10502d1e0526fa8c6ed5fcd6179597935bc900cc",
+    (3, 58, 3, "talwar_scm"): "7eb5724cd0d11a3ea93aff4f2d051818f521f90938399b933d0751084e45f9f3",
+    (3, 58, 3, "tukey_scm"): "097297e49c38e30022ef61a1ba903f4f221ffecbd2d1bcc4cfc488379d7ef502",
+    (10, 58, 10, "large_value"): "7ae702d090e3d5050a81bdc9826d2cb13ab5e58b95d3c13b8028eb155352bba0",
+    (10, 58, 10, "trimmed_scm"): "3de2f6b49a58c7f656903955d4f884c93b935bd5dc4f0465da2b239ed7211456",
+    (10, 58, 10, "talwar_scm"): "82621f978a7309d3d31c8e062320d6bf82fdb4c101ac1f658e0b1303a61c96d4",
+    (10, 58, 10, "tukey_scm"): "32ff2fed43d2050c8a53471119e7378e22a9de3c79fdd1b64fee1d4dcc5a9e0e",
+    (61, 240, 3, "large_value"): "ce4ad212fc81f4bfb3abf1cc3df5a070c92af82fd2b1b5115c59e043e3e99efc",
+    (61, 240, 3, "trimmed_scm"): "cbb8d218866c3d7fa76c637ae7689546e58b07982497686c3eb763070d783f4a",
+    (61, 240, 3, "talwar_scm"): "defbae7ebd3bd0e1d4effd2ba34dc9cfa86db22f7ce3cab143eae2000c1b43a6",
+    (61, 240, 3, "tukey_scm"): "cb01d8b920aa59e4e5ca15d62e73bf697feb2c2e0117de032f46679c1f545957",
+}
+
+
 class TestRoundCraft:
     @pytest.mark.parametrize("spec", ROUND_ATTACKS, ids=lambda s: s.label)
     @pytest.mark.parametrize("dim", [1, 3, 10])
@@ -349,31 +376,43 @@ class TestRoundCraft:
         rng = np.random.default_rng(dim)
         sets, p = draw_receivers(rng, 58, dim)
         values, n = padded_round(sets)
-        got = craft_attack(CraftingContext(values, p, n), spec)
-        assert got.shape == (58, dim)
+        got = craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
+        assert got.shape == (58 * dim,)
         for r, v in enumerate(sets):
             alone = craft_attack(CraftingContext(v, p[r]), spec)
-            assert got[r].tobytes() == alone.tobytes()
+            assert got[r * dim : (r + 1) * dim].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("spec", ROUND_ATTACKS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("seed, receivers, dim", [(1, 58, 1), (3, 58, 3), (10, 58, 10), (61, 240, 3)])
+    def test_crafted_bytes_pinned(self, spec, seed, receivers, dim):
+        sets, p = draw_receivers(np.random.default_rng(seed), receivers, dim)
+        values, n = padded_round(sets)
+        got = craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
+        digest = hashlib.sha256(got.tobytes()).hexdigest()
+        assert digest == CRAFT_DIGESTS[seed, receivers, dim, spec.label]
 
     def test_one_count_for_every_receiver(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((12, 5, 3))
         spec = AttackSpec.tukey_scm(TUKEY_C_95)
-        got = craft_attack(CraftingContext(values, 4), spec)
+        got = craft_attack(CraftingContext(values.reshape(12, -1), 4), spec)
         for r in range(5):
-            assert got[r].tobytes() == craft_attack(CraftingContext(values[:, r], 4), spec).tobytes()
+            alone = craft_attack(CraftingContext(values[:, r], 4), spec)
+            assert got[3 * r : 3 * r + 3].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("spec", ROUND_ATTACKS[2:], ids=lambda s: s.label)
-    def test_receivers_stop_correcting_independently(self, spec, monkeypatch):
-        # Receivers that settle after 1, 2, 3 or more correction rounds, and
-        # ones still moving at SHIFT_CORRECTION_MAX_ROUNDS, share one round.
+    def test_columns_stop_correcting_independently(self, spec, monkeypatch):
+        # Columns that settle after 1, 2, 3 or more correction rounds, and
+        # ones still moving at SHIFT_CORRECTION_MAX_ROUNDS, share one call.
         rng = np.random.default_rng(61)
         sets, p = draw_receivers(rng, 240, 3)
-        rounds = [correction_rounds(monkeypatch, CraftingContext(v, p[r]), spec)
-                  for r, v in enumerate(sets)]
+        values, n = padded_round(sets)
+        p = np.repeat(p, 3)
+        columns = [values[: n[j], j] for j in range(values.shape[1])]
+        rounds = [correction_rounds(monkeypatch, CraftingContext(v, p[j]), spec)
+                  for j, v in enumerate(columns)]
         assert {1, 2, attacks.SHIFT_CORRECTION_MAX_ROUNDS} <= set(rounds)
         assert any(2 < k < attacks.SHIFT_CORRECTION_MAX_ROUNDS for k in rounds)
-        values, n = padded_round(sets)
         got = craft_attack(CraftingContext(values, p, n), spec)
-        for r, v in enumerate(sets):
-            assert got[r].tobytes() == craft_attack(CraftingContext(v, p[r]), spec).tobytes()
+        for j, v in enumerate(columns):
+            assert got[j].tobytes() == craft_attack(CraftingContext(v, p[j]), spec).tobytes()

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from scmsim.estimators import (
     _psi_weights,
     _row_sum,
 )
+from scmsim.sensitivity import sensitivity_values
 
 ALL_SPECS = tuned_aggregators()
 MEAN = AggregatorSpec.sample_mean()
@@ -200,10 +202,29 @@ class TestMEstimate:
         # (1.7e308 - median) / MAD overflows to inf; that sample is rejected
         # and the fixed point on the rest is reported as converged.
         s = np.array([0.0, 0.1, 0.2, 0.25, 0.3, 1.7e308])
-        with np.errstate(over="ignore"):
-            res = aggregate_matrix(spec, s[:, None])
+        res = aggregate_matrix(spec, s[:, None])
         assert res.converged
         assert 0.0 <= res.values[0] <= 0.3
+
+    @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-310])
+    def test_residual_past_float_range_is_rejected_silently(self, spec, tiny):
+        # Beside a MAD of about 1.5 * tiny, the residual of 1.0 (at 1e-310)
+        # or Tukey's (r/c)**2 (at 1e-300) passes the float range: it is
+        # infinite and gets weight 0, with no overflow warning.  The values
+        # are the ones computed with the warning ignored.
+        want = {
+            ("talwar", 1e-300): ("1.5e-300", "0.0"),
+            ("tukey", 1e-300): ("1.5000000000782563e-300", "3.9128110357109e-310"),
+            ("talwar", 1e-310): ("1.49999999999997e-310", "0.0"),
+            ("tukey", 1e-310): ("1.50000000007823e-310", "3.9105e-320"),
+        }
+        s = [0.0, tiny, 2 * tiny, 3 * tiny, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate(spec, s), sensitivity_values(spec, s[:4], 1.0, 1)
+            assert psi(spec.kind, [1e300, -1e200, 1.0], spec.c)[:2].tolist() == [0.0, 0.0]
+        assert tuple(map(repr, got)) == want[spec.label, tiny]
 
     def test_zero_scale_short_circuits_to_median(self):
         s = np.array([0.0, 0.0, 0.0, 0.0, 1000.0])
@@ -457,8 +478,8 @@ class TestColumnMedian:
         malicious = rng.integers(1, 10, m)
         valid = np.arange(rows)[:, None] < counts
         for a in draw_families(rng, rows, m):
-            ctx = CraftingContext(np.where(valid, a, np.nan)[:, :, None], malicious, counts)
-            got = craft_attack(ctx, AttackSpec.trimmed_scm())[:, 0]
+            ctx = CraftingContext(np.where(valid, a, np.nan), malicious, counts)
+            got = craft_attack(ctx, AttackSpec.trimmed_scm())
             for j, (n, p) in enumerate(zip(counts, malicious)):
                 s = np.sort(a[:n, j])
                 t = trim_count(n + p, TRIM_ALPHA_95)

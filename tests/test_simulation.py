@@ -253,7 +253,7 @@ class TestRunExperiment:
                        AggregatorSpec.tukey(), att, seed=0)
         assert len(calls) == 6
         for shape, label in calls:
-            assert shape[1:] == (attacked, model.dim) and label == "tukey_scm"
+            assert shape[1:] == (attacked * model.dim,) and label == "tukey_scm"
         calls.clear()
         topo, model = small_setup()
         run_experiment(topo, model, LearningConfig(iterations=6),
