@@ -9,8 +9,8 @@ aggregate as far as possible without being rejected:
   trim removes, so every malicious copy is kept at the largest surviving
   position;
 * M-estimator targeting: the argmax of the influence function, mapped
-  through the defender's robust location/scale estimates, corrected for
-  the shift those injected values themselves cause.
+  through the median and normalized MAD of the contaminated set, in
+  closed form: the copies count there as +inf rows.
 
 Every crafter works column by column on order statistics of the benign
 values, so a whole round is crafted in one call on the padded
@@ -45,11 +45,6 @@ EPSILON_SCALE = 1e-6
 # Relative inward margin on the influence-peak residual: placing a value on
 # the exact rejection boundary would leave inclusion to float rounding.
 BOUNDARY_MARGIN = 1e-9
-# The shift correction is re-applied until self-consistent; the first
-# application is already a fixed point except when the injected copies'
-# deviation interleaves the combined MAD ranks (small-sample tail cases).
-SHIFT_CORRECTION_MAX_ROUNDS = 64
-SHIFT_CORRECTION_RTOL = 1e-9
 
 
 # Each sensitivity-curve attack, by name, and the aggregation rule it is
@@ -178,38 +173,28 @@ def _trimmed_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
 def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate peak-influence value against a Talwar/Tukey defender.
 
-    Stage one places the value at the influence peak seen through the benign
-    median and normalized MAD; stage two recomputes both on the benign set
-    plus the provisionally injected copies, accounting for the shift the
-    injection itself causes.  The correction is repeated until the placement
-    is self-consistent, which the first application almost always already
-    is: the copies sit well above the median and MAD ranks, so re-adding
-    them at the corrected value leaves both statistics unchanged.  Each
-    column stops correcting once it settles; the others go on, so a column
-    gets the bits it gets alone.  The peak residual is backed off by a
-    relative ``BOUNDARY_MARGIN`` so that the Talwar copies survive the
-    defender's hard |r| <= c cutoff under float rounding.  A zero scale
-    collapses to the median, the only undetectable choice there.
+    The copies go to z = med + c0*scale, the influence peak c0 seen through
+    the median and normalized MAD of the n benign values plus the p copies.
+    The copies' residual c0*1.4826 is at least 3.1 MADs, so they sort above
+    both statistics' middle ranks, which read the same values as with the
+    copies at +inf: ``median_and_scale`` at count n + p on the +inf-padded
+    columns.  With p < n those ranks, (n + p)//2 and below, are stored
+    benign rows.  With p >= n the copies hold the median (its breakdown
+    point is 50%), no finite placement exists, and the column is rejected.
+    The peak residual is backed off by a relative ``BOUNDARY_MARGIN`` so
+    that the Talwar copies survive the defender's hard |r| <= c cutoff under
+    float rounding.  A zero scale collapses to the median, the only
+    undetectable choice there.
     """
-    a, n, p = ctx._columns, ctx._benign, ctx._malicious
+    n, p = ctx._benign, ctx._malicious
+    if (p >= n).any():
+        raise ValueError(
+            "malicious_count must be below benign_count against a Talwar/Tukey"
+            " defender: the copies would hold its median"
+        )
     c0 = psi_argmax(target.kind, target.c) * (1.0 - BOUNDARY_MARGIN)
-    med, scale = median_and_scale(a, n)
-    z = c0 * scale + med
-    copy_rows = np.arange(p.max())[:, None]
-    cols = np.arange(a.shape[1])  # the columns still correcting
-    for _ in range(SHIFT_CORRECTION_MAX_ROUNDS):
-        # Each column: its benign values, then its copies of z, then +inf.
-        z_cols = z[cols]
-        copies = np.where(copy_rows < p[cols], z_cols, np.inf)
-        combined = np.concatenate([a[:, cols], copies], axis=0)
-        med2, scale2 = median_and_scale(combined, n[cols] + p[cols])
-        z_next = c0 * scale2 + med2
-        moving = np.abs(z_next - z_cols) > SHIFT_CORRECTION_RTOL * (1.0 + np.abs(z_cols))
-        z[cols] = z_next
-        if not moving.any():
-            break
-        cols = cols[moving]
-    return z
+    med, scale = median_and_scale(ctx._columns, n + p)
+    return c0 * scale + med
 
 
 def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:

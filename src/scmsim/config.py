@@ -281,6 +281,12 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"sweep.base_size {n} leaves no trimmed-mean marker: with sweep.outlier_count"
             f" {p}, the aggregators.trim_alpha {cfg.trim_alpha} trim removes every base value"
         )
+    # The Talwar and Tukey markers need the base values to hold the median.
+    if {"talwar", "tukey"} & set(cfg.aggregator_names) and p >= n:
+        raise ConfigError(
+            f"sweep.outlier_count {p} must be below sweep.base_size {n}: the outliers"
+            " would hold the median, so no talwar or tukey marker exists"
+        )
 
 
 def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:

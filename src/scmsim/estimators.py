@@ -170,9 +170,10 @@ def _column_median(a: np.ndarray, counts: np.ndarray | None = None) -> np.ndarra
     ``np.median`` of its values alone, bit for bit.  The middle order
     statistics are read by rank from one ``np.sort(axis=0)``: sorting is
     exact and the padding sorts last, so it changes no rank below a
-    column's count.  The sum starts from 0.0 as ``np.median``'s mean does,
-    so a -0.0 middle value comes out as +0.0 whichever zero the sort put
-    there.
+    column's count.  A count may exceed the stored rows, counting +inf
+    values past them, while its middle ranks fall on finite values.  The
+    sum starts from 0.0 as ``np.median``'s mean does, so a -0.0 middle
+    value comes out as +0.0 whichever zero the sort put there.
     """
     s = np.sort(a, axis=0)
     cols = np.arange(s.shape[1])
@@ -191,8 +192,9 @@ def median_and_scale(
 
     The scale is the median absolute deviation about the median times
     1.4826: the defender's fixed M-estimation scale, and the one the
-    M-estimator attack reads.  ``counts`` reads padded columns as
-    ``_column_median`` does; the padding's deviations stay +inf.
+    M-estimator attack reads.  ``counts`` reads padded columns, and +inf
+    rows past the stored ones, as ``_column_median`` does for both
+    statistics; the padding's deviations stay +inf.
     """
     med = _column_median(a, counts)
     return med, MAD_NORMALIZATION * _column_median(np.abs(a - med), counts)

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from scmsim import attacks
 from scmsim.attacks import (
     SCM_TARGET,
     AttackSpec,
@@ -13,6 +12,7 @@ from scmsim.attacks import (
     psi_argmax,
 )
 from scmsim.estimators import (
+    M_ESTIMATOR_KINDS,
     MAD_NORMALIZATION,
     TALWAR_C_95,
     TRIM_ALPHA_95,
@@ -115,9 +115,8 @@ class TestTrimmedScm:
 
 class TestMEstimatorScm:
     def test_two_stage_hand_computation(self):
-        # symmetric {-1,0,1}, P=1, Tukey: stage one from median 0 and
-        # normalized mad 1.4826; stage two re-centers on the 4-element set
-        # whose median is 0.5 and normalized mad is again 1.4826.
+        # symmetric {-1,0,1}, P=1, Tukey: the benign median 0 moves to 0.5 on
+        # the 4-element set with the copy, whose normalized mad is 1.4826.
         c0 = TUKEY_C_95 / math.sqrt(5.0)
         z = craft_attack(make_ctx([-1.0, 0.0, 1.0], 1), AttackSpec.tukey_scm(TUKEY_C_95))[0]
         expected = c0 * MAD_NORMALIZATION + 0.5
@@ -134,6 +133,40 @@ class TestMEstimatorScm:
     def test_degenerate_scale_falls_back_to_median(self):
         z = craft_attack(make_ctx([5.0, 5.0, 5.0, 5.0], 2), AttackSpec.talwar_scm(TALWAR_C_95))[0]
         assert z == pytest.approx(5.0)
+
+    def test_tied_base_places_copies_at_the_peak(self):
+        # With two copies anywhere above 1, the seven values have median 1
+        # and MAD 1, so the copies go to 1 + c0*1.4826.  Copies at the
+        # benign median 0 are self-consistent too (the MAD is then 0), but
+        # move nothing: SC 0.
+        base = np.array([0.0, 0.0, 0.0, 1.0, 5.0])
+        for spec, z_pinned, sc_pinned, sc_oracle in (
+            (AggregatorSpec.talwar(), 5.14460829585, 16.29, 16.69),
+            (AggregatorSpec.tukey(), 4.10633713417, 12.92, 13.88),
+        ):
+            z = craft_attack(make_ctx(base, 2), AttackSpec(spec))[0]
+            c0 = psi_argmax(spec.kind, spec.c) * (1.0 - 1e-9)
+            assert z == 1.0 + c0 * MAD_NORMALIZATION
+            assert z == pytest.approx(z_pinned, abs=1e-10)
+            assert sensitivity_values(spec, base, z, 2) == pytest.approx(sc_pinned, abs=5e-3)
+            _, sc_star = max_sc_numeric(spec, base, count=2)
+            assert sc_star == pytest.approx(sc_oracle, abs=5e-3)
+            combined = np.concatenate([base, [z, z]])
+            r = (z - estimate(spec, combined)) / mad(combined, normalized=True)
+            assert psi(spec.kind, r, spec.c) != 0.0
+
+    def test_copies_holding_the_median_are_rejected(self):
+        # With p >= n the copies hold the median, whatever their value.
+        base = np.array([0.0, 0.0, 0.0, 1.0, 5.0])
+        for spec in (AttackSpec.talwar_scm(TALWAR_C_95), AttackSpec.tukey_scm(TUKEY_C_95)):
+            for values, count in ((base, 5), (base, 6), (np.column_stack([base, base]), [2, 5])):
+                with pytest.raises(ValueError, match="malicious_count.*benign_count"):
+                    craft_attack(make_ctx(values, count), spec)
+        # The order-statistic attacks still craft on a feasible context.
+        ctx = make_ctx(np.arange(1.0, 8.0), 7)
+        assert craft_attack(ctx, AttackSpec.large_value())[0] == 1000.0
+        z = craft_attack(ctx, AttackSpec.trimmed_scm(0.12))[0]
+        assert z == pytest.approx(7.0 - 1e-6 * 7.0, abs=1e-12)
 
     def test_shift_correction_is_a_fixed_point(self):
         rng = np.random.default_rng(33)
@@ -331,41 +364,40 @@ def padded_round(sets):
     return values.reshape(n.max(), -1), np.repeat(n, dim)
 
 
-def correction_rounds(monkeypatch, ctx, spec):
-    # median_and_scale runs once on the benign set, then once per round.
-    calls = []
-    original = attacks.median_and_scale
+def majority_draw(seed, receivers, dim, spec):
+    """``draw_receivers``' sets and counts; against a Talwar/Tukey target,
+    only the receivers whose benign values outnumber their copies, after
+    checking that the whole draw is rejected."""
+    sets, p = draw_receivers(np.random.default_rng(seed), receivers, dim)
+    if spec.target is not None and spec.target.kind in M_ESTIMATOR_KINDS:
+        values, n = padded_round(sets)
+        with pytest.raises(ValueError, match="malicious_count"):
+            craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
+        keep = [r for r, v in enumerate(sets) if p[r] < len(v)]
+        sets, p = [sets[r] for r in keep], p[keep]
+    return sets, p
 
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
 
-    monkeypatch.setattr(attacks, "median_and_scale", counting)
-    craft_attack(ctx, spec)
-    monkeypatch.setattr(attacks, "median_and_scale", original)
-    return len(calls) - 1
-
-
-# sha256 of each round craft of the draws below, recorded when a receiver's
-# columns stopped the shift correction together: stopping each column on
-# its own changes no byte.  (draw seed, receivers, dim, attack): digest.
+# sha256 of each round craft of ``majority_draw``: the whole draw for the
+# large-value and trimmed-mean attacks, its benign-majority receivers for the
+# Talwar and Tukey ones.  (draw seed, receivers, dim, attack): digest.
 CRAFT_DIGESTS = {
     (1, 58, 1, "large_value"): "fb6128003e2827834f9c5632e6d274bd5f89ab823642b40806f399c64a16bd12",
     (1, 58, 1, "trimmed_scm"): "f996cf6ab5066cc941779f6471b95e8270b4b042ee3ae29d91969bf7561825ed",
-    (1, 58, 1, "talwar_scm"): "3cb8f08989e2368e3666ac94beb963b1a3956251d0c0dfe7eb5eaf15a72d0d94",
-    (1, 58, 1, "tukey_scm"): "b0be45d6cb3b2f40d546ef28d524706c983fc99c8ec06c9a964d5230f142bcec",
+    (1, 58, 1, "talwar_scm"): "9f3a659a925f7654eba17c5839e400eb9c1e6459c6aa7ad27e129abe9bbc3cad",
+    (1, 58, 1, "tukey_scm"): "53a3c423f6526c1d01f01710eedb1dca65012f703000dd65fd5cb002beb7089f",
     (3, 58, 3, "large_value"): "282b263cc4bcd7910e95fc84649f5a21360204d10233b7081b92381303fb5b19",
     (3, 58, 3, "trimmed_scm"): "3dde8c45e96a4d445c397bbe10502d1e0526fa8c6ed5fcd6179597935bc900cc",
-    (3, 58, 3, "talwar_scm"): "7eb5724cd0d11a3ea93aff4f2d051818f521f90938399b933d0751084e45f9f3",
-    (3, 58, 3, "tukey_scm"): "097297e49c38e30022ef61a1ba903f4f221ffecbd2d1bcc4cfc488379d7ef502",
+    (3, 58, 3, "talwar_scm"): "516d4006c54d7fef3f2c942143641909ffefbcfeba01e84cd1aaaa236569eb73",
+    (3, 58, 3, "tukey_scm"): "8e0aabe798aed354edde8ab15b59a94ff3ef0cf3337f137b673330b40e9c0116",
     (10, 58, 10, "large_value"): "7ae702d090e3d5050a81bdc9826d2cb13ab5e58b95d3c13b8028eb155352bba0",
     (10, 58, 10, "trimmed_scm"): "3de2f6b49a58c7f656903955d4f884c93b935bd5dc4f0465da2b239ed7211456",
-    (10, 58, 10, "talwar_scm"): "82621f978a7309d3d31c8e062320d6bf82fdb4c101ac1f658e0b1303a61c96d4",
-    (10, 58, 10, "tukey_scm"): "32ff2fed43d2050c8a53471119e7378e22a9de3c79fdd1b64fee1d4dcc5a9e0e",
+    (10, 58, 10, "talwar_scm"): "ffc31c8f942a7cfbda99c969c7a07a1316a2f29b01978b7c4b1256ea24d7a6bc",
+    (10, 58, 10, "tukey_scm"): "7de192f274f830d9c3806c2ef90efa173d0fd7722d2ecd8e00f1fa09e2dbcd81",
     (61, 240, 3, "large_value"): "ce4ad212fc81f4bfb3abf1cc3df5a070c92af82fd2b1b5115c59e043e3e99efc",
     (61, 240, 3, "trimmed_scm"): "cbb8d218866c3d7fa76c637ae7689546e58b07982497686c3eb763070d783f4a",
-    (61, 240, 3, "talwar_scm"): "defbae7ebd3bd0e1d4effd2ba34dc9cfa86db22f7ce3cab143eae2000c1b43a6",
-    (61, 240, 3, "tukey_scm"): "cb01d8b920aa59e4e5ca15d62e73bf697feb2c2e0117de032f46679c1f545957",
+    (61, 240, 3, "talwar_scm"): "a23628cffa15d128616c1981aa33a363369d07456c5a1d455ee2566068049c08",
+    (61, 240, 3, "tukey_scm"): "6a8616925d91e3c90cc829f0ae5527ef6848d0fcbf580d91725205d23bfd1fff",
 }
 
 
@@ -373,11 +405,10 @@ class TestRoundCraft:
     @pytest.mark.parametrize("spec", ROUND_ATTACKS, ids=lambda s: s.label)
     @pytest.mark.parametrize("dim", [1, 3, 10])
     def test_round_equals_per_receiver_calls(self, spec, dim):
-        rng = np.random.default_rng(dim)
-        sets, p = draw_receivers(rng, 58, dim)
+        sets, p = majority_draw(dim, 58, dim, spec)
         values, n = padded_round(sets)
         got = craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
-        assert got.shape == (58 * dim,)
+        assert got.shape == (len(sets) * dim,)
         for r, v in enumerate(sets):
             alone = craft_attack(CraftingContext(v, p[r]), spec)
             assert got[r * dim : (r + 1) * dim].tobytes() == alone.tobytes()
@@ -385,7 +416,7 @@ class TestRoundCraft:
     @pytest.mark.parametrize("spec", ROUND_ATTACKS, ids=lambda s: s.label)
     @pytest.mark.parametrize("seed, receivers, dim", [(1, 58, 1), (3, 58, 3), (10, 58, 10), (61, 240, 3)])
     def test_crafted_bytes_pinned(self, spec, seed, receivers, dim):
-        sets, p = draw_receivers(np.random.default_rng(seed), receivers, dim)
+        sets, p = majority_draw(seed, receivers, dim, spec)
         values, n = padded_round(sets)
         got = craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
         digest = hashlib.sha256(got.tobytes()).hexdigest()
@@ -399,20 +430,3 @@ class TestRoundCraft:
         for r in range(5):
             alone = craft_attack(CraftingContext(values[:, r], 4), spec)
             assert got[3 * r : 3 * r + 3].tobytes() == alone.tobytes()
-
-    @pytest.mark.parametrize("spec", ROUND_ATTACKS[2:], ids=lambda s: s.label)
-    def test_columns_stop_correcting_independently(self, spec, monkeypatch):
-        # Columns that settle after 1, 2, 3 or more correction rounds, and
-        # ones still moving at SHIFT_CORRECTION_MAX_ROUNDS, share one call.
-        rng = np.random.default_rng(61)
-        sets, p = draw_receivers(rng, 240, 3)
-        values, n = padded_round(sets)
-        p = np.repeat(p, 3)
-        columns = [values[: n[j], j] for j in range(values.shape[1])]
-        rounds = [correction_rounds(monkeypatch, CraftingContext(v, p[j]), spec)
-                  for j, v in enumerate(columns)]
-        assert {1, 2, attacks.SHIFT_CORRECTION_MAX_ROUNDS} <= set(rounds)
-        assert any(2 < k < attacks.SHIFT_CORRECTION_MAX_ROUNDS for k in rounds)
-        got = craft_attack(CraftingContext(values, p, n), spec)
-        for j, v in enumerate(columns):
-            assert got[j].tobytes() == craft_attack(CraftingContext(v, p[j]), spec).tobytes()

@@ -212,6 +212,24 @@ class TestParseConfig:
         assert "sweep.base_size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("schemes", ["talwar tukey", "talwar", "median tukey"])
+    def test_m_estimator_marker_needs_a_benign_majority(self, tmp_path, capsys, schemes):
+        text = f"[sweep]\nbase_size = 3\noutlier_count = 3\n[aggregators]\nschemes = {schemes}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        for key in ("sweep.base_size", "sweep.outlier_count"):
+            assert key in str(err.value)
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(text)
+        assert main(["sc-sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert "sweep.outlier_count" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # One outlier fewer leaves the base values a majority; without an
+        # M-estimator swept, any count is fine.
+        parse_config(text.replace("outlier_count = 3", "outlier_count = 2"))
+        parse_config("[sweep]\nbase_size = 3\noutlier_count = 4\n"
+                     "[aggregators]\nschemes = sample_mean median\n")
+
     def test_overflowing_grid_width_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[sweep]\ngrid_min = -1e308\ngrid_max = 1e308\n")
