@@ -10,7 +10,8 @@ aggregate as far as possible without being rejected:
   position;
 * M-estimator targeting: the argmax of the influence function, mapped
   through the median and normalized MAD of the contaminated set, in
-  closed form: the copies count there as +inf rows.
+  closed form (for c from ``min_tuning_constant`` up): the copies count
+  there as +inf rows.
 
 Every crafter works column by column on order statistics of the benign
 values, so a whole round is crafted in one call on the padded
@@ -29,6 +30,7 @@ import numpy as np
 from .estimators import (
     AggregatorKind,
     AggregatorSpec,
+    MAD_NORMALIZATION,
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
     _check_count,
@@ -148,6 +150,11 @@ def psi_argmax(kind: AggregatorKind, c: float) -> float:
     return c / math.sqrt(5.0)
 
 
+def min_tuning_constant(kind: AggregatorKind) -> float:
+    """Smallest c whose copies ``_mestimator_values`` places: two MADs out."""
+    return 2.0 / (psi_argmax(kind, 1.0) * (1.0 - BOUNDARY_MARGIN) * MAD_NORMALIZATION)
+
+
 def _trimmed_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate value just below the trim-survival boundary.
 
@@ -175,17 +182,25 @@ def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarr
 
     The copies go to z = med + c0*scale, the influence peak c0 seen through
     the median and normalized MAD of the n benign values plus the p copies.
-    The copies' residual c0*1.4826 is at least 3.1 MADs, so they sort above
-    both statistics' middle ranks, which read the same values as with the
-    copies at +inf: ``median_and_scale`` at count n + p on the +inf-padded
-    columns.  With p < n those ranks, (n + p)//2 and below, are stored
-    benign rows.  With p >= n the copies hold the median (its breakdown
-    point is 50%), no finite placement exists, and the column is rejected.
-    The peak residual is backed off by a relative ``BOUNDARY_MARGIN`` so
-    that the Talwar copies survive the defender's hard |r| <= c cutoff under
-    float rounding.  A zero scale collapses to the median, the only
-    undetectable choice there.
+    Every value lies at or outside the two middle ones, so the MAD is at
+    least their half-gap, and the upper middle deviation is at most two
+    MADs.  From c >= ``min_tuning_constant`` up (c0*1.4826 >= 2 MADs; the
+    tuned defaults give 4.14 and 3.11) the copies thus sort above both
+    statistics' middle ranks, which read the same values as with the copies
+    at +inf: ``median_and_scale`` at count n + p on the +inf-padded columns.
+    With p < n those ranks, (n + p)//2 and below, are stored benign rows.
+    A smaller c, whose copies could fall inside the MAD's middle ranks, is
+    rejected; so is p >= n, where the copies hold the median (its breakdown
+    point is 50%) and no finite placement exists.  The peak residual is
+    backed off by a relative ``BOUNDARY_MARGIN`` so that the Talwar copies
+    survive the defender's hard |r| <= c cutoff under float rounding.  A
+    zero scale collapses to the median, the only undetectable choice there.
     """
+    if target.c < min_tuning_constant(target.kind):
+        raise ValueError(
+            f"{target.label} c must be at least"
+            f" {min_tuning_constant(target.kind)!r}, got {target.c!r}"
+        )
     n, p = ctx._benign, ctx._malicious
     if (p >= n).any():
         raise ValueError(

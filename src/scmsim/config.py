@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .attacks import DEFAULT_LV_MAGNITUDE, SCM_TARGET, AttackSpec
+from .attacks import DEFAULT_LV_MAGNITUDE, SCM_TARGET, AttackSpec, min_tuning_constant
 from .estimators import (
     TALWAR_C_95,
     TRIM_ALPHA_95,
@@ -287,6 +287,14 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"sweep.outlier_count {p} must be below sweep.base_size {n}: the outliers"
             " would hold the median, so no talwar or tukey marker exists"
         )
+    # The closed-form Talwar/Tukey placement of a marker or attack needs c large enough.
+    for kind, c in ((AggregatorKind.TALWAR, cfg.talwar_c), (AggregatorKind.TUKEY, cfg.tukey_c)):
+        used = {kind.value, f"{kind.value}_scm"} & {*cfg.aggregator_names, *cfg.attack_names}
+        if used and c < min_tuning_constant(kind):
+            raise ConfigError(
+                f"aggregators.{kind.value}_c {c} must be at least"
+                f" {min_tuning_constant(kind)!r} for its marker or attack"
+            )
 
 
 def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:

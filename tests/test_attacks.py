@@ -9,6 +9,7 @@ from scmsim.attacks import (
     AttackSpec,
     CraftingContext,
     craft_attack,
+    min_tuning_constant,
     psi_argmax,
 )
 from scmsim.estimators import (
@@ -167,6 +168,37 @@ class TestMEstimatorScm:
         assert craft_attack(ctx, AttackSpec.large_value())[0] == 1000.0
         z = craft_attack(ctx, AttackSpec.trimmed_scm(0.12))[0]
         assert z == pytest.approx(7.0 - 1e-6 * 7.0, abs=1e-12)
+
+    def test_small_tuning_constant_is_rejected(self):
+        # Talwar c = 0.5 puts the copies 0.74 MADs out, inside the MAD's
+        # middle ranks: here the +inf reading gives z = 1 + 0.74*2 = 2.48,
+        # but with the copies at z the MAD is 1.48, not 2, so z would not
+        # be self-consistent.
+        base = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        for spec in (AttackSpec.talwar_scm(0.5), AttackSpec.tukey_scm(3.0)):
+            with pytest.raises(ValueError, match=f"{spec.target.label} c must be at least"):
+                craft_attack(make_ctx(base, 2), spec)
+        talwar_min = min_tuning_constant(AggregatorKind.TALWAR)
+        assert talwar_min == pytest.approx(2.0 / MAD_NORMALIZATION)
+        assert min_tuning_constant(AggregatorKind.TUKEY) == pytest.approx(talwar_min * math.sqrt(5.0))
+
+    def test_fixed_point_down_to_the_smallest_tuning_constant(self):
+        # At the smallest accepted c the copies sit exactly two MADs out;
+        # half the draws are rounded, so ties and even counts are common.
+        rng = np.random.default_rng(36)
+        for _ in range(300):
+            n = int(rng.integers(2, 41))
+            p = int(rng.integers(1, n))
+            base = rng.standard_normal(n)
+            if rng.random() < 0.5:
+                base = np.round(base)
+            for kind in (AggregatorKind.TALWAR, AggregatorKind.TUKEY):
+                c = min_tuning_constant(kind)
+                z = craft_attack(make_ctx(base, p), AttackSpec(AggregatorSpec(kind, c=c)))[0]
+                c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
+                combined = np.concatenate([base, np.full(p, z)])
+                z_again = c0 * mad(combined, normalized=True) + estimate(MEDIAN, combined)
+                assert abs(z_again - z) <= 1e-9 * (1.0 + abs(z))
 
     def test_shift_correction_is_a_fixed_point(self):
         rng = np.random.default_rng(33)

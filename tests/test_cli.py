@@ -230,6 +230,23 @@ class TestParseConfig:
         parse_config("[sweep]\nbase_size = 3\noutlier_count = 4\n"
                      "[aggregators]\nschemes = sample_mean median\n")
 
+    def test_m_estimator_tuning_constant_needs_closed_form_placement(self, tmp_path, capsys):
+        text = "[aggregators]\nschemes = talwar\ntalwar_c = 1.0\n"
+        with pytest.raises(ConfigError, match="aggregators.talwar_c 1.0 must be at least 1.34"):
+            parse_config(text)
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(text)
+        assert main(["sc-sweep", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert "aggregators.talwar_c" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # An attack on the rule uses its c too, swept or not.
+        with pytest.raises(ConfigError, match="aggregators.tukey_c 3.0 must be at least 3.01"):
+            parse_config("[aggregators]\nschemes = median\ntukey_c = 3.0\n"
+                         "[attack]\nschemes = tukey_scm\n[topology]\nmalicious_counts = 1\n")
+        # Neither swept nor attacked, a small c is fine; so is the smallest one.
+        parse_config("[aggregators]\nschemes = median\ntalwar_c = 1.0\ntukey_c = 3.0\n")
+        parse_config("[aggregators]\ntalwar_c = 1.349\ntukey_c = 3.017\n")
+
     def test_overflowing_grid_width_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("[sweep]\ngrid_min = -1e308\ngrid_max = 1e308\n")
