@@ -34,7 +34,7 @@ from .estimators import (
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
     _check_count,
-    _check_tuning_constant,
+    _check_positive,
     _counted,
     _pad,
     median_and_scale,
@@ -144,7 +144,7 @@ def psi_argmax(kind: AggregatorKind, c: float) -> float:
     """Residual value at which the influence function peaks: c, or c/sqrt(5)."""
     if kind not in M_ESTIMATOR_KINDS:
         raise ValueError(f"psi_argmax is defined for Talwar/Tukey only, got {kind}")
-    _check_tuning_constant(c)
+    _check_positive("tuning constant c", c)
     if kind is AggregatorKind.TALWAR:
         return c
     return c / math.sqrt(5.0)

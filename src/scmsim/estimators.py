@@ -63,7 +63,7 @@ class AggregatorSpec:
         if self.kind is AggregatorKind.TRIMMED_MEAN and not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"trim fraction must lie in [0, 0.5), got {self.alpha}")
         if self.kind in M_ESTIMATOR_KINDS:
-            _check_tuning_constant(self.c)
+            _check_positive("tuning constant c", self.c)
 
     @property
     def label(self) -> str:
@@ -90,10 +90,10 @@ class AggregatorSpec:
         return AggregatorSpec(AggregatorKind.TUKEY, c=c)
 
 
-def _check_tuning_constant(c: float) -> None:
+def _check_positive(name: str, value: float) -> None:
     # NaN fails both comparisons.
-    if not 0.0 < c < np.inf:
-        raise ValueError(f"tuning constant c must be finite and positive, got {c}")
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _check_count(value, name: str):
@@ -233,7 +233,7 @@ def psi(kind: AggregatorKind, x, c: float):
     """
     if kind not in M_ESTIMATOR_KINDS:
         raise ValueError(f"psi is defined for Talwar/Tukey only, got {kind}")
-    _check_tuning_constant(c)
+    _check_positive("tuning constant c", c)
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # (r/c)**2 past the float range: weight 0
         w = _psi_weights(kind, arr, c)

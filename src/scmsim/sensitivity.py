@@ -3,16 +3,18 @@
 The sensitivity curve of an aggregator AGG over a base sample set Y is
 N * (AGG(Y u {z, ..., z}) - AGG(Y)), with N the contaminated set size.  It
 measures the bias that ``count`` coordinating agents can induce by all
-reporting the value z.  ``max_sc_numeric`` locates the curve's maximum by
-dense grid search plus local refinement and serves as the independent
-oracle for the analytic attack constructions.
+reporting the value z.  ``max_sc_numeric`` locates the curve's maximum and
+serves as the independent oracle for the analytic attack constructions:
+a grid over its search window, where near-ties go to the value of smallest
+magnitude, then ever finer grids around the best value, each accepted only
+on a strict gain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +27,13 @@ from .estimators import (
     median_and_scale,
 )
 
-# Grid arg-maxima within this slack of the maximum count as ties; the
-# smallest-magnitude candidate wins, positive side on exact +/- ties.
+# Window-grid arg-maxima within this slack of the maximum count as ties;
+# the smallest-magnitude candidate wins, positive side on exact +/- ties.
 _TIE_TOL = 1e-9
-# The oracle's grid over its search window, and the evaluations of the
-# golden-section refinement around the best grid cell.
+# The oracle's grid over its search window, and each refinement grid over
+# the two cells around the current best value.
 ORACLE_GRID_POINTS = 4001
-_GOLDEN_SECTION_EVALS = 80
+_REFINE_POINTS = 101
 
 
 def _contaminated_columns(base: np.ndarray, outliers: np.ndarray, count: int) -> np.ndarray:
@@ -92,37 +94,6 @@ def sc_sweep(
     return SCTable(zs.copy(), tuple(agg.label for agg in aggs), rows)
 
 
-def _golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
-    # Derivative-free local maximization; tracks the best evaluated point so
-    # discontinuous objectives cannot lose a better endpoint.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_f = lo, f(lo)
-    f_hi = f(hi)
-    if f_hi > best_f:
-        best_x, best_f = hi, f_hi
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(_GOLDEN_SECTION_EVALS):
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx > best_f:
-                best_x, best_f = x, fx
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        if b - a <= 1e-12 * (1.0 + abs(a) + abs(b)):
-            break
-    return best_x, best_f
-
-
 def default_search_bounds(base) -> tuple[float, float]:
     """Search window covering the redescending maxima: median +/- 10*(mad+1)."""
     center, scale = (float(v[0]) for v in median_and_scale(_as_samples(base)[:, None]))
@@ -133,28 +104,28 @@ def default_search_bounds(base) -> tuple[float, float]:
 def max_sc_numeric(agg: AggregatorSpec, base, count: int = 1) -> tuple[float, float]:
     """Numerically maximize the sensitivity curve over the outlier value.
 
-    Dense grid search over ``default_search_bounds(base)`` followed by
-    golden-section refinement around the best grid cell.  Among grid
-    arg-maxima within 1e-9 of the maximum, the value of smallest magnitude
-    is preferred (positive side on symmetric ties).  Returns
-    ``(z_star, sc_star)``.
+    A grid of ``ORACLE_GRID_POINTS`` values over ``default_search_bounds(base)``
+    picks the start: among its arg-maxima within 1e-9 of the maximum, the
+    value of smallest magnitude (positive side on symmetric ties).  Each
+    refinement then lays ``_REFINE_POINTS`` values over the two cells around
+    the current value and moves to their first arg-maximum only on a strict
+    gain; it stops once the cell is below 1e-12 relative.  Every evaluation
+    is one wide call on a grid.  Returns ``(z_star, sc_star)``.
     """
     a, count, clean = _clean_base(agg, base, count)
     lo, hi = default_search_bounds(a)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid search bounds ({lo}, {hi})")
 
-    def sc_at(z: float) -> float:
-        return float(_curve(agg, a, clean, np.array([z]), count)[0])
-
-    zs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
+    zs, step = np.linspace(lo, hi, ORACLE_GRID_POINTS, retstep=True)
     scs = _curve(agg, a, clean, zs, count)
-    best = float(scs.max())
-    candidates = zs[scs >= best - _TIE_TOL]
-    z0 = float(min(candidates, key=lambda z: (abs(z), -z)))
-    sc0 = sc_at(z0)
-    step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
-    z_ref, sc_ref = _golden_section_max(sc_at, max(lo, z0 - step), min(hi, z0 + step))
-    if sc_ref > sc0:
-        return z_ref, sc_ref
-    return z0, sc0
+    tied = np.flatnonzero(scs >= scs.max() - _TIE_TOL)
+    i = min(tied, key=lambda j: (abs(zs[j]), -zs[j]))
+    z, sc = float(zs[i]), float(scs[i])
+    while step > 1e-12 * (1.0 + abs(z)):
+        zs, step = np.linspace(max(lo, z - step), min(hi, z + step), _REFINE_POINTS, retstep=True)
+        scs = _curve(agg, a, clean, zs, count)
+        i = int(scs.argmax())
+        if scs[i] > sc:
+            z, sc = float(zs[i]), float(scs[i])
+    return z, sc

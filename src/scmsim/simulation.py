@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackSpec, CraftingContext, craft_attack
-from .estimators import AggregatorSpec, aggregate_matrix
+from .estimators import AggregatorSpec, _check_positive, aggregate_matrix
 from .topology import NetworkTopology
 
 # Traces are capped here; any weight beyond it marks the run as diverged.
@@ -48,8 +48,9 @@ class LinearModelConfig:
         w = np.asarray(self.true_weights, dtype=float).ravel()
         if w.size < 1:
             raise ValueError("model dimension must be at least 1")
-        if self.noise_var <= 0.0:
-            raise ValueError("noise variance must be positive")
+        if not np.isfinite(w).all():
+            raise ValueError("true_weights must be finite")
+        _check_positive("noise_var", self.noise_var)
         if self.samples_per_iteration < 1:
             raise ValueError("need at least one sample per iteration")
         object.__setattr__(self, "true_weights", w)
@@ -66,18 +67,15 @@ class LearningConfig:
     huber_delta: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.step_size <= 0.0:
-            raise ValueError("step size must be positive")
+        _check_positive("step_size", self.step_size)
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.huber_delta <= 0.0:
-            raise ValueError("huber_delta must be positive")
+        _check_positive("huber_delta", self.huber_delta)
 
 
 def huber_loss(residual, delta: float):
     """Quadratic within |r| <= delta, linear beyond."""
-    if delta <= 0.0:
-        raise ValueError("huber_delta must be positive")
+    _check_positive("huber_delta", delta)
     r = np.asarray(residual, dtype=float)
     out = np.where(
         np.abs(r) <= delta, 0.5 * r * r, delta * np.abs(r) - 0.5 * delta * delta
@@ -87,8 +85,7 @@ def huber_loss(residual, delta: float):
 
 def huber_grad_factor(residual, delta: float):
     """Derivative of the Huber loss: the residual clipped to [-delta, delta]."""
-    if delta <= 0.0:
-        raise ValueError("huber_delta must be positive")
+    _check_positive("huber_delta", delta)
     out = np.clip(np.asarray(residual, dtype=float), -delta, delta)
     return float(out) if np.isscalar(residual) else out
 

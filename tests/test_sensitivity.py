@@ -4,6 +4,8 @@ import pytest
 from scmsim import sensitivity
 from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
 from scmsim.sensitivity import (
+    _REFINE_POINTS,
+    _TIE_TOL,
     ORACLE_GRID_POINTS,
     SCTable,
     default_search_bounds,
@@ -184,15 +186,28 @@ class TestSweep:
 # repr of max_sc_numeric's (z*, SC*) for (rule, seed, n, count), with a
 # standard-normal base of size n drawn from default_rng(seed).
 PINNED_ORACLE = {
-    ("talwar", 1, 5, 1): "(1.7921554150500718, 3.71437517598532)",
-    ("tukey", 1, 5, 1): "(1.6548633423708385, 2.4321540293860817)",
-    ("talwar", 2, 17, 3): "(3.1169424068510394, 9.286401966348555)",
-    ("tukey", 2, 17, 3): "(2.522835989859914, 5.367318920374794)",
-    ("talwar", 0, 40, 2): "(2.3688064631593684, 2.419716089990855)",
-    ("tukey", 0, 40, 2): "(1.8319677631535007, 2.9482368040511355)",
-    ("talwar", 3, 50, 12): "(3.3752024274093215, 47.73381616728459)",
-    ("tukey", 3, 50, 12): "(2.832682411848019, 29.01583631805082)",
+    ("talwar", 1, 5, 1): "(1.792155415049996, 3.7143751759852295)",
+    ("tukey", 1, 5, 1): "(1.6548633609877494, 2.432154029386083)",
+    ("talwar", 2, 17, 3): "(3.116942406853622, 9.286401966356708)",
+    ("tukey", 2, 17, 3): "(2.522835982092835, 5.367318920374795)",
+    ("talwar", 0, 40, 2): "(2.368806463159957, 2.419716089992032)",
+    ("tukey", 0, 40, 2): "(1.831967774750585, 2.9482368040511364)",
+    ("talwar", 3, 50, 12): "(3.37520242741167, 47.73381616731372)",
+    ("tukey", 3, 50, 12): "(2.8326824405405633, 29.015836318050827)",
 }
+
+# (rule, base, count) draws for the oracle's accuracy and call-shape tests:
+# each rule on a Gaussian base, an n=5 draw, and the median's plateau.
+_ACCURACY_RNG = np.random.default_rng(11)
+ORACLE_ACCURACY_CASES = [
+    (TALWAR, _ACCURACY_RNG.standard_normal(30), 3),
+    (TUKEY, _ACCURACY_RNG.standard_normal(30), 3),
+    (AggregatorSpec.trimmed_mean(), _ACCURACY_RNG.standard_normal(30), 2),
+    (MEDIAN, _ACCURACY_RNG.standard_normal(30), 2),
+    (TALWAR, _ACCURACY_RNG.standard_normal(5), 1),
+    (TUKEY, _ACCURACY_RNG.standard_normal(5), 1),
+    (MEDIAN, np.array([1.0, 2.0, 3.0, 4.0]), 1),
+]
 
 
 class TestMaxNumeric:
@@ -251,10 +266,47 @@ class TestMaxNumeric:
         max_sc_numeric(TUKEY, np.random.default_rng(0).standard_normal(40), count=2)
         assert len(calls) == 1
 
+    def test_every_evaluation_is_one_grid_call(self, monkeypatch):
+        widths = []
+        original = sensitivity.aggregate_matrix
+
+        def counting(agg, matrix, *args, **kwargs):
+            widths.append(matrix.shape[1])
+            return original(agg, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(sensitivity, "aggregate_matrix", counting)
+        for spec, base, count in ORACLE_ACCURACY_CASES:
+            widths.clear()
+            max_sc_numeric(spec, base, count)
+            assert widths[0] == ORACLE_GRID_POINTS
+            assert set(widths[1:]) <= {_REFINE_POINTS}
+            assert len(widths) <= 12
+
+    @pytest.mark.parametrize(
+        "case", range(len(ORACLE_ACCURACY_CASES)),
+        ids=lambda i: ORACLE_ACCURACY_CASES[i][0].label + str(i),
+    )
+    def test_oracle_reaches_grid_and_cell_maxima(self, case):
+        # SC* is at least the best window-grid value and, up to 1e-9, the
+        # best of a dense scan of the window cells on either side of z*,
+        # and z* lies within one window cell of the grid's tie-rule pick.
+        spec, base, count = ORACLE_ACCURACY_CASES[case]
+        lo, hi = default_search_bounds(base)
+        cell = (hi - lo) / (ORACLE_GRID_POINTS - 1)
+        z_star, sc_star = max_sc_numeric(spec, base, count)
+        grid = np.linspace(lo, hi, ORACLE_GRID_POINTS)
+        on_grid = sensitivity_values(spec, base, grid, count)
+        assert sc_star >= on_grid.max()
+        tied = grid[on_grid >= on_grid.max() - _TIE_TOL]
+        pick = min(tied, key=lambda z: (abs(z), -z))
+        assert abs(z_star - pick) <= cell
+        dense = np.linspace(max(lo, z_star - cell), min(hi, z_star + cell), 20001)
+        assert sc_star >= sensitivity_values(spec, base, dense, count).max() - 1e-9
+
     @pytest.mark.parametrize("case", list(PINNED_ORACLE), ids=lambda case: "-".join(map(str, case)))
     def test_oracle_bits_pinned(self, case):
-        # The grid search estimates all ORACLE_GRID_POINTS columns in one
-        # wide M-estimation call; its result must keep every bit.
+        # Each oracle grid is one wide M-estimation call; its result must
+        # keep every bit.
         label, seed, n, count = case
         spec = {TALWAR.label: TALWAR, TUKEY.label: TUKEY}[label]
         base = np.random.default_rng(seed).standard_normal(n)

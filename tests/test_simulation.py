@@ -50,8 +50,10 @@ class TestHuber:
             assert huber_grad_factor(r, delta) == pytest.approx(numeric, abs=1e-6)
 
     def test_delta_validated(self):
-        with pytest.raises(ValueError):
-            huber_loss(1.0, 0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            for f in (huber_loss, huber_grad_factor):
+                with pytest.raises(ValueError, match="huber_delta"):
+                    f(1.0, bad)
 
 
 class TestSampling:
@@ -105,8 +107,15 @@ class TestSampling:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LinearModelConfig(true_weights=np.array([]))
-        with pytest.raises(ValueError):
-            LinearModelConfig(true_weights=np.ones(2), noise_var=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_var"):
+                LinearModelConfig(true_weights=np.ones(2), noise_var=bad)
+            for name in ("step_size", "huber_delta"):
+                with pytest.raises(ValueError, match=name):
+                    LearningConfig(**{name: bad})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="true_weights"):
+                LinearModelConfig(true_weights=np.array([1.0, bad]))
 
 
 class TestAdapt:
