@@ -8,11 +8,9 @@ from .estimators import (  # noqa: F401
     AggregatorSpec,
     estimate,
     mad,
-    psi,
     tuned_aggregators,
 )
 from .sensitivity import (  # noqa: F401
-    SCTable,
     max_sc_numeric,
     sc_sweep,
     sensitivity_values,
@@ -26,12 +24,9 @@ from .attacks import (  # noqa: F401
 from .topology import (  # noqa: F401
     NetworkTopology,
     TopologyError,
-    assign_roles,
-    erdos_renyi,
     generate_topology,
 )
 from .simulation import (  # noqa: F401
-    ExperimentTrace,
     LearningConfig,
     LinearModelConfig,
     draw_true_weights,

@@ -16,8 +16,8 @@ aggregate as far as possible without being rejected:
 Every crafter works column by column on order statistics of the benign
 values, so a whole round is crafted in one call on the padded
 (rows, columns) form that ``aggregate_matrix`` combines, one column per
-receiver and coordinate: each column's ranks are read below its own count
-from one sort, which gives every column the bits it gets alone.
+receiver and coordinate: each column's ranks are read below its benign
+count in a ``Layout`` from one sort, which gives every column its own bits.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .estimators import (
     MAD_NORMALIZATION,
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
+    Layout,
     _check_count,
+    _check_layout,
     _check_positive,
-    _counted,
     _pad,
     median_and_scale,
     trim_count,
@@ -105,22 +106,20 @@ class CraftingContext:
 
     ``benign_values`` is one column per targeted coordinate, in the form
     ``aggregate_matrix`` takes: column j holds the benign values its
-    receiver sees in its first ``benign_count[j]`` rows (every row when
-    ``benign_count`` is None), and the rows below them are padding, which
-    is ignored.  A 1-D array is one column.  ``malicious_count`` is the
-    number of malicious agents that will report the crafted value, one
-    count for every column or one per column.
-
-    This is the one check of crafting input: the crafters below trust it.
+    receiver sees in its first ``layout.counts[j]`` rows, above padding
+    that is ignored (every row counts when ``layout`` is None; build one as
+    ``Layout.of(shape, counts, "benign_count")``).  A 1-D array is one
+    column.  ``malicious_count`` is the number of malicious agents that
+    will report the crafted value, one count for every column or one per
+    column.  This is the one check of crafting input: the crafters trust it.
     """
 
     benign_values: np.ndarray
     malicious_count: int | np.ndarray
-    benign_count: np.ndarray | None = None
+    layout: Layout | None = None
     # The crafters' view: ``benign_values`` with +inf padding, and every
-    # column's benign and malicious counts.
+    # column's malicious count.
     _columns: np.ndarray = field(init=False, repr=False)
-    _benign: np.ndarray = field(init=False, repr=False)
     _malicious: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -129,14 +128,14 @@ class CraftingContext:
             a = a[:, None]
         if a.ndim != 2 or a.size == 0:
             raise ValueError("benign_values must be a non-empty 1-D or (rows, columns) array")
-        n, valid = _counted(a, self.benign_count, "benign_count")
+        layout = _check_layout(a, self.layout)
         m = _check_count(self.malicious_count, "malicious_count")
         if np.ndim(m) and np.shape(m) != (a.shape[1],):
             raise ValueError("malicious_count must be one count, or one per column")
         object.__setattr__(self, "benign_values", a)
         object.__setattr__(self, "malicious_count", m)
-        object.__setattr__(self, "_columns", _pad(a, valid, np.inf))
-        object.__setattr__(self, "_benign", n)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_columns", _pad(a, layout.valid, np.inf))
         object.__setattr__(self, "_malicious", np.broadcast_to(m, a.shape[1]))
 
 
@@ -167,7 +166,7 @@ def _trimmed_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
     largest benign value serves as the stealth boundary instead.  Every
     column's ranks are read from one sort of the padded matrix.
     """
-    a, n = ctx._columns, ctx._benign
+    a, n = ctx._columns, ctx.layout.counts
     t = trim_count(n + ctx._malicious, target.alpha)
     if (n - t < 1).any():
         raise ValueError("trim boundary exceeds the benign neighborhood")
@@ -201,7 +200,7 @@ def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarr
             f"{target.label} c must be at least"
             f" {min_tuning_constant(target.kind)!r}, got {target.c!r}"
         )
-    n, p = ctx._benign, ctx._malicious
+    n, p = ctx.layout.counts, ctx._malicious
     if (p >= n).any():
         raise ValueError(
             "malicious_count must be below benign_count against a Talwar/Tukey"

@@ -113,21 +113,25 @@ def _check_count(value, name: str):
     return a.astype(int) if a.ndim else int(a)
 
 
-def _counted(a: np.ndarray, counts, name: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """The per-column counts of a (rows, columns) array and its counted rows.
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Which rows of a (rows, columns) matrix hold each column's values:
+    column j's first ``counts[j]``, above padding that may hold anything.
 
-    Column j's values are its first ``counts[j]`` rows, every row when
-    ``counts`` is None; the rows below them are padding, which may hold
-    anything.  Returns the counts and the (rows, columns) mask of counted
-    rows, None when ``counts`` is None.  A count that is not one whole
-    number of at least 1 per column, at most the rows, raises
-    ``ValueError`` naming ``name``, and so does a non-finite counted value.
+    ``valid`` masks the counted rows, None when every row counts.  Built and
+    validated once by ``Layout.of``; a call on a matrix checks only its
+    shape and the finiteness of its counted rows.
     """
-    n, m = a.shape
-    if counts is None:
-        counts, valid = np.full(m, n), None
-        finite = np.isfinite(a).all()
-    else:
+
+    rows: int
+    counts: np.ndarray
+    valid: np.ndarray | None
+
+    @staticmethod
+    def of(shape: tuple[int, int], counts, name: str) -> "Layout":
+        """The layout of a ``shape`` matrix with ``counts``, one whole number of
+        at least 1 per column and at most the rows, else ValueError naming ``name``."""
+        n, m = shape
         counts = _check_count(counts, name)
         if np.shape(counts) != (m,):
             raise ValueError(
@@ -136,10 +140,20 @@ def _counted(a: np.ndarray, counts, name: str) -> tuple[np.ndarray, np.ndarray |
         if (counts > n).any():
             raise ValueError(f"{name} must not exceed the {n} rows, got {counts.max()}")
         valid = np.arange(n)[:, None] < counts
-        finite = (np.isfinite(a) | ~valid).all()
-    if not finite:
+        return Layout(n, counts, None if valid.all() else valid)
+
+
+def _check_layout(a: np.ndarray, layout: Layout | None) -> Layout:
+    # ``layout``, or every row counted, once ``a`` fits it with finite counted rows.
+    n, m = a.shape
+    if layout is None:
+        layout = Layout(n, np.full(m, n), None)
+    elif (layout.rows, layout.counts.size) != (n, m):
+        raise ValueError(f"layout is for a {layout.rows}x{layout.counts.size} matrix, got {n}x{m}")
+    finite = np.isfinite(a) if layout.valid is None else np.isfinite(a) | ~layout.valid
+    if not finite.all():
         raise ValueError("non-finite values in the counted rows")
-    return counts, valid
+    return layout
 
 
 def tuned_aggregators() -> list[AggregatorSpec]:
@@ -200,16 +214,10 @@ def median_and_scale(
     return med, MAD_NORMALIZATION * _column_median(np.abs(a - med), counts)
 
 
-def mad(values, normalized: bool = False) -> float:
-    """Median absolute deviation from the median.
-
-    With ``normalized=True`` the raw MAD is multiplied by 1.4826 so that it
-    is consistent for the standard deviation under Gaussian data.
-    """
-    a = _as_samples(values)[:, None]
-    if normalized:
-        return float(median_and_scale(a)[1][0])
-    return float(_column_median(np.abs(a - _column_median(a)))[0])
+def mad(values) -> float:
+    """Median absolute deviation from the median, times 1.4826 so that it
+    is consistent for the standard deviation under Gaussian data."""
+    return float(median_and_scale(_as_samples(values)[:, None])[1][0])
 
 
 def trim_count(n, alpha: float):
@@ -275,7 +283,7 @@ def _pad(a: np.ndarray, valid: np.ndarray | None, fill: float) -> np.ndarray:
 
 
 def _m_estimate_columns(
-    a: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray | None = None
+    a: np.ndarray, kind: AggregatorKind, c: float, layout: Layout
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Column-wise M-estimation on a (samples, columns) matrix.
 
@@ -286,34 +294,28 @@ def _m_estimate_columns(
     with a zero scale estimate return the median directly.  Columns whose
     samples are all rejected, or that are still moving after
     ``FIXED_POINT_MAX_ITER`` steps, keep their last iterate and are flagged
-    non-converged.  With per-column ``counts``, rows past a column's count
-    are padding, whatever they hold, and leave its bits unchanged.  A call
+    non-converged.  Rows past a column's count in ``layout`` are padding,
+    whatever they hold, and leave its bits unchanged.  A call
     at least two blocks wide runs in slices of _BLOCK_COLUMNS columns; the
     call's iteration count is the largest block's.
     """
-    n, m = a.shape
-    if counts is None:
-        counts = np.full(m, n)
-    if m < 2 * _BLOCK_COLUMNS:
-        return _fixed_point(a, kind, c, counts)
+    counts, valid = layout.counts, layout.valid
+    if a.shape[1] < 2 * _BLOCK_COLUMNS:
+        return _fixed_point(a, kind, c, counts, valid)
+    blocks = (slice(lo, lo + _BLOCK_COLUMNS) for lo in range(0, a.shape[1], _BLOCK_COLUMNS))
     locs, flags, iters = zip(
-        *(
-            _fixed_point(a[:, lo : lo + _BLOCK_COLUMNS], kind, c, counts[lo : lo + _BLOCK_COLUMNS])
-            for lo in range(0, m, _BLOCK_COLUMNS)
-        )
+        *(_fixed_point(a[:, b], kind, c, counts[b], valid if valid is None else valid[:, b])
+          for b in blocks)
     )
     return np.concatenate(locs), np.concatenate(flags), max(iters)
 
 
 def _fixed_point(
-    a: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray
+    a: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray, valid: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    # One block of _m_estimate_columns.  ``high`` pads with +inf, which
-    # sorts last and gets weight 0; ``low`` pads with -0.0, which adds
-    # nothing to the numerator's sums.
-    valid = np.arange(a.shape[0])[:, None] < counts
-    if valid.all():
-        valid = None
+    # One block of _m_estimate_columns, with its slice of the layout.
+    # ``high`` pads with +inf, which sorts last and gets weight 0; ``low``
+    # pads with -0.0, which adds nothing to the numerator's sums.
     high, low = _pad(a, valid, np.inf), _pad(a, valid, -0.0)
     med, sigma = median_and_scale(high, counts)
     loc = med.copy()
@@ -354,12 +356,12 @@ class AggregationResult(NamedTuple):
     converged: bool
 
 
-def aggregate_matrix(spec: AggregatorSpec, matrix, counts=None) -> AggregationResult:
+def aggregate_matrix(spec: AggregatorSpec, matrix, layout=None) -> AggregationResult:
     """Apply the chosen scalar estimator to every column of ``matrix``.
 
     ``matrix`` has one row per received vector and one column per model
-    coordinate.  With ``counts``, one whole number per column, column j
-    holds ``counts[j]`` vectors' values and padding below them, which may
+    coordinate.  With a ``Layout`` of its shape, column j holds
+    ``layout.counts[j]`` vectors' values and padding below them, which may
     hold anything and changes no bit of the column's result.  ``converged``
     is False only when an M-estimation column failed to converge.
     """
@@ -369,8 +371,8 @@ def aggregate_matrix(spec: AggregatorSpec, matrix, counts=None) -> AggregationRe
     a = np.ascontiguousarray(a)
     if a.shape[0] == 0:
         raise ValueError("cannot aggregate an empty collection of vectors")
-    counts, valid = _counted(a, counts, "counts")
-    n = a.shape[0]
+    layout = _check_layout(a, layout)
+    counts, valid, n = layout.counts, layout.valid, layout.rows
     kind = spec.kind
     if kind is AggregatorKind.SAMPLE_MEAN:
         return AggregationResult(_row_sum(_pad(a, valid, -0.0)) / counts, True)
@@ -388,7 +390,7 @@ def aggregate_matrix(spec: AggregatorSpec, matrix, counts=None) -> AggregationRe
             rows = np.arange(lo, hi)[:, None]
             np.copyto(window, -0.0, where=(rows < t) | (rows >= counts - t))
         return AggregationResult(_row_sum(window) / (counts - 2 * t), True)
-    loc, conv, _ = _m_estimate_columns(a, kind, spec.c, counts)
+    loc, conv, _ = _m_estimate_columns(a, kind, spec.c, layout)
     return AggregationResult(loc, bool(conv.all()))
 
 

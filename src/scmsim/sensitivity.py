@@ -114,8 +114,8 @@ def max_sc_numeric(agg: AggregatorSpec, base, count: int = 1) -> tuple[float, fl
     """
     a, count, clean = _clean_base(agg, base, count)
     lo, hi = default_search_bounds(a)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid search bounds ({lo}, {hi})")
+    if not (lo < hi and math.isfinite(hi - lo)):  # a finite width: finite grid values
+        raise ValueError(f"invalid search bounds ({lo}, {hi}): search window not finite")
 
     zs, step = np.linspace(lo, hi, ORACLE_GRID_POINTS, retstep=True)
     scs = _curve(agg, a, clean, zs, count)

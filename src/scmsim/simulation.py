@@ -5,7 +5,7 @@ fresh local data (adapt) and then aggregates the intermediate weights of
 its neighborhood with a robust rule (combine).  Malicious agents skip
 adaptation entirely; each iteration they report per-receiver crafted
 vectors instead.  A round is one padded matrix with a column per receiver
-and coordinate and a count per column: one ``craft_attack`` call reads
+and coordinate, laid out once per run: one ``craft_attack`` call reads
 the attacked columns' benign rows and fills their copy rows, and one
 ``aggregate_matrix`` call combines the matrix, which gives each receiver
 the bits of calls on its rows alone.  All randomness derives
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackSpec, CraftingContext, craft_attack
-from .estimators import AggregatorSpec, _check_positive, aggregate_matrix
+from .estimators import AggregatorSpec, Layout, _check_positive, aggregate_matrix
 from .topology import NetworkTopology
 
 # Traces are capped here; any weight beyond it marks the run as diverged.
@@ -186,9 +186,8 @@ def run_experiment(
     # Each round is one (rows, receivers*dim) matrix, one column per benign
     # receiver and coordinate: the receiver's visible benign agents'
     # weights, ascending by id, then one copy row per malicious neighbor,
-    # then padding.  One gather of an index built here fills the benign
-    # rows, one craft_attack call on the attacked columns and one copyto
-    # fill the copy rows, and one aggregate_matrix call combines the round.
+    # then padding.  The index that gathers its benign rows, and the layouts
+    # of its craft_attack and aggregate_matrix calls, are built here, once.
     visible, n_malicious = [], []
     for k in benign:
         nb = topology.neighborhood(int(k))
@@ -206,6 +205,8 @@ def run_experiment(
     attacked = np.flatnonzero(malicious_counts)
     craft_benign, craft_malicious = benign_counts[attacked], malicious_counts[attacked]
     craft_rows = craft_benign.max(initial=0)
+    craft_layout = Layout.of((craft_rows, attacked.size), craft_benign, "benign_count")
+    layout = Layout.of((len(index), counts.size), counts, "counts")
     crafted = np.zeros(counts.size)
 
     weights = np.zeros((n_agents, dim))
@@ -231,10 +232,10 @@ def run_experiment(
             phis[benign] = adapt(own, regressors, targets, learning)
             matrix = phis[index].reshape(len(index), -1)
             if attacked.size:
-                ctx = CraftingContext(matrix[:craft_rows, attacked], craft_malicious, craft_benign)
+                ctx = CraftingContext(matrix[:craft_rows, attacked], craft_malicious, craft_layout)
                 crafted[attacked] = craft_attack(ctx, attack)
                 np.copyto(matrix, crafted, where=copy_rows)
-            combined = aggregate_matrix(aggregator, matrix, counts)
+            combined = aggregate_matrix(aggregator, matrix, layout)
             weights[benign] = combined.values.reshape(-1, dim)
             m_converged[i] = combined.converged
             msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))

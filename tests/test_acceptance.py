@@ -199,7 +199,7 @@ def test_criterion_3_attack_near_optimality():
             sc = sensitivity_values(spec, base, z, p)
             _, sc_star = max_sc_numeric(spec, base, count=p)
             combined = np.concatenate([base, np.full(p, z)])
-            scale = mad(combined, normalized=True)
+            scale = mad(combined)
             copies_rejected = abs((z - estimate(spec, combined)) / scale) > c
             if copies_rejected:
                 rejected.append(spec.label)

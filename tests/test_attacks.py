@@ -20,6 +20,7 @@ from scmsim.estimators import (
     TUKEY_C_95,
     AggregatorKind,
     AggregatorSpec,
+    Layout,
     estimate,
     mad,
     psi,
@@ -153,7 +154,7 @@ class TestMEstimatorScm:
             _, sc_star = max_sc_numeric(spec, base, count=2)
             assert sc_star == pytest.approx(sc_oracle, abs=5e-3)
             combined = np.concatenate([base, [z, z]])
-            r = (z - estimate(spec, combined)) / mad(combined, normalized=True)
+            r = (z - estimate(spec, combined)) / mad(combined)
             assert psi(spec.kind, r, spec.c) != 0.0
 
     def test_copies_holding_the_median_are_rejected(self):
@@ -197,7 +198,7 @@ class TestMEstimatorScm:
                 z = craft_attack(make_ctx(base, p), AttackSpec(AggregatorSpec(kind, c=c)))[0]
                 c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
                 combined = np.concatenate([base, np.full(p, z)])
-                z_again = c0 * mad(combined, normalized=True) + estimate(MEDIAN, combined)
+                z_again = c0 * mad(combined) + estimate(MEDIAN, combined)
                 assert abs(z_again - z) <= 1e-9 * (1.0 + abs(z))
 
     def test_shift_correction_is_a_fixed_point(self):
@@ -210,7 +211,7 @@ class TestMEstimatorScm:
                 z = craft_attack(make_ctx(base, p), AttackSpec(AggregatorSpec(kind, c=c)))[0]
                 c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
                 combined = np.concatenate([base, np.full(p, z)])
-                z_again = c0 * mad(combined, normalized=True) + estimate(MEDIAN, combined)
+                z_again = c0 * mad(combined) + estimate(MEDIAN, combined)
                 assert abs(z_again - z) <= 1e-9 * (1.0 + abs(z))
 
     def test_tukey_copies_never_rejected(self):
@@ -223,7 +224,7 @@ class TestMEstimatorScm:
             z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
-            sigma = mad(combined, normalized=True)
+            sigma = mad(combined)
             assert psi(AggregatorKind.TUKEY, (z - loc) / sigma, spec.c) != 0.0
 
     def test_talwar_copies_survive_on_most_draws(self):
@@ -241,7 +242,7 @@ class TestMEstimatorScm:
             z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
-            sigma = mad(combined, normalized=True)
+            sigma = mad(combined)
             if psi(AggregatorKind.TALWAR, (z - loc) / sigma, spec.c) != 0.0:
                 survived += 1
         assert survived >= 0.9 * total
@@ -328,13 +329,16 @@ class TestCraftAttack:
         assert CraftingContext(line, [2]).malicious_count.tolist() == [2]
         for bad in ([1, 2, 3], [0, 2], [2, 5], [2.5, 3], [True, True]):
             with pytest.raises(ValueError, match="benign_count"):
-                CraftingContext(round_values, 1, np.array(bad))
+                Layout.of(round_values.shape, np.array(bad), "benign_count")
         with pytest.raises(ValueError, match="benign_count"):
-            CraftingContext(np.ones((4, 3)), 1, np.array([4]))
+            Layout.of((4, 3), np.array([4]), "benign_count")
+        # A layout of another shape is refused by the context.
+        with pytest.raises(ValueError, match="layout"):
+            CraftingContext(np.ones((4, 3)), 1, Layout.of((4, 2), [4, 4], "benign_count"))
         round_values[3, 0] = np.nan  # padding past column 0's three rows
-        CraftingContext(round_values, 1, np.array([3, 4]))
+        CraftingContext(round_values, 1, Layout.of((4, 2), [3, 4], "benign_count"))
         with pytest.raises(ValueError, match="non-finite"):
-            CraftingContext(round_values, 1, np.array([4, 4]))
+            CraftingContext(round_values, 1, Layout.of((4, 2), [4, 4], "benign_count"))
 
     def test_attack_spec_validation(self):
         for make in (
@@ -387,13 +391,14 @@ def draw_receivers(rng, receivers, dim):
 
 def padded_round(sets):
     """One column per receiver and coordinate, with NaN padding, and the
-    per-column benign counts of ``draw_receivers``' sets."""
+    layout of ``draw_receivers``' sets' per-column benign counts."""
     n = np.array([len(v) for v in sets])
     dim = sets[0].shape[1]
     values = np.full((n.max(), len(sets), dim), np.nan)
     for r, v in enumerate(sets):
         values[: len(v), r] = v
-    return values.reshape(n.max(), -1), np.repeat(n, dim)
+    values = values.reshape(n.max(), -1)
+    return values, Layout.of(values.shape, np.repeat(n, dim), "benign_count")
 
 
 def majority_draw(seed, receivers, dim, spec):
@@ -402,9 +407,9 @@ def majority_draw(seed, receivers, dim, spec):
     checking that the whole draw is rejected."""
     sets, p = draw_receivers(np.random.default_rng(seed), receivers, dim)
     if spec.target is not None and spec.target.kind in M_ESTIMATOR_KINDS:
-        values, n = padded_round(sets)
+        values, layout = padded_round(sets)
         with pytest.raises(ValueError, match="malicious_count"):
-            craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
+            craft_attack(CraftingContext(values, np.repeat(p, dim), layout), spec)
         keep = [r for r, v in enumerate(sets) if p[r] < len(v)]
         sets, p = [sets[r] for r in keep], p[keep]
     return sets, p
@@ -438,8 +443,8 @@ class TestRoundCraft:
     @pytest.mark.parametrize("dim", [1, 3, 10])
     def test_round_equals_per_receiver_calls(self, spec, dim):
         sets, p = majority_draw(dim, 58, dim, spec)
-        values, n = padded_round(sets)
-        got = craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
+        values, layout = padded_round(sets)
+        got = craft_attack(CraftingContext(values, np.repeat(p, dim), layout), spec)
         assert got.shape == (len(sets) * dim,)
         for r, v in enumerate(sets):
             alone = craft_attack(CraftingContext(v, p[r]), spec)
@@ -449,8 +454,8 @@ class TestRoundCraft:
     @pytest.mark.parametrize("seed, receivers, dim", [(1, 58, 1), (3, 58, 3), (10, 58, 10), (61, 240, 3)])
     def test_crafted_bytes_pinned(self, spec, seed, receivers, dim):
         sets, p = majority_draw(seed, receivers, dim, spec)
-        values, n = padded_round(sets)
-        got = craft_attack(CraftingContext(values, np.repeat(p, dim), n), spec)
+        values, layout = padded_round(sets)
+        got = craft_attack(CraftingContext(values, np.repeat(p, dim), layout), spec)
         digest = hashlib.sha256(got.tobytes()).hexdigest()
         assert digest == CRAFT_DIGESTS[seed, receivers, dim, spec.label]
 

@@ -15,6 +15,7 @@ from scmsim.estimators import (
     M_ESTIMATOR_KINDS,
     AggregatorKind,
     AggregatorSpec,
+    Layout,
     MAD_NORMALIZATION,
     TALWAR_C_95,
     TRIM_ALPHA_95,
@@ -41,6 +42,11 @@ MEDIAN = AggregatorSpec.median()
 M_SPECS = [AggregatorSpec.talwar(), AggregatorSpec.tukey()]
 
 
+def full_layout(a):
+    """The layout of ``a`` that counts every row."""
+    return Layout.of(a.shape, np.full(a.shape[1], a.shape[0]), "counts")
+
+
 def rho_objective(values, spec, mu):
     """Independent objective whose minimizer is the M-estimate.
 
@@ -48,7 +54,7 @@ def rho_objective(values, spec, mu):
     standard biweight rho, evaluated at fixed scale = normalized MAD.
     ``mu`` may be a scalar or a grid of candidate locations.
     """
-    sigma = mad(values, normalized=True)
+    sigma = mad(values)
     r = (np.asarray(values)[:, None] - np.atleast_1d(mu)[None, :]) / sigma
     c = spec.c
     if spec.kind is AggregatorKind.TALWAR:
@@ -106,14 +112,13 @@ class TestScalarEstimators:
         assert estimate(MEDIAN, [7]) == 7
 
     def test_mad_examples(self):
-        assert mad([1, 2, 3, 4, 5]) == 1
         assert mad([4.2, 4.2, 4.2]) == 0
-        assert mad([1, 2, 3, 4, 5], normalized=True) == 1.4826
+        assert mad([1, 2, 3, 4, 5]) == 1.4826
 
     def test_mad_matches_reference_implementation(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(201)
-        ours = mad(x, normalized=True)
+        ours = mad(x)
         reference = median_abs_deviation(x, scale="normal")
         # reference uses 1/ppf(0.75) = 1.4826022...; ours pins 1.4826
         assert ours == pytest.approx(reference, rel=1e-4)
@@ -271,7 +276,7 @@ class TestMEstimate:
                 s = rng.standard_normal(int(rng.integers(3, 60)))
                 if not aggregate_matrix(spec, s[:, None]).converged:
                     continue
-                sigma = mad(s, normalized=True)
+                sigma = mad(s)
                 resid = psi(spec.kind, (s - estimate(spec, s)) / sigma, spec.c).sum()
                 assert abs(resid) <= s.size * FIXED_POINT_TOL * (1 + 1e-12)
 
@@ -296,12 +301,14 @@ class TestBlocks:
                 (np.ascontiguousarray, lambda k: np.ascontiguousarray(cols[:, [k, k]])),
                 (np.asfortranarray, lambda k: np.asfortranarray(cols[:, k : k + 1])),
             ):
-                refs = [_m_estimate_columns(narrow(k), spec.kind, c) for k in range(40)]
+                refs = [_m_estimate_columns(narrow(k), spec.kind, c, full_layout(narrow(k)))
+                        for k in range(40)]
                 ref_iters = [it for _, _, it in refs]
                 slow = int(np.argmax(ref_iters))
                 source = rng.choice(np.delete(np.arange(40), slow), width)
                 source[-1] = slow
-                loc, conv, iters = _m_estimate_columns(layout(cols[:, source]), spec.kind, c)
+                a = layout(cols[:, source])
+                loc, conv, iters = _m_estimate_columns(a, spec.kind, c, full_layout(a))
                 assert loc.tobytes() == np.array([refs[k][0][0] for k in source]).tobytes()
                 assert conv.tolist() == [bool(refs[k][1][0]) for k in source]
                 assert iters == ref_iters[slow]
@@ -355,19 +362,24 @@ class TestAggregate:
         for bad in ([1, 2], [[1, 2, 3]], 3, [1, 2, 5], [0, 1, 2], [1.5, 2, 3],
                     np.ones(3, dtype=bool), ["1", "2", "3"]):
             with pytest.raises(ValueError, match="counts"):
-                aggregate_matrix(MEDIAN, a, bad)
-        assert aggregate_matrix(MEDIAN, a, [4.0, 1, 2]).values.tolist() == [0.0] * 3
+                Layout.of(a.shape, bad, "counts")
+        layout = Layout.of(a.shape, [4.0, 1, 2], "counts")
+        assert aggregate_matrix(MEDIAN, a, layout).values.tolist() == [0.0] * 3
+        # A layout checks the shape of every matrix it is used with.
+        for other in (np.zeros((4, 2)), np.zeros((5, 3)), np.zeros((3, 3))):
+            with pytest.raises(ValueError, match="layout"):
+                aggregate_matrix(MEDIAN, other, layout)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_non_finite_checked_on_counted_rows_only(self, spec):
         a = np.arange(8.0).reshape(4, 2)
         a[3, 0] = np.nan
         a[2:, 1] = np.inf
-        got = aggregate_matrix(spec, a, [3, 2]).values
+        got = aggregate_matrix(spec, a, Layout.of(a.shape, [3, 2], "counts")).values
         assert got.tolist() == [estimate(spec, a[:3, 0]), estimate(spec, a[:2, 1])]
         for counts in ([4, 2], [3, 3]):
             with pytest.raises(ValueError, match="non-finite"):
-                aggregate_matrix(spec, a, counts)
+                aggregate_matrix(spec, a, Layout.of(a.shape, counts, "counts"))
 
     def test_trimmed_infeasible_column_rejected(self, monkeypatch):
         # floor(alpha * n) < n / 2 for every n and every alpha < 0.5, so a
@@ -377,7 +389,9 @@ class TestAggregate:
         assert (n - 2 * trim_count(n, np.nextafter(0.5, 0.0)) >= 1).all()
         monkeypatch.setattr(estimators, "trim_count", lambda n, alpha: n // 2)
         with pytest.raises(ValueError, match="trimming would discard every sample"):
-            aggregate_matrix(AggregatorSpec.trimmed_mean(), np.zeros((4, 2)), [3, 4])
+            aggregate_matrix(
+                AggregatorSpec.trimmed_mean(), np.zeros((4, 2)), Layout.of((4, 2), [3, 4], "counts")
+            )
 
 
 class TestRowOrder:
@@ -412,8 +426,11 @@ class TestRowOrder:
         counts[:3] = rows
         alone = [aggregate_matrix(spec, cols[:k, j : j + 1]) for j, k in enumerate(counts)]
         if spec.kind in M_ESTIMATOR_KINDS:
-            flags = [_m_estimate_columns(cols[:k, j : j + 1], spec.kind, spec.c)[1][0]
-                     for j, k in enumerate(counts)]
+            flags = [
+                _m_estimate_columns(cols[:k, j : j + 1], spec.kind, spec.c,
+                                    full_layout(cols[:k, j : j + 1]))[1][0]
+                for j, k in enumerate(counts)
+            ]
             assert not flags[1] if spec.c == 0.3 else flags[1]
         for width in (1, 2, 7, 40, 2 * _BLOCK_COLUMNS + 1):
             source = rng.permutation(np.resize(np.arange(40), width))
@@ -423,11 +440,12 @@ class TestRowOrder:
             for fill in (np.nan, np.inf, -1e300, -0.0, 2.5):
                 for layout in (np.ascontiguousarray, np.asfortranarray):
                     a = layout(np.where(pad, fill, tiled))
-                    res = aggregate_matrix(spec, a, counts[source])
+                    laid_out = Layout.of(a.shape, counts[source], "counts")
+                    res = aggregate_matrix(spec, a, laid_out)
                     assert res.values.tobytes() == want.tobytes()
                     assert res.converged == all(alone[k].converged for k in source)
                     if spec.kind in M_ESTIMATOR_KINDS:
-                        got = _m_estimate_columns(a, spec.kind, spec.c, counts[source])[1]
+                        got = _m_estimate_columns(a, spec.kind, spec.c, laid_out)[1]
                         assert got.tolist() == [flags[k] for k in source]
 
 
@@ -478,7 +496,8 @@ class TestColumnMedian:
         malicious = rng.integers(1, 10, m)
         valid = np.arange(rows)[:, None] < counts
         for a in draw_families(rng, rows, m):
-            ctx = CraftingContext(np.where(valid, a, np.nan), malicious, counts)
+            benign = Layout.of(a.shape, counts, "benign_count")
+            ctx = CraftingContext(np.where(valid, a, np.nan), malicious, benign)
             got = craft_attack(ctx, AttackSpec.trimmed_scm())
             for j, (n, p) in enumerate(zip(counts, malicious)):
                 s = np.sort(a[:n, j])

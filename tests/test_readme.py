@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 import re
 from pathlib import Path
@@ -15,6 +16,13 @@ def test_library_example_imports_resolve():
     names = [n.strip() for block in imports for n in block.split(",") if n.strip()]
     missing = [n for n in names if not hasattr(scmsim, n)]
     assert not missing, f"README imports names scmsim does not export: {missing}"
+
+
+def test_library_example_runs():
+    (code,) = re.findall(r"## Library example\n\n```python\n(.*?)```", README.read_text(), re.S)
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert math.isfinite(namespace["trace"].final_msd)
 
 
 def test_readme_constants_exist():

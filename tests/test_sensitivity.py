@@ -316,6 +316,12 @@ class TestMaxNumeric:
         # The MAD of this base overflows, so the derived window is infinite.
         with pytest.raises(ValueError, match="search bounds"):
             max_sc_numeric(MEAN, [1e308, -1e308, 0.0])
+        # Here both bounds are finite, but the window is wider than the float
+        # range: its grid would hold NaN and infinite values.
+        lo, hi = default_search_bounds([1e307, -1e307, 0.0])
+        assert np.isfinite([lo, hi]).all()
+        with pytest.raises(ValueError, match="search window"):
+            max_sc_numeric(TUKEY, [1e307, -1e307, 0.0])
 
     def test_vectorized_values_match_scalar(self):
         base = np.random.default_rng(8).standard_normal(12)

@@ -6,7 +6,7 @@ import pytest
 
 from scmsim import simulation
 from scmsim.attacks import SCM_TARGET, AttackSpec, craft_attack
-from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
+from scmsim.estimators import AggregatorSpec, Layout, aggregate_matrix, tuned_aggregators
 from scmsim.simulation import (
     DATA_CHUNK_ROUNDS,
     DIVERGENCE_SENTINEL,
@@ -203,9 +203,10 @@ class TestGroupedCombine:
         # with NaN, gives each receiver the bits of a call on its rows alone.
         rounds = []
 
-        def checking_aggregate(aggregator, matrix, counts):
+        def checking_aggregate(aggregator, matrix, layout):
+            counts = layout.counts
             padded = np.where(np.arange(len(matrix))[:, None] < counts, matrix, np.nan)
-            result = aggregate_matrix(aggregator, padded, counts)
+            result = aggregate_matrix(aggregator, padded, layout)
             alone = [
                 aggregate_matrix(aggregator, matrix[: counts[r * dim], r * dim : (r + 1) * dim])
                 for r in range(matrix.shape[1] // dim)
@@ -272,9 +273,9 @@ class TestRunExperiment:
     def test_one_combine_call_per_round(self, monkeypatch):
         calls = []
 
-        def counting_aggregate(aggregator, matrix, counts):
+        def counting_aggregate(aggregator, matrix, layout):
             calls.append(matrix.shape)
-            return aggregate_matrix(aggregator, matrix, counts)
+            return aggregate_matrix(aggregator, matrix, layout)
 
         monkeypatch.setattr(simulation, "aggregate_matrix", counting_aggregate)
         topo, model = small_setup(num_malicious=2)
@@ -283,6 +284,27 @@ class TestRunExperiment:
         run_experiment(topo, model, LearningConfig(iterations=6),
                        AggregatorSpec.tukey(), AttackSpec.tukey_scm(4.685), seed=0)
         assert calls == [(max_rows, benign.size * model.dim)] * 6
+
+    def test_layouts_built_at_set_up_only(self, monkeypatch):
+        # A round's counts are fixed by the topology: they are laid out and
+        # validated once per run, whatever the number of rounds.
+        built = []
+        build = Layout.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            build(self, *args)
+
+        monkeypatch.setattr(Layout, "__init__", counting_init)
+        topo, model = small_setup(num_malicious=2)
+        for spec in (AggregatorSpec.trimmed_mean(), AggregatorSpec.tukey()):
+            att = AttackSpec(spec)
+            counts = []
+            for iterations in (2, 5):
+                built.clear()
+                run_experiment(topo, model, LearningConfig(iterations=iterations), spec, att, seed=0)
+                counts.append(len(built))
+            assert counts == [2, 2]
 
     def test_deterministic_traces(self):
         topo, model = small_setup(num_malicious=2)
