@@ -17,7 +17,6 @@ from .sensitivity import (  # noqa: F401
 )
 from .attacks import (  # noqa: F401
     AttackSpec,
-    CraftingContext,
     craft_attack,
     psi_argmax,
 )

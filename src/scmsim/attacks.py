@@ -14,16 +14,17 @@ aggregate as far as possible without being rejected:
   there as +inf rows.
 
 Every crafter works column by column on order statistics of the benign
-values, so a whole round is crafted in one call on the padded
-(rows, columns) form that ``aggregate_matrix`` combines, one column per
-receiver and coordinate: each column's ranks are read below its benign
-count in a ``Layout`` from one sort, which gives every column its own bits.
+values, so a whole round is crafted in one ``craft_attack`` call.  It takes
+what ``aggregate_matrix`` takes, checked by the same helper: a padded
+(rows, columns) matrix, one column per receiver and coordinate, with a
+``Layout`` of its benign counts.  Each column's ranks are read below its
+count from one sort, which gives every column its own bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .estimators import (
     M_ESTIMATOR_KINDS,
     TRIM_ALPHA_95,
     Layout,
+    _as_matrix,
     _check_count,
-    _check_layout,
     _check_positive,
     _pad,
     median_and_scale,
@@ -100,45 +101,6 @@ class AttackSpec:
         return AttackSpec(AggregatorSpec.tukey(c))
 
 
-@dataclass(frozen=True, eq=False)
-class CraftingContext:
-    """What an omniscient attacker knows when targeting receivers.
-
-    ``benign_values`` is one column per targeted coordinate, in the form
-    ``aggregate_matrix`` takes: column j holds the benign values its
-    receiver sees in its first ``layout.counts[j]`` rows, above padding
-    that is ignored (every row counts when ``layout`` is None; build one as
-    ``Layout.of(shape, counts, "benign_count")``).  A 1-D array is one
-    column.  ``malicious_count`` is the number of malicious agents that
-    will report the crafted value, one count for every column or one per
-    column.  This is the one check of crafting input: the crafters trust it.
-    """
-
-    benign_values: np.ndarray
-    malicious_count: int | np.ndarray
-    layout: Layout | None = None
-    # The crafters' view: ``benign_values`` with +inf padding, and every
-    # column's malicious count.
-    _columns: np.ndarray = field(init=False, repr=False)
-    _malicious: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.benign_values, dtype=float)
-        if a.ndim == 1:
-            a = a[:, None]
-        if a.ndim != 2 or a.size == 0:
-            raise ValueError("benign_values must be a non-empty 1-D or (rows, columns) array")
-        layout = _check_layout(a, self.layout)
-        m = _check_count(self.malicious_count, "malicious_count")
-        if np.ndim(m) and np.shape(m) != (a.shape[1],):
-            raise ValueError("malicious_count must be one count, or one per column")
-        object.__setattr__(self, "benign_values", a)
-        object.__setattr__(self, "malicious_count", m)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_columns", _pad(a, layout.valid, np.inf))
-        object.__setattr__(self, "_malicious", np.broadcast_to(m, a.shape[1]))
-
-
 def psi_argmax(kind: AggregatorKind, c: float) -> float:
     """Residual value at which the influence function peaks: c, or c/sqrt(5)."""
     if kind not in M_ESTIMATOR_KINDS:
@@ -154,20 +116,19 @@ def min_tuning_constant(kind: AggregatorKind) -> float:
     return 2.0 / (psi_argmax(kind, 1.0) * (1.0 - BOUNDARY_MARGIN) * MAD_NORMALIZATION)
 
 
-def _trimmed_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
+def _trimmed_values(a: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate value just below the trim-survival boundary.
 
-    With N_k = n_benign + malicious_count received vectors, the defender
-    discards t = floor(alpha*N_k) per side.  Reporting just below the
-    (n_benign - t + 1)-th ascending benign value leaves exactly the top t
+    With N_k = n + p received vectors, n benign and p malicious, the
+    defender discards t = floor(alpha*N_k) per side.  Reporting just below
+    the (n - t + 1)-th ascending benign value leaves exactly the top t
     benign values above the copies: the trim removes those, every malicious
     copy survives at the largest surviving position, and no higher
     placement keeps all copies.  When t = 0 nothing is trimmed and the
     largest benign value serves as the stealth boundary instead.  Every
-    column's ranks are read from one sort of the padded matrix.
+    column's ranks are read from one sort of the +inf-padded columns ``a``.
     """
-    a, n = ctx._columns, ctx.layout.counts
-    t = trim_count(n + ctx._malicious, target.alpha)
+    t = trim_count(n + p, target.alpha)
     if (n - t < 1).any():
         raise ValueError("trim boundary exceeds the benign neighborhood")
     s = np.sort(a, axis=0)
@@ -176,7 +137,7 @@ def _trimmed_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
     return boundary - EPSILON_SCALE * (1.0 + (s[n - 1, cols] - s[0]))
 
 
-def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarray:
+def _mestimator_values(a: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate peak-influence value against a Talwar/Tukey defender.
 
     The copies go to z = med + c0*scale, the influence peak c0 seen through
@@ -200,23 +161,37 @@ def _mestimator_values(ctx: CraftingContext, target: AggregatorSpec) -> np.ndarr
             f"{target.label} c must be at least"
             f" {min_tuning_constant(target.kind)!r}, got {target.c!r}"
         )
-    n, p = ctx.layout.counts, ctx._malicious
     if (p >= n).any():
         raise ValueError(
             "malicious_count must be below benign_count against a Talwar/Tukey"
             " defender: the copies would hold its median"
         )
     c0 = psi_argmax(target.kind, target.c) * (1.0 - BOUNDARY_MARGIN)
-    med, scale = median_and_scale(ctx._columns, n + p)
+    med, scale = median_and_scale(a, n + p)
     return c0 * scale + med
 
 
-def craft_attack(ctx: CraftingContext, spec: AttackSpec) -> np.ndarray:
+def craft_attack(
+    benign, spec: AttackSpec, malicious_count, layout: Layout | None = None
+) -> np.ndarray:
     """Craft the value every malicious neighbor reports in each column of
-    ``ctx``: one entry per column, all columns in one call."""
+    ``benign``: one entry per column, all columns in one call.
+
+    ``benign`` and ``layout`` are what ``aggregate_matrix`` takes: column j
+    holds the benign values its receiver sees in its first
+    ``layout.counts[j]`` rows, above padding that is ignored (every row
+    counts when ``layout`` is None).  ``malicious_count`` is the number of
+    malicious agents that report the crafted value, one count for every
+    column or one per column.  The crafters trust these checks.
+    """
+    a, layout = _as_matrix(benign, layout)
+    p = _check_count(malicious_count, "malicious_count")
+    if np.ndim(p) and np.shape(p) != (a.shape[1],):
+        raise ValueError("malicious_count must be one count, or one per column")
     target = spec.target
     if target is None:
-        return np.full(ctx._columns.shape[1], spec.lv_magnitude)
+        return np.full(a.shape[1], spec.lv_magnitude)
+    columns = _pad(a, layout.valid, np.inf)
     if target.kind is AggregatorKind.TRIMMED_MEAN:
-        return _trimmed_values(ctx, target)
-    return _mestimator_values(ctx, target)
+        return _trimmed_values(columns, layout.counts, p, target)
+    return _mestimator_values(columns, layout.counts, p, target)

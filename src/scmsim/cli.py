@@ -23,7 +23,7 @@ from .config import (
     parse_config,
     write_manifest,
 )
-from .attacks import SCM_TARGET, AttackSpec, CraftingContext, craft_attack
+from .attacks import SCM_TARGET, AttackSpec, craft_attack
 from .estimators import monte_carlo_efficiency
 from .sensitivity import sc_sweep, sensitivity_values
 from .simulation import run_experiment
@@ -114,11 +114,10 @@ def cmd_sc_sweep(cfg: ExperimentConfig) -> list[Path]:
     specs = cfg.aggregator_specs()
     count = cfg.sweep_outlier_count
     table = sc_sweep(specs, base, grid, count)
-    ctx = CraftingContext(base, count)
     markers = []
     for spec in specs:
         if spec.kind in SCM_TARGET.values():
-            z = float(craft_attack(ctx, AttackSpec(spec))[0])
+            z = float(craft_attack(base[:, None], AttackSpec(spec), count)[0])
             markers.append((spec.label, z, sensitivity_values(spec, base, z, count)))
     return _write_outputs(cfg, "sc-sweep", [
         ("SC.csv", ["outlier_value", *table.names], zip(table.grid, *table.values)),

@@ -143,9 +143,17 @@ class Layout:
         return Layout(n, counts, None if valid.all() else valid)
 
 
-def _check_layout(a: np.ndarray, layout: Layout | None) -> Layout:
-    # ``layout``, or every row counted, once ``a`` fits it with finite counted rows.
+def _as_matrix(matrix, layout: Layout | None) -> tuple[np.ndarray, Layout]:
+    # ``matrix`` as a C-contiguous float (rows, columns) array with at least
+    # one row, and ``layout``, or every row counted, once the matrix fits it
+    # with finite counted rows: the one check of aggregation and crafting input.
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D (rows, columns) array, got ndim={a.ndim}")
+    a = np.ascontiguousarray(a)
     n, m = a.shape
+    if n == 0:
+        raise ValueError("expected at least one row, got an empty matrix")
     if layout is None:
         layout = Layout(n, np.full(m, n), None)
     elif (layout.rows, layout.counts.size) != (n, m):
@@ -153,7 +161,7 @@ def _check_layout(a: np.ndarray, layout: Layout | None) -> Layout:
     finite = np.isfinite(a) if layout.valid is None else np.isfinite(a) | ~layout.valid
     if not finite.all():
         raise ValueError("non-finite values in the counted rows")
-    return layout
+    return a, layout
 
 
 def tuned_aggregators() -> list[AggregatorSpec]:
@@ -365,13 +373,7 @@ def aggregate_matrix(spec: AggregatorSpec, matrix, layout=None) -> AggregationRe
     hold anything and changes no bit of the column's result.  ``converged``
     is False only when an M-estimation column failed to converge.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D (vectors, coordinates) array, got ndim={a.ndim}")
-    a = np.ascontiguousarray(a)
-    if a.shape[0] == 0:
-        raise ValueError("cannot aggregate an empty collection of vectors")
-    layout = _check_layout(a, layout)
+    a, layout = _as_matrix(matrix, layout)
     counts, valid, n = layout.counts, layout.valid, layout.rows
     kind = spec.kind
     if kind is AggregatorKind.SAMPLE_MEAN:

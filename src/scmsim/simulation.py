@@ -5,8 +5,9 @@ fresh local data (adapt) and then aggregates the intermediate weights of
 its neighborhood with a robust rule (combine).  Malicious agents skip
 adaptation entirely; each iteration they report per-receiver crafted
 vectors instead.  A round is one padded matrix with a column per receiver
-and coordinate, laid out once per run: one ``craft_attack`` call reads
-the attacked columns' benign rows and fills their copy rows, and one
+and coordinate, laid out once per run: one ``craft_attack`` call takes
+the attacked columns' benign rows with their ``Layout``, as
+``aggregate_matrix`` takes a matrix, and fills their copy rows; one
 ``aggregate_matrix`` call combines the matrix, which gives each receiver
 the bits of calls on its rows alone.  All randomness derives
 from per-agent streams spawned from the experiment seed, so traces are
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackSpec, CraftingContext, craft_attack
-from .estimators import AggregatorSpec, Layout, _check_positive, aggregate_matrix
+from .attacks import AttackSpec, craft_attack
+from .estimators import AggregatorSpec, Layout, _check_count, _check_positive, aggregate_matrix
 from .topology import NetworkTopology
 
 # Traces are capped here; any weight beyond it marks the run as diverged.
@@ -51,9 +52,9 @@ class LinearModelConfig:
         if not np.isfinite(w).all():
             raise ValueError("true_weights must be finite")
         _check_positive("noise_var", self.noise_var)
-        if self.samples_per_iteration < 1:
-            raise ValueError("need at least one sample per iteration")
+        size = _check_count(self.samples_per_iteration, "samples_per_iteration")
         object.__setattr__(self, "true_weights", w)
+        object.__setattr__(self, "samples_per_iteration", size)
 
     @property
     def dim(self) -> int:
@@ -68,18 +69,17 @@ class LearningConfig:
 
     def __post_init__(self) -> None:
         _check_positive("step_size", self.step_size)
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
+        object.__setattr__(self, "iterations", _check_count(self.iterations, "iterations"))
         _check_positive("huber_delta", self.huber_delta)
 
 
 def huber_loss(residual, delta: float):
     """Quadratic within |r| <= delta, linear beyond."""
     _check_positive("huber_delta", delta)
-    r = np.asarray(residual, dtype=float)
-    out = np.where(
-        np.abs(r) <= delta, 0.5 * r * r, delta * np.abs(r) - 0.5 * delta * delta
-    )
+    r = np.abs(np.asarray(residual, dtype=float))
+    # The quadratic branch squares at most delta: no overflow where it is not taken.
+    q = np.minimum(r, delta)
+    out = np.where(r <= delta, 0.5 * q * q, delta * r - 0.5 * delta * delta)
     return float(out) if np.isscalar(residual) else out
 
 
@@ -232,8 +232,9 @@ def run_experiment(
             phis[benign] = adapt(own, regressors, targets, learning)
             matrix = phis[index].reshape(len(index), -1)
             if attacked.size:
-                ctx = CraftingContext(matrix[:craft_rows, attacked], craft_malicious, craft_layout)
-                crafted[attacked] = craft_attack(ctx, attack)
+                # np.take gathers in C order, which the input check keeps uncopied.
+                benign_rows = np.take(matrix[:craft_rows], attacked, axis=1)
+                crafted[attacked] = craft_attack(benign_rows, attack, craft_malicious, craft_layout)
                 np.copyto(matrix, crafted, where=copy_rows)
             combined = aggregate_matrix(aggregator, matrix, layout)
             weights[benign] = combined.values.reshape(-1, dim)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from scmsim.attacks import AttackSpec, CraftingContext, craft_attack, psi_argmax
+from scmsim.attacks import AttackSpec, craft_attack, psi_argmax
 from scmsim.cli import cmd_simulate
 from scmsim.config import file_sha256, parse_config
 from scmsim.estimators import (
@@ -160,7 +160,7 @@ def test_criterion_2_sc_shape_reproduction():
 
     ratios = {}
     for spec in (AggregatorSpec.trimmed_mean(), tal, tuk):
-        z = craft_attack(CraftingContext(base, 1), AttackSpec(spec))[0]
+        z = craft_attack(base[:, None], AttackSpec(spec), 1)[0]
         sc = sensitivity_values(spec, base, z, 1)
         _, sc_star = max_sc_numeric(spec, base, count=1)
         ratios[spec.label] = sc / sc_star
@@ -195,7 +195,7 @@ def test_criterion_3_attack_near_optimality():
             (AggregatorKind.TALWAR, TALWAR_C_95, AggregatorSpec.talwar()),
             (AggregatorKind.TUKEY, TUKEY_C_95, AggregatorSpec.tukey()),
         ):
-            z = craft_attack(CraftingContext(base, p), AttackSpec(spec))[0]
+            z = craft_attack(base[:, None], AttackSpec(spec), p)[0]
             sc = sensitivity_values(spec, base, z, p)
             _, sc_star = max_sc_numeric(spec, base, count=p)
             combined = np.concatenate([base, np.full(p, z)])

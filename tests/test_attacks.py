@@ -7,7 +7,6 @@ import pytest
 from scmsim.attacks import (
     SCM_TARGET,
     AttackSpec,
-    CraftingContext,
     craft_attack,
     min_tuning_constant,
     psi_argmax,
@@ -32,8 +31,10 @@ from scmsim.sensitivity import max_sc_numeric, sensitivity_values
 MEDIAN = AggregatorSpec.median()
 
 
-def make_ctx(values, count):
-    return CraftingContext(np.asarray(values, dtype=float), count)
+def craft(values, count, spec):
+    # ``craft_attack`` on ``values``, a 1-D array being one column.
+    a = np.asarray(values, dtype=float)
+    return craft_attack(a.reshape(len(a), -1), spec, count)
 
 
 class TestPsiArgmax:
@@ -56,13 +57,11 @@ class TestPsiArgmax:
 
 class TestLargeValue:
     def test_constant_vector(self):
-        ctx = make_ctx(np.zeros((5, 3)), 2)
-        z = craft_attack(ctx, AttackSpec.large_value(1000.0))
+        z = craft(np.zeros((5, 3)), 2, AttackSpec.large_value(1000.0))
         np.testing.assert_allclose(z, [1000.0, 1000.0, 1000.0])
 
     def test_zero_magnitude_is_null_attack(self):
-        ctx = make_ctx(np.ones((4, 2)), 1)
-        np.testing.assert_allclose(craft_attack(ctx, AttackSpec.large_value(0.0)), 0.0)
+        np.testing.assert_allclose(craft(np.ones((4, 2)), 1, AttackSpec.large_value(0.0)), 0.0)
 
 
 class TestTrimmedScm:
@@ -70,13 +69,13 @@ class TestTrimmedScm:
         # benign {1..7}, P=2, alpha so that floor(alpha*9) = 1: the trim
         # removes the single largest value, so copies just below 7 survive
         # at the largest surviving position.
-        z = craft_attack(make_ctx(np.arange(1.0, 8.0), 2), AttackSpec.trimmed_scm(0.12))[0]
+        z = craft(np.arange(1.0, 8.0), 2, AttackSpec.trimmed_scm(0.12))[0]
         eps = 1e-6 * (1.0 + 6.0)
         assert z == pytest.approx(7.0 - eps, abs=1e-12)
 
     def test_survivors_and_upward_bias_by_enumeration(self):
         benign = np.arange(1.0, 8.0)
-        z = craft_attack(make_ctx(benign, 2), AttackSpec.trimmed_scm(0.12))[0]
+        z = craft(benign, 2, AttackSpec.trimmed_scm(0.12))[0]
         received = np.concatenate([benign, [z, z]])
         t = trim_count(received.size, 0.12)
         survivors = np.sort(received)[t : received.size - t]
@@ -92,7 +91,7 @@ class TestTrimmedScm:
             n_benign = int(rng.integers(12, 28))
             count = int(rng.integers(1, 7))
             benign = rng.standard_normal(n_benign)
-            z = craft_attack(make_ctx(benign, count), AttackSpec.trimmed_scm(TRIM_ALPHA_95))[0]
+            z = craft(benign, count, AttackSpec.trimmed_scm(TRIM_ALPHA_95))[0]
             received = np.concatenate([benign, np.full(count, z)])
             t = trim_count(received.size, TRIM_ALPHA_95)
             survivors = np.sort(received)[t : received.size - t]
@@ -105,14 +104,14 @@ class TestTrimmedScm:
         spec = AggregatorSpec.trimmed_mean()
         for _ in range(15):
             base = rng.standard_normal(int(rng.integers(20, 60)))
-            z = craft_attack(make_ctx(base, 1), AttackSpec(spec))[0]
+            z = craft(base, 1, AttackSpec(spec))[0]
             sc = sensitivity_values(spec, base, z, 1)
             _, sc_star = max_sc_numeric(spec, base, count=1)
             assert sc >= 0.99 * sc_star
 
     def test_boundary_error_when_trim_swallows_benign(self):
         with pytest.raises(ValueError):
-            craft_attack(make_ctx([1.0], 12), AttackSpec.trimmed_scm(0.14))
+            craft([1.0], 12, AttackSpec.trimmed_scm(0.14))
 
 
 class TestMEstimatorScm:
@@ -120,20 +119,20 @@ class TestMEstimatorScm:
         # symmetric {-1,0,1}, P=1, Tukey: the benign median 0 moves to 0.5 on
         # the 4-element set with the copy, whose normalized mad is 1.4826.
         c0 = TUKEY_C_95 / math.sqrt(5.0)
-        z = craft_attack(make_ctx([-1.0, 0.0, 1.0], 1), AttackSpec.tukey_scm(TUKEY_C_95))[0]
+        z = craft([-1.0, 0.0, 1.0], 1, AttackSpec.tukey_scm(TUKEY_C_95))[0]
         expected = c0 * MAD_NORMALIZATION + 0.5
         assert z == pytest.approx(expected, rel=1e-8)
 
     def test_example_achieves_99_percent_of_optimum(self):
         spec = AggregatorSpec.tukey()
         base = [-1.0, 0.0, 1.0]
-        z = craft_attack(make_ctx(base, 1), AttackSpec(spec))[0]
+        z = craft(base, 1, AttackSpec(spec))[0]
         sc = sensitivity_values(spec, base, z, 1)
         _, sc_star = max_sc_numeric(spec, base, count=1)
         assert sc >= 0.99 * sc_star
 
     def test_degenerate_scale_falls_back_to_median(self):
-        z = craft_attack(make_ctx([5.0, 5.0, 5.0, 5.0], 2), AttackSpec.talwar_scm(TALWAR_C_95))[0]
+        z = craft([5.0, 5.0, 5.0, 5.0], 2, AttackSpec.talwar_scm(TALWAR_C_95))[0]
         assert z == pytest.approx(5.0)
 
     def test_tied_base_places_copies_at_the_peak(self):
@@ -146,7 +145,7 @@ class TestMEstimatorScm:
             (AggregatorSpec.talwar(), 5.14460829585, 16.29, 16.69),
             (AggregatorSpec.tukey(), 4.10633713417, 12.92, 13.88),
         ):
-            z = craft_attack(make_ctx(base, 2), AttackSpec(spec))[0]
+            z = craft(base, 2, AttackSpec(spec))[0]
             c0 = psi_argmax(spec.kind, spec.c) * (1.0 - 1e-9)
             assert z == 1.0 + c0 * MAD_NORMALIZATION
             assert z == pytest.approx(z_pinned, abs=1e-10)
@@ -163,11 +162,11 @@ class TestMEstimatorScm:
         for spec in (AttackSpec.talwar_scm(TALWAR_C_95), AttackSpec.tukey_scm(TUKEY_C_95)):
             for values, count in ((base, 5), (base, 6), (np.column_stack([base, base]), [2, 5])):
                 with pytest.raises(ValueError, match="malicious_count.*benign_count"):
-                    craft_attack(make_ctx(values, count), spec)
-        # The order-statistic attacks still craft on a feasible context.
-        ctx = make_ctx(np.arange(1.0, 8.0), 7)
-        assert craft_attack(ctx, AttackSpec.large_value())[0] == 1000.0
-        z = craft_attack(ctx, AttackSpec.trimmed_scm(0.12))[0]
+                    craft(values, count, spec)
+        # The order-statistic attacks still craft on such input.
+        line = np.arange(1.0, 8.0)
+        assert craft(line, 7, AttackSpec.large_value())[0] == 1000.0
+        z = craft(line, 7, AttackSpec.trimmed_scm(0.12))[0]
         assert z == pytest.approx(7.0 - 1e-6 * 7.0, abs=1e-12)
 
     def test_small_tuning_constant_is_rejected(self):
@@ -178,7 +177,7 @@ class TestMEstimatorScm:
         base = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         for spec in (AttackSpec.talwar_scm(0.5), AttackSpec.tukey_scm(3.0)):
             with pytest.raises(ValueError, match=f"{spec.target.label} c must be at least"):
-                craft_attack(make_ctx(base, 2), spec)
+                craft(base, 2, spec)
         talwar_min = min_tuning_constant(AggregatorKind.TALWAR)
         assert talwar_min == pytest.approx(2.0 / MAD_NORMALIZATION)
         assert min_tuning_constant(AggregatorKind.TUKEY) == pytest.approx(talwar_min * math.sqrt(5.0))
@@ -195,7 +194,7 @@ class TestMEstimatorScm:
                 base = np.round(base)
             for kind in (AggregatorKind.TALWAR, AggregatorKind.TUKEY):
                 c = min_tuning_constant(kind)
-                z = craft_attack(make_ctx(base, p), AttackSpec(AggregatorSpec(kind, c=c)))[0]
+                z = craft(base, p, AttackSpec(AggregatorSpec(kind, c=c)))[0]
                 c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
                 combined = np.concatenate([base, np.full(p, z)])
                 z_again = c0 * mad(combined) + estimate(MEDIAN, combined)
@@ -208,7 +207,7 @@ class TestMEstimatorScm:
             p = int(rng.integers(1, max(2, n // 2 + 1)))
             base = rng.standard_normal(n)
             for kind, c in ((AggregatorKind.TALWAR, TALWAR_C_95), (AggregatorKind.TUKEY, TUKEY_C_95)):
-                z = craft_attack(make_ctx(base, p), AttackSpec(AggregatorSpec(kind, c=c)))[0]
+                z = craft(base, p, AttackSpec(AggregatorSpec(kind, c=c)))[0]
                 c0 = psi_argmax(kind, c) * (1.0 - 1e-9)
                 combined = np.concatenate([base, np.full(p, z)])
                 z_again = c0 * mad(combined) + estimate(MEDIAN, combined)
@@ -221,7 +220,7 @@ class TestMEstimatorScm:
             n = int(rng.integers(5, 51))
             p = int(rng.integers(1, max(2, n // 3 + 1)))
             base = rng.standard_normal(n)
-            z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
+            z = craft(base, p, AttackSpec(spec))[0]
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
             sigma = mad(combined)
@@ -239,7 +238,7 @@ class TestMEstimatorScm:
             n = int(rng.integers(5, 51))
             p = int(rng.integers(1, max(2, n // 3 + 1)))
             base = rng.standard_normal(n)
-            z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
+            z = craft(base, p, AttackSpec(spec))[0]
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
             sigma = mad(combined)
@@ -259,7 +258,7 @@ class TestMEstimatorScm:
             p = int(rng.integers(1, max(2, n // 3 + 1)))
             base = rng.standard_normal(n)
             for spec in (AggregatorSpec.talwar(), AggregatorSpec.tukey()):
-                z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
+                z = craft(base, p, AttackSpec(spec))[0]
                 sc = sensitivity_values(spec, base, z, p)
                 _, sc_star = max_sc_numeric(spec, base, count=p)
                 ratios.append(sc / sc_star)
@@ -274,71 +273,70 @@ class TestMEstimatorScm:
             half = rng.standard_normal(int(rng.integers(4, 20)))
             base = np.concatenate([half, -half])
             p = int(rng.integers(1, 4))
-            z = craft_attack(make_ctx(base, p), AttackSpec(spec))[0]
+            z = craft(base, p, AttackSpec(spec))[0]
             sc_pos = sensitivity_values(spec, base, z, p)
             sc_neg = sensitivity_values(spec, base, -z, p)
             assert abs(sc_neg) == pytest.approx(abs(sc_pos), rel=0.05)
 
 
 class TestCraftAttack:
-    def test_one_dimensional_context_reduces_to_scalar(self):
-        base = np.array([-1.0, 0.0, 1.0])
-        ctx = CraftingContext(base, 1)
-        spec = AttackSpec.talwar_scm(TALWAR_C_95)
-        z = craft_attack(ctx, spec)
-        assert z.shape == (1,)
-        assert z[0] == craft_attack(make_ctx(base[:, None], 1), spec)[0]
-
     def test_per_receiver_contexts_differ(self):
         rng = np.random.default_rng(38)
         spec = AttackSpec.tukey_scm(TUKEY_C_95)
-        a = craft_attack(CraftingContext(rng.standard_normal((8, 3)), 2), spec)
-        b = craft_attack(CraftingContext(rng.standard_normal((8, 3)), 2), spec)
+        a = craft_attack(rng.standard_normal((8, 3)), spec, 2)
+        b = craft_attack(rng.standard_normal((8, 3)), spec, 2)
         assert not np.allclose(a, b)
 
     def test_crafted_values_finite(self):
         rng = np.random.default_rng(39)
         benign = rng.standard_normal((12, 5)) * 1e6
-        ctx = CraftingContext(benign, 4)
         for spec in (
             AttackSpec.large_value(),
             AttackSpec.trimmed_scm(TRIM_ALPHA_95),
             AttackSpec.talwar_scm(TALWAR_C_95),
             AttackSpec.tukey_scm(TUKEY_C_95),
         ):
-            assert np.isfinite(craft_attack(ctx, spec)).all()
+            assert np.isfinite(craft_attack(benign, spec, 4)).all()
 
-    def test_context_validation(self):
-        with pytest.raises(ValueError):
-            CraftingContext(np.empty((0, 3)), 1)
-        with pytest.raises(ValueError):
-            CraftingContext(np.ones((3, 2)), 0)
-        with pytest.raises(ValueError):
-            CraftingContext(np.array([[np.nan, 1.0]]), 1)
+    def test_input_validation(self):
+        spec = AttackSpec.large_value()
+        with pytest.raises(ValueError, match="empty"):
+            craft_attack(np.empty((0, 3)), spec, 1)
+        with pytest.raises(ValueError, match="malicious_count"):
+            craft_attack(np.ones((3, 2)), spec, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            craft_attack(np.array([[np.nan, 1.0]]), spec, 1)
+        # One input form, as aggregate_matrix takes it: a 1-D set is a
+        # column only once the caller makes it one.
+        line = np.arange(1.0, 21.0)
+        with pytest.raises(ValueError, match="2-D"):
+            craft_attack(line, spec, 3)
         # Counts are whole numbers: a fraction is not truncated, a bool is
         # not 1, whether one count or one per column.
-        line = np.arange(1.0, 21.0)
+        line = line[:, None]
         round_values = np.ones((4, 2))
         for values, bad in (
             (line, 2.5), (line, True), (line, np.float64(0.5)), (line, "3"), (line, [2, 2]),
             (round_values, [1.5, 2.0]), (round_values, [True, True]), (round_values, [1, 1, 1]),
         ):
             with pytest.raises(ValueError, match="malicious_count"):
-                CraftingContext(values, bad)
-        assert CraftingContext(line, 3.0).malicious_count == 3
-        assert CraftingContext(line, [2]).malicious_count.tolist() == [2]
+                craft_attack(values, spec, bad)
+        trimmed = AttackSpec.trimmed_scm(0.12)
+        for whole, count in ((3.0, 3), ([2], 2)):
+            got = craft_attack(line, trimmed, whole)
+            assert got.tobytes() == craft_attack(line, trimmed, count).tobytes()
         for bad in ([1, 2, 3], [0, 2], [2, 5], [2.5, 3], [True, True]):
             with pytest.raises(ValueError, match="benign_count"):
                 Layout.of(round_values.shape, np.array(bad), "benign_count")
         with pytest.raises(ValueError, match="benign_count"):
             Layout.of((4, 3), np.array([4]), "benign_count")
-        # A layout of another shape is refused by the context.
+        # A layout of another shape is refused.
         with pytest.raises(ValueError, match="layout"):
-            CraftingContext(np.ones((4, 3)), 1, Layout.of((4, 2), [4, 4], "benign_count"))
+            craft_attack(np.ones((4, 3)), spec, 1, Layout.of((4, 2), [4, 4], "benign_count"))
         round_values[3, 0] = np.nan  # padding past column 0's three rows
-        CraftingContext(round_values, 1, Layout.of((4, 2), [3, 4], "benign_count"))
+        craft_attack(round_values, spec, 1, Layout.of((4, 2), [3, 4], "benign_count"))
         with pytest.raises(ValueError, match="non-finite"):
-            CraftingContext(round_values, 1, Layout.of((4, 2), [4, 4], "benign_count"))
+            craft_attack(round_values, spec, 1, Layout.of((4, 2), [4, 4], "benign_count"))
 
     def test_attack_spec_validation(self):
         for make in (
@@ -409,7 +407,7 @@ def majority_draw(seed, receivers, dim, spec):
     if spec.target is not None and spec.target.kind in M_ESTIMATOR_KINDS:
         values, layout = padded_round(sets)
         with pytest.raises(ValueError, match="malicious_count"):
-            craft_attack(CraftingContext(values, np.repeat(p, dim), layout), spec)
+            craft_attack(values, spec, np.repeat(p, dim), layout)
         keep = [r for r, v in enumerate(sets) if p[r] < len(v)]
         sets, p = [sets[r] for r in keep], p[keep]
     return sets, p
@@ -444,10 +442,10 @@ class TestRoundCraft:
     def test_round_equals_per_receiver_calls(self, spec, dim):
         sets, p = majority_draw(dim, 58, dim, spec)
         values, layout = padded_round(sets)
-        got = craft_attack(CraftingContext(values, np.repeat(p, dim), layout), spec)
+        got = craft_attack(values, spec, np.repeat(p, dim), layout)
         assert got.shape == (len(sets) * dim,)
         for r, v in enumerate(sets):
-            alone = craft_attack(CraftingContext(v, p[r]), spec)
+            alone = craft_attack(v, spec, p[r])
             assert got[r * dim : (r + 1) * dim].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("spec", ROUND_ATTACKS, ids=lambda s: s.label)
@@ -455,7 +453,7 @@ class TestRoundCraft:
     def test_crafted_bytes_pinned(self, spec, seed, receivers, dim):
         sets, p = majority_draw(seed, receivers, dim, spec)
         values, layout = padded_round(sets)
-        got = craft_attack(CraftingContext(values, np.repeat(p, dim), layout), spec)
+        got = craft_attack(values, spec, np.repeat(p, dim), layout)
         digest = hashlib.sha256(got.tobytes()).hexdigest()
         assert digest == CRAFT_DIGESTS[seed, receivers, dim, spec.label]
 
@@ -463,7 +461,7 @@ class TestRoundCraft:
         rng = np.random.default_rng(7)
         values = rng.standard_normal((12, 5, 3))
         spec = AttackSpec.tukey_scm(TUKEY_C_95)
-        got = craft_attack(CraftingContext(values.reshape(12, -1), 4), spec)
+        got = craft_attack(values.reshape(12, -1), spec, 4)
         for r in range(5):
-            alone = craft_attack(CraftingContext(values[:, r], 4), spec)
+            alone = craft_attack(values[:, r], spec, 4)
             assert got[3 * r : 3 * r + 3].tobytes() == alone.tobytes()

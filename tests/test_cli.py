@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scmsim import cli
-from scmsim.attacks import CraftingContext, craft_attack
+from scmsim.attacks import craft_attack
 from scmsim.cli import cmd_efficiency_check, cmd_sc_sweep, cmd_simulate, main
 from scmsim.config import (
     ConfigError,
@@ -369,11 +369,11 @@ class TestSweepCommand:
         cmd_sc_sweep(cfg)
         rows = (tmp_path / "SC_max.csv").read_text().strip().split("\n")[1:]
         matched = {"trimmed_mean": "trimmed_scm", "talwar": "talwar_scm", "tukey": "tukey_scm"}
-        ctx = CraftingContext(cfg.sweep_base(), cfg.sweep_outlier_count)
+        base, count = cfg.sweep_base()[:, None], cfg.sweep_outlier_count
         assert len(rows) == len(matched)
         for row in rows:
             label, outlier_value, _ = row.split(",")
-            crafted = craft_attack(ctx, cfg.attack_spec(matched[label]))[0]
+            crafted = craft_attack(base, cfg.attack_spec(matched[label]), count)[0]
             assert float(outlier_value) == float(crafted)
 
     def test_single_point_grid(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import median_abs_deviation
 
 from scmsim import estimators
-from scmsim.attacks import EPSILON_SCALE, AttackSpec, CraftingContext, craft_attack
+from scmsim.attacks import EPSILON_SCALE, AttackSpec, craft_attack
 from scmsim.estimators import (
     EFFICIENCY_CI_BATCHES,
     FIXED_POINT_TOL,
@@ -497,8 +497,8 @@ class TestColumnMedian:
         valid = np.arange(rows)[:, None] < counts
         for a in draw_families(rng, rows, m):
             benign = Layout.of(a.shape, counts, "benign_count")
-            ctx = CraftingContext(np.where(valid, a, np.nan), malicious, benign)
-            got = craft_attack(ctx, AttackSpec.trimmed_scm())
+            padded = np.where(valid, a, np.nan)
+            got = craft_attack(padded, AttackSpec.trimmed_scm(), malicious, benign)
             for j, (n, p) in enumerate(zip(counts, malicious)):
                 s = np.sort(a[:n, j])
                 t = trim_count(n + p, TRIM_ALPHA_95)

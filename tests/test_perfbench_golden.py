@@ -43,3 +43,21 @@ def test_tracer_binds_every_traced_name(tmp_path):
     # never existed.
     tracer = _load("spans").Tracer(tmp_path)
     assert tracer.missing == ["SCTable.save"]
+
+
+def test_traced_pass_labels_every_craft(tmp_path):
+    # The tracer labels each craft span with the ``AttackSpec`` it reads as
+    # ``craft_attack``'s second positional argument; a traced pass must
+    # still give the golden outputs.
+    spans = _load("spans")
+    tracer = spans.Tracer(tmp_path)
+    tracer.install()
+    try:
+        wl = workloads.WORKLOADS["mest_attack"]
+        result = workloads.run_pass(wl, 0, tmp_path / "mest_attack", tracer=tracer)
+    finally:
+        tracer.uninstall()
+    workloads.compare_golden(result, workloads.load_golden(BENCH_DIR, "mest_attack"))
+    assert not [op.errors for op in result.ops if op.errors]
+    labels = [attrs["label"] for name, *_, attrs in tracer.spans if name == "attacks.craft"]
+    assert labels and set(labels) <= set(spans.ATTACKS)

@@ -237,10 +237,10 @@ class TestMaxNumeric:
         assert abs(sensitivity_values(TUKEY, base, -z)) == pytest.approx(sc, rel=1e-9)
 
     def test_talwar_peak_near_analytic_value(self):
-        from scmsim.attacks import AttackSpec, CraftingContext, craft_attack
+        from scmsim.attacks import AttackSpec, craft_attack
 
         base = symmetric_base(seed=9, half_size=40)
-        z_analytic = craft_attack(CraftingContext(base, 1), AttackSpec(TALWAR))[0]
+        z_analytic = craft_attack(base[:, None], AttackSpec(TALWAR), 1)[0]
         lo, hi = default_search_bounds(base)
         cell = (hi - lo) / (ORACLE_GRID_POINTS - 1)
         z_star, _ = max_sc_numeric(TALWAR, base, count=1)

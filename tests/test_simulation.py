@@ -39,6 +39,10 @@ class TestHuber:
 
     def test_linear_branch(self):
         assert huber_loss(3.0, 1.0) == pytest.approx(3.0 - 0.5)
+        # Finite far out: the quadratic branch is not squared there, so
+        # no overflow warning either.
+        assert huber_loss(1e200, 1.0) == 1e200 - 0.5
+        assert huber_loss(np.array([-1e200, 0.5]), 1.0).tolist() == [1e200 - 0.5, 0.125]
         assert huber_grad_factor(3.0, 1.0) == 1.0
         assert huber_grad_factor(-3.0, 1.0) == -1.0
 
@@ -116,6 +120,15 @@ class TestSampling:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="true_weights"):
                 LinearModelConfig(true_weights=np.array([1.0, bad]))
+        # Counts are whole numbers of at least 1, stored as int.
+        for bad in (2.5, True, "3", 0):
+            with pytest.raises(ValueError, match="samples_per_iteration"):
+                LinearModelConfig(true_weights=np.ones(2), samples_per_iteration=bad)
+            with pytest.raises(ValueError, match="iterations"):
+                LearningConfig(iterations=bad)
+        assert type(LearningConfig(iterations=3.0).iterations) is int
+        model = LinearModelConfig(true_weights=np.ones(2), samples_per_iteration=np.int64(2))
+        assert type(model.samples_per_iteration) is int
 
 
 class TestAdapt:
@@ -251,9 +264,9 @@ class TestRunExperiment:
     def test_one_craft_call_per_round(self, monkeypatch):
         calls = []
 
-        def counting_craft(ctx, spec):
-            calls.append((ctx.benign_values.shape, spec.label))
-            return craft_attack(ctx, spec)
+        def counting_craft(benign, spec, *args):
+            calls.append((benign.shape, spec.label))
+            return craft_attack(benign, spec, *args)
 
         monkeypatch.setattr(simulation, "craft_attack", counting_craft)
         topo, model = small_setup(num_malicious=2)
