@@ -19,7 +19,6 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
-    load_config,
     parse_config,
     write_manifest,
 )
@@ -163,10 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = load_config(args.config, master_seed=args.seed)
-    else:
-        cfg = parse_config("", master_seed=args.seed)
+    text = args.config.read_text() if args.config is not None else ""
+    cfg = parse_config(text, master_seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_directory=str(args.out))
     return cfg

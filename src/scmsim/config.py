@@ -332,10 +332,6 @@ def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path, master_seed: int | None = None) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), master_seed=master_seed)
-
-
 def resolved_text(cfg: ExperimentConfig) -> str:
     """Emit the fully materialized config; re-parsing reproduces ``cfg``."""
     out = io.StringIO()

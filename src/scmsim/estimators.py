@@ -29,9 +29,9 @@ TUKEY_C_95 = 4.685
 # FIXED_POINT_TOL scales, or after FIXED_POINT_MAX_ITER reweighted means.
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 100
-# Wide M-estimation calls run this many columns at a time: a 100-row
-# block's per-step temporaries stay in cache, and each block stops as soon
-# as its own slowest column settles.
+# M-estimation runs this many columns at a time: a 100-row block's
+# per-step temporaries stay in cache, and each block stops as soon as its
+# own slowest column settles.
 _BLOCK_COLUMNS = 512
 
 
@@ -113,6 +113,14 @@ def _check_count(value, name: str):
     return a.astype(int) if a.ndim else int(a)
 
 
+def _one_count(value, name: str) -> int:
+    # One whole number of at least 1: a list or an array raises ValueError
+    # naming ``name`` instead of reaching NumPy as a scalar index.
+    if np.ndim(value):
+        raise ValueError(f"{name} must be one whole number, got {value!r}")
+    return _check_count(value, name)
+
+
 @dataclass(frozen=True, eq=False)
 class Layout:
     """Which rows of a (rows, columns) matrix hold each column's values:
@@ -175,21 +183,17 @@ def tuned_aggregators() -> list[AggregatorSpec]:
     ]
 
 
-def _as_samples(values) -> np.ndarray:
-    a = np.asarray(values, dtype=float).ravel()
-    if a.size == 0:
-        raise ValueError("sample set is empty")
-    if not np.isfinite(a).all():
-        raise ValueError("sample set contains non-finite values")
-    return a
+def _as_column(values) -> tuple[np.ndarray, Layout]:
+    # A sample set of any shape as one (n, 1) column, checked as a matrix.
+    return _as_matrix(np.reshape(values, (-1, 1)), None)
 
 
-def _column_median(a: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+def _column_median(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Column medians of a (rows, columns) array, each of its counted rows.
 
-    Column j holds ``counts[j]`` finite values (every row without
-    ``counts``) and +inf padding in its other rows, and gets
-    ``np.median`` of its values alone, bit for bit.  The middle order
+    Column j holds ``counts[j]`` finite values and +inf padding in its
+    other rows, and gets ``np.median`` of its values alone, bit for bit
+    (a column of all its rows passes the row count).  The middle order
     statistics are read by rank from one ``np.sort(axis=0)``: sorting is
     exact and the padding sorts last, so it changes no rank below a
     column's count.  A count may exceed the stored rows, counting +inf
@@ -199,24 +203,20 @@ def _column_median(a: np.ndarray, counts: np.ndarray | None = None) -> np.ndarra
     """
     s = np.sort(a, axis=0)
     cols = np.arange(s.shape[1])
-    if counts is None:
-        counts = np.full(cols.size, s.shape[0])
     med = 0.0 + s[(counts - 1) // 2, cols]
     even = np.flatnonzero(counts % 2 == 0)
     med[even] = (med[even] + s[counts[even] // 2, even]) / 2
     return med
 
 
-def median_and_scale(
-    a: np.ndarray, counts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def median_and_scale(a: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column medians of a (samples, columns) array and the normalized MADs.
 
     The scale is the median absolute deviation about the median times
     1.4826: the defender's fixed M-estimation scale, and the one the
-    M-estimator attack reads.  ``counts`` reads padded columns, and +inf
-    rows past the stored ones, as ``_column_median`` does for both
-    statistics; the padding's deviations stay +inf.
+    M-estimator attack reads.  Column j counts ``counts[j]`` rows, padded
+    with +inf below them or past the stored ones, as ``_column_median``
+    reads them for both statistics; the padding's deviations stay +inf.
     """
     med = _column_median(a, counts)
     return med, MAD_NORMALIZATION * _column_median(np.abs(a - med), counts)
@@ -225,7 +225,8 @@ def median_and_scale(
 def mad(values) -> float:
     """Median absolute deviation from the median, times 1.4826 so that it
     is consistent for the standard deviation under Gaussian data."""
-    return float(median_and_scale(_as_samples(values)[:, None])[1][0])
+    a, layout = _as_column(values)
+    return float(median_and_scale(a, layout.counts)[1][0])
 
 
 def trim_count(n, alpha: float):
@@ -235,9 +236,7 @@ def trim_count(n, alpha: float):
     """
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"trim fraction must lie in [0, 0.5), got {alpha}")
-    if isinstance(n, np.ndarray):
-        return (alpha * n).astype(int)
-    return int(alpha * n)
+    return (alpha * np.asarray(n)).astype(int)
 
 
 def psi(kind: AggregatorKind, x, c: float):
@@ -303,13 +302,11 @@ def _m_estimate_columns(
     samples are all rejected, or that are still moving after
     ``FIXED_POINT_MAX_ITER`` steps, keep their last iterate and are flagged
     non-converged.  Rows past a column's count in ``layout`` are padding,
-    whatever they hold, and leave its bits unchanged.  A call
-    at least two blocks wide runs in slices of _BLOCK_COLUMNS columns; the
-    call's iteration count is the largest block's.
+    whatever they hold, and leave its bits unchanged.  Every call runs in
+    slices of _BLOCK_COLUMNS columns, one slice up to that width; the call's
+    iteration count is the largest slice's.
     """
     counts, valid = layout.counts, layout.valid
-    if a.shape[1] < 2 * _BLOCK_COLUMNS:
-        return _fixed_point(a, kind, c, counts, valid)
     blocks = (slice(lo, lo + _BLOCK_COLUMNS) for lo in range(0, a.shape[1], _BLOCK_COLUMNS))
     locs, flags, iters = zip(
         *(_fixed_point(a[:, b], kind, c, counts[b], valid if valid is None else valid[:, b])
@@ -402,8 +399,7 @@ def estimate(spec: AggregatorSpec, values) -> float:
     The one scalar entry point: the sample mean, median and trimmed mean are
     ``estimate`` with the matching ``AggregatorSpec``.
     """
-    a = _as_samples(values)
-    return float(aggregate_matrix(spec, a[:, None]).values[0])
+    return float(aggregate_matrix(spec, *_as_column(values)).values[0])
 
 
 # The efficiency check's confidence band comes from this many disjoint

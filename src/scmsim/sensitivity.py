@@ -20,8 +20,8 @@ import numpy as np
 
 from .estimators import (
     AggregatorSpec,
-    _as_samples,
-    _check_count,
+    _as_column,
+    _one_count,
     aggregate_matrix,
     estimate,
     median_and_scale,
@@ -37,16 +37,16 @@ _REFINE_POINTS = 101
 
 
 def _contaminated_columns(base: np.ndarray, outliers: np.ndarray, count: int) -> np.ndarray:
-    # One column per outlier value: the base set plus `count` copies of z.
-    cols = np.broadcast_to(base[:, None], (base.size, outliers.size))
+    # One column per outlier value: the (n, 1) base set plus `count` copies of z.
+    cols = np.broadcast_to(base, (base.size, outliers.size))
     copies = np.broadcast_to(outliers, (count, outliers.size))
     return np.concatenate([cols, copies], axis=0)
 
 
 def _clean_base(agg: AggregatorSpec, base, count: int) -> tuple[np.ndarray, int, float]:
-    # The validated base set and outlier count, and the uncontaminated estimate.
-    a = _as_samples(base)
-    count = _check_count(count, "outlier count")
+    # The checked (n, 1) base column, the outlier count, the clean estimate.
+    a, _ = _as_column(base)
+    count = _one_count(count, "outlier count")
     return a, count, estimate(agg, a)
 
 
@@ -96,7 +96,8 @@ def sc_sweep(
 
 def default_search_bounds(base) -> tuple[float, float]:
     """Search window covering the redescending maxima: median +/- 10*(mad+1)."""
-    center, scale = (float(v[0]) for v in median_and_scale(_as_samples(base)[:, None]))
+    a, layout = _as_column(base)
+    center, scale = (float(v[0]) for v in median_and_scale(a, layout.counts))
     halfwidth = 10.0 * (scale + 1.0)
     return center - halfwidth, center + halfwidth
 

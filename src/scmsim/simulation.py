@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackSpec, craft_attack
-from .estimators import AggregatorSpec, Layout, _check_count, _check_positive, aggregate_matrix
+from .estimators import AggregatorSpec, Layout, _check_positive, _one_count, aggregate_matrix
 from .topology import NetworkTopology
 
 # Traces are capped here; any weight beyond it marks the run as diverged.
@@ -52,7 +52,7 @@ class LinearModelConfig:
         if not np.isfinite(w).all():
             raise ValueError("true_weights must be finite")
         _check_positive("noise_var", self.noise_var)
-        size = _check_count(self.samples_per_iteration, "samples_per_iteration")
+        size = _one_count(self.samples_per_iteration, "samples_per_iteration")
         object.__setattr__(self, "true_weights", w)
         object.__setattr__(self, "samples_per_iteration", size)
 
@@ -69,7 +69,7 @@ class LearningConfig:
 
     def __post_init__(self) -> None:
         _check_positive("step_size", self.step_size)
-        object.__setattr__(self, "iterations", _check_count(self.iterations, "iterations"))
+        object.__setattr__(self, "iterations", _one_count(self.iterations, "iterations"))
         _check_positive("huber_delta", self.huber_delta)
 
 

@@ -427,6 +427,12 @@ class TestMainEntry:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        rc = main(["sc-sweep", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "absent.ini" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["sc-sweep", "efficiency-check"])
     def test_threads_only_on_simulate(self, tmp_path, command, capsys):
         with pytest.raises(SystemExit) as exc:

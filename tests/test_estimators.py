@@ -34,12 +34,21 @@ from scmsim.estimators import (
     _psi_weights,
     _row_sum,
 )
-from scmsim.sensitivity import sensitivity_values
+from scmsim.sensitivity import default_search_bounds, max_sc_numeric, sensitivity_values
 
 ALL_SPECS = tuned_aggregators()
 MEAN = AggregatorSpec.sample_mean()
 MEDIAN = AggregatorSpec.median()
 M_SPECS = [AggregatorSpec.talwar(), AggregatorSpec.tukey()]
+# Every entry that takes a 1-D sample set, as a call on that set alone.
+SAMPLE_SET_ENTRIES = [
+    functools.partial(estimate, MEAN),
+    functools.partial(estimate, MEDIAN),
+    mad,
+    default_search_bounds,
+    lambda values: sensitivity_values(MEDIAN, values, 1.0),
+    functools.partial(max_sc_numeric, MEDIAN),
+]
 
 
 def full_layout(a):
@@ -97,14 +106,16 @@ class TestScalarEstimators:
         assert estimate(MEAN, [5]) == 5
         assert estimate(MEAN, [0, 0, 0, 100]) == 25
 
+    # Each 1-D entry is pinned to the one matrix check by its message.
     def test_empty_set_rejected(self):
-        for spec in (MEAN, MEDIAN):
-            with pytest.raises(ValueError):
-                estimate(spec, [])
+        for entry in SAMPLE_SET_ENTRIES:
+            with pytest.raises(ValueError, match="empty"):
+                entry([])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            estimate(MEDIAN, [1.0, np.inf])
+        for entry in SAMPLE_SET_ENTRIES:
+            with pytest.raises(ValueError, match="non-finite"):
+                entry([1.0, np.inf])
 
     def test_median_examples(self):
         assert estimate(MEDIAN, [3, 1, 2]) == 2
@@ -465,7 +476,8 @@ class TestColumnMedian:
         rng = np.random.default_rng(100 * n + m)
         for a in draw_families(rng, n, m):
             for arr in (a, np.asfortranarray(a)):
-                assert _column_median(arr).tobytes() == np.median(arr, axis=0).tobytes()
+                got = _column_median(arr, np.full(m, n))
+                assert got.tobytes() == np.median(arr, axis=0).tobytes()
 
     @pytest.mark.parametrize("m", [1, 7, 40])
     def test_counted_column_equals_np_median_of_its_values(self, m):
@@ -481,7 +493,7 @@ class TestColumnMedian:
             med, scale = median_and_scale(padded, counts)
             for j, k in enumerate(counts):
                 values = a[:k, j : j + 1]
-                want_med, want_scale = median_and_scale(values)
+                want_med, want_scale = median_and_scale(values, counts[j : j + 1])
                 assert med[j].tobytes() == np.median(values).tobytes() == want_med[0].tobytes()
                 assert scale[j].tobytes() == want_scale[0].tobytes()
             assert _column_median(padded, counts).tobytes() == med.tobytes()
@@ -508,7 +520,7 @@ class TestColumnMedian:
 
     def test_signed_zero_middles_give_positive_zero(self):
         for a in ([-0.0], [-0.0, -0.0], [-1.0, -0.0, 2.0], [-0.0, -0.0, 0.0, 3.0]):
-            got = _column_median(np.array(a)[:, None])[0]
+            got = _column_median(np.array(a)[:, None], np.array([len(a)]))[0]
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 

@@ -67,7 +67,8 @@ class TestSensitivityCurve:
 
     def test_count_must_be_whole(self):
         base = [0.5, 1.0, 2.0, 4.0]
-        for bad in (1.5, True):
+        # A list or an array is not one count, even when it holds one.
+        for bad in (1.5, True, [2], np.array([2])):
             for call in (
                 lambda: sensitivity_values(TUKEY, base, 1.0, bad),
                 lambda: sc_sweep([TUKEY], base, [0.0, 1.0], bad),

@@ -120,8 +120,8 @@ class TestSampling:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="true_weights"):
                 LinearModelConfig(true_weights=np.array([1.0, bad]))
-        # Counts are whole numbers of at least 1, stored as int.
-        for bad in (2.5, True, "3", 0):
+        # Counts are one whole number of at least 1, stored as int.
+        for bad in (2.5, True, "3", 0, [3], np.array([2])):
             with pytest.raises(ValueError, match="samples_per_iteration"):
                 LinearModelConfig(true_weights=np.ones(2), samples_per_iteration=bad)
             with pytest.raises(ValueError, match="iterations"):
