@@ -2,9 +2,11 @@
 
 Every aggregation rule in this package is element-wise: an estimator of
 location is applied independently to each coordinate of the exchanged
-weight vectors.  The M-estimators (Talwar and biweight Tukey) are solved
-by a fixed-point iteration started from the median, with the scale held
-fixed at the normalized median absolute deviation of the input.
+weight vectors.  The M-estimators (Talwar and biweight Tukey) hold the
+scale fixed at the normalized median absolute deviation of the input and
+solve for the location by Newton's method on sum(psi), in units of that
+scale, started from the median; where Newton's step is not trusted, which
+only Tukey's redescending psi reaches, the step is the reweighted mean's.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ TRIM_ALPHA_95 = 0.0688
 TALWAR_C_95 = 2.7955
 TUKEY_C_95 = 4.685
 
-# The M-estimation fixed point stops once every column's step is within
-# FIXED_POINT_TOL scales, or after FIXED_POINT_MAX_ITER reweighted means.
+# The M-estimation iteration stops once every column's step is within
+# FIXED_POINT_TOL scales, or after FIXED_POINT_MAX_ITER steps.
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 100
 # M-estimation runs this many columns at a time: a 100-row block's
@@ -216,10 +218,14 @@ def median_and_scale(a: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     1.4826: the defender's fixed M-estimation scale, and the one the
     M-estimator attack reads.  Column j counts ``counts[j]`` rows, padded
     with +inf below them or past the stored ones, as ``_column_median``
-    reads them for both statistics; the padding's deviations stay +inf.
+    reads them for both statistics; the padding's deviations stay +inf, and
+    so does a deviation past the float range, which sorts last as it would
+    unrounded.
     """
     med = _column_median(a, counts)
-    return med, MAD_NORMALIZATION * _column_median(np.abs(a - med), counts)
+    with np.errstate(over="ignore"):
+        deviations = np.abs(a - med)
+    return med, MAD_NORMALIZATION * _column_median(deviations, counts)
 
 
 def mad(values) -> float:
@@ -258,16 +264,43 @@ def psi(kind: AggregatorKind, x, c: float):
     return float(out) if np.isscalar(x) else out
 
 
-def _psi_weights(kind: AggregatorKind, r: np.ndarray, c: float) -> np.ndarray:
-    # psi(r)/r with the limit value 1 at r = 0, for both families.  Tukey's
-    # fmax takes a NaN residual, like an infinite one, to weight 0.
+def _psi_weights(kind: AggregatorKind, r: np.ndarray, c: float, out=None) -> np.ndarray:
+    # psi(r)/r with the limit value 1 at r = 0, for both families, written
+    # to ``out`` when given.
+    out = np.empty_like(r) if out is None else out
     if kind is AggregatorKind.TALWAR:
-        return (np.abs(r) <= c).astype(float)
-    u = np.divide(r, c, out=np.empty_like(r))
-    np.square(u, out=u)
-    np.subtract(1.0, u, out=u)
-    np.fmax(u, 0.0, out=u)
-    return np.square(u, out=u)
+        return np.less_equal(np.abs(r, out=out), c, out=out)
+    return np.square(_tukey_taper(r, c, out), out=out)
+
+
+def _tukey_taper(r: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
+    # fmax(1 - (r/c)**2, 0), the square root of Tukey's weight, in ``out``.
+    # fmax takes a NaN residual, like an infinite one, to 0.
+    np.divide(r, c, out=out)
+    np.square(out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.fmax(out, 0.0, out=out)
+
+
+def _psi_sums(
+    kind: AggregatorKind, r: np.ndarray, c: float, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Column sums of psi(r), psi'(r) and the weights psi(r)/r, with r and the
+    # scratch array w overwritten.  r is clipped to [-c, c] once the weights
+    # are read from it: a rejected residual, an infinite one too, then gives
+    # psi = r*w = 0, never NaN.  Tukey's taper of the clipped r has the bits
+    # of its taper of r, without the overflow.  psi' is Talwar's 0/1 weight
+    # itself, and Tukey's s*(5s - 4) = 5w - 4s with s its taper.
+    if kind is AggregatorKind.TALWAR:
+        wsum = slope_sum = _row_sum(_psi_weights(kind, r, c, w))
+        np.clip(r, -c, c, out=r)
+    else:
+        np.clip(r, -c, c, out=r)
+        s_sum = _row_sum(_tukey_taper(r, c, w))
+        wsum = _row_sum(np.square(w, out=w))
+        slope_sum = 5.0 * wsum - 4.0 * s_sum
+    r *= w
+    return _row_sum(r), slope_sum, wsum
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -295,11 +328,18 @@ def _m_estimate_columns(
     """Column-wise M-estimation on a (samples, columns) matrix.
 
     Each column's location is the zero of sum(psi((y - mu)/sigma)), with the
-    scale sigma held at the column's normalized MAD.  The iteration is the
-    reweighted mean sum(w*y)/sum(w) with w = psi(r)/r, started from the
-    median.  Returns (locations, converged flags, iterations used).  Columns
-    with a zero scale estimate return the median directly.  Columns whose
-    samples are all rejected, or that are still moving after
+    scale sigma held at the column's normalized MAD.  The iteration runs on
+    the standardized samples u = (y - median)/sigma and moves the offset t
+    from 0, the median, by Newton's step sum(psi(u - t))/sum(psi'(u - t)).
+    Where that step is not shorter than c, or sum(psi') <= 0, it takes the
+    reweighted mean's step sum(psi)/sum(w) with w = psi(r)/r instead; only
+    Tukey reaches that fallback, and for Talwar, whose psi' is its 0/1
+    weight, both steps are one.  The location is median + sigma*t, and the
+    tolerance applies to the step in units of sigma.
+
+    Returns (locations, converged flags, iterations used).  Columns with a
+    zero scale estimate return the median directly.  Columns whose samples
+    are all rejected, or that are still moving after
     ``FIXED_POINT_MAX_ITER`` steps, keep their last iterate and are flagged
     non-converged.  Rows past a column's count in ``layout`` are padding,
     whatever they hold, and leave its bits unchanged.  Every call runs in
@@ -318,14 +358,17 @@ def _m_estimate_columns(
 def _fixed_point(
     a: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray, valid: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    # One block of _m_estimate_columns, with its slice of the layout.
-    # ``high`` pads with +inf, which sorts last and gets weight 0; ``low``
-    # pads with -0.0, which adds nothing to the numerator's sums.
-    high, low = _pad(a, valid, np.inf), _pad(a, valid, -0.0)
+    # One block of _m_estimate_columns, with its slice of the layout.  The
+    # block is standardized once, u = (y - med)/sigma, with its padding and
+    # any residual past the float range at +-inf, rejected at every offset t.
+    high = _pad(a, valid, np.inf)
     med, sigma = median_and_scale(high, counts)
-    loc = med.copy()
     degenerate = sigma == 0.0
-    safe_sigma = np.where(degenerate, 1.0, sigma)
+    with np.errstate(over="ignore"):
+        u = np.subtract(high, med)
+        u /= np.where(degenerate, 1.0, sigma)
+    r, w = np.empty_like(u), np.empty_like(u)
+    t = np.zeros(a.shape[1])
     done = degenerate.copy()
     all_rejected = np.zeros(a.shape[1], dtype=bool)
     iterations = 0
@@ -333,27 +376,24 @@ def _fixed_point(
         if done.all():
             iterations -= 1
             break
-        with np.errstate(over="ignore"):  # a residual past the float range: weight 0
-            r = np.subtract(high, loc)
-            r /= safe_sigma
-            w = _psi_weights(kind, r, c)
-        wsum = _row_sum(w)
+        psi_sum, slope_sum, wsum = _psi_sums(kind, np.subtract(u, t, out=r), c, w)
         dead = ~done & (wsum == 0.0)
         all_rejected |= dead
         done |= dead
         active = np.flatnonzero(~done)
         if active.size == 0:
             break
-        w *= low
-        new = _row_sum(w)[active] / wsum[active]
-        step = np.abs(new - loc[active])
-        loc[active] = new
-        done[active[step <= FIXED_POINT_TOL * sigma[active]]] = True
-    with np.errstate(over="ignore"):
-        r = (high - loc) / safe_sigma
-    residual = np.abs(_row_sum(psi(kind, r, c)))
+        # Newton's step on sum(psi) where it is shorter than c, the longest
+        # step the reweighted mean of the samples within c of t can take;
+        # elsewhere, and wherever sum(psi') <= 0, which only Tukey's
+        # redescending psi reaches, the reweighted mean's own step.
+        psi_a, slope = psi_sum[active], slope_sum[active]
+        step = psi_a / np.where(np.abs(psi_a) < c * slope, slope, wsum[active])
+        t[active] += step
+        done[active[np.abs(step) <= FIXED_POINT_TOL]] = True
+    residual = np.abs(_psi_sums(kind, np.subtract(u, t, out=r), c, w)[0])
     converged = degenerate | (~all_rejected & (residual <= counts * FIXED_POINT_TOL))
-    return loc, converged, iterations
+    return med + sigma * t, converged, iterations
 
 
 class AggregationResult(NamedTuple):

@@ -461,19 +461,19 @@ class TestMainEntry:
 # change to the sweep or efficiency numbers.
 PINNED_OFFLINE_DIGESTS = {
     "sweep-defaults": ("sc-sweep", "", {
-        "SC.csv": "718ce3d550fe7035de460c4786c058fa1653ae15ad2a24466e99624c5abdfd74",
-        "SC_max.csv": "8dd874df6ce2375f05a2812b59dc691be23d760a69bc6a7ebfe4e8ac391f628a",
+        "SC.csv": "d7c308b78d5fb12764225b4615a56b89ca8880c41bdf01d8991c647c2542efa7",
+        "SC_max.csv": "c9c1b014e0af37f748d3572fb2955dae405bea59051c3751301b628157c844f6",
     }),
     "sweep-symmetric-3": ("sc-sweep", "[sweep]\nsymmetric = true\noutlier_count = 3\n", {
-        "SC.csv": "45534b79f16135632d220fe52891698bd0b3fbd191248f435222b08129093e94",
-        "SC_max.csv": "53a9da56446b4ae405596c80eb0681318d955cca8e7acd95146b24311b97d9bd",
+        "SC.csv": "9bd91d94e4390c840260bdfeac763e4a1b48ec3a12407d625bec698563ed40ca",
+        "SC_max.csv": "caa5d6ead63fe3cff73bdfcdf346a4735e6daedfd1794c00f74f62c1608b4222",
     }),
     "efficiency-2000": ("efficiency-check", "[efficiency]\ntrials = 2000\nsample_size = 30\n", {
-        "efficiency.csv": "eb36c4f08409d734b7103a2dac0a57a5baef5be9449e75124f642ee59de5cf2c",
+        "efficiency.csv": "af9225bcb1cb16779c5a0301f340475462d10404ba408b852bf0b62e07afc694",
     }),
     # Eleven M-estimation blocks, the last one a single column.
     "efficiency-5121": ("efficiency-check", "[efficiency]\ntrials = 5121\nsample_size = 60\n", {
-        "efficiency.csv": "7a1924fa9dc057d09d558162db1e78447cddf0761c9006ec554996d8a8b2f062",
+        "efficiency.csv": "5c6536a3d5b7737b1f6173ad61f9a24b60be346766e6cab241eeb408dcb672ac",
     }),
 }
 

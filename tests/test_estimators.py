@@ -74,6 +74,25 @@ def rho_objective(values, spec, mu):
     return float(obj[0]) if np.isscalar(mu) else obj
 
 
+def irls_reference(values, spec):
+    """The reweighted mean t = sum(w*u)/sum(w), w = psi(u - t)/(u - t),
+    iterated from the median in units u of the MAD scale until it stops
+    moving.  Returns (location, scale)."""
+    values = np.asarray(values, dtype=float)
+    med = np.median(values)
+    sigma = MAD_NORMALIZATION * np.median(np.abs(values - med))
+    u, t, c = (values - med) / sigma, 0.0, spec.c
+    for _ in range(10_000):
+        r = u - t
+        w = np.where(np.abs(r) <= c, 1.0, 0.0)
+        if spec.kind is AggregatorKind.TUKEY:
+            w *= (1.0 - np.minimum((r / c) ** 2, 1.0)) ** 2
+        t, last = (w * u).sum() / w.sum(), t
+        if abs(t - last) <= 1e-13:
+            break
+    return med + sigma * t, sigma
+
+
 def brute_force_m_estimate(values, spec, points=20001):
     """Grid search over [min, max] plus golden-section refinement."""
     values = np.asarray(values, dtype=float)
@@ -231,9 +250,9 @@ class TestMEstimate:
         # are the ones computed with the warning ignored.
         want = {
             ("talwar", 1e-300): ("1.5e-300", "0.0"),
-            ("tukey", 1e-300): ("1.5000000000782563e-300", "3.9128110357109e-310"),
+            ("tukey", 1e-300): ("1.5e-300", "0.0"),
             ("talwar", 1e-310): ("1.49999999999997e-310", "0.0"),
-            ("tukey", 1e-310): ("1.50000000007823e-310", "3.9105e-320"),
+            ("tukey", 1e-310): ("1.5e-310", "2.5e-323"),
         }
         s = [0.0, tiny, 2 * tiny, 3 * tiny, 1.0]
         with warnings.catch_warnings():
@@ -290,6 +309,82 @@ class TestMEstimate:
                 sigma = mad(s)
                 resid = psi(spec.kind, (s - estimate(spec, s)) / sigma, spec.c).sum()
                 assert abs(resid) <= s.size * FIXED_POINT_TOL * (1 + 1e-12)
+
+    @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
+    def test_column_near_float_limit_has_finite_location(self, spec):
+        # The deviation and the standardized residual of -1.5e308 from the
+        # median 1.5e308 pass the float range: they are infinite and
+        # rejected, with no overflow warning, and the other two samples
+        # keep a finite location.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = aggregate_matrix(spec, [[-1.5e308], [1.5e308], [1.6e308]])
+        assert res.converged
+        assert 1.5e308 <= res.values[0] <= 1.6e308
+
+    @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
+    def test_padded_columns_keep_the_reweighted_mean_root(self, spec):
+        # 200 columns of 18-28 Gaussian samples and 0-6 copies at 2.1 scales
+        # above their median, in one padded call: Newton's steps must end
+        # on the root the reweighted mean reaches from the median.
+        rng = np.random.default_rng(19)
+        n = rng.integers(18, 29, 200)
+        p = rng.integers(0, 7, 200)
+        columns = []
+        for k in range(200):
+            benign = rng.standard_normal(n[k])
+            copy = np.median(benign) + 2.1 * mad(benign)
+            columns.append(np.concatenate([benign, np.full(p[k], copy)]))
+        counts = n + p
+        a = rng.uniform(-1e6, 1e6, (counts.max(), 200))  # padding below each count
+        for k, col in enumerate(columns):
+            a[: col.size, k] = col
+        got, conv, _ = _m_estimate_columns(a, spec.kind, spec.c, Layout.of(a.shape, counts, "counts"))
+        assert conv.all()
+        for k, col in enumerate(columns):
+            want, sigma = irls_reference(col, spec)
+            assert abs(got[k] - want) <= 1e-8 * sigma
+
+    def test_tukey_falls_back_on_a_bimodal_column(self):
+        # Two clusters with a lone sample between them and the median between
+        # that sample and the left cluster.  At c = 2, those seven samples
+        # keep psi' of only 0.35-0.66 each, while the right cluster sits near
+        # psi's lowest slope, -0.8: sum(psi') < 0 at the median, so the first
+        # step is the reweighted mean's.  (At c = 4.685, the half of the
+        # samples within 0.6745 scales of the median keep sum(psi') > 0.)
+        # The location is the root nearest the median, which here is also
+        # the objective's global minimum.
+        spec = AggregatorSpec.tukey(2.0)
+        s = np.concatenate([np.linspace(-3.3, -2.7, 6), [0.1], np.linspace(2.7, 3.3, 5)])
+        v = np.minimum(((s - np.median(s)) / mad(s) / spec.c) ** 2, 1.0)
+        assert ((1.0 - v) * (1.0 - 5.0 * v)).sum() <= 0.0
+        got = estimate(spec, s)
+        assert aggregate_matrix(spec, s[:, None]).converged
+        assert got == pytest.approx(brute_force_m_estimate(s, spec), abs=1e-6)
+        want, sigma = irls_reference(s, spec)
+        assert abs(got - want) <= 1e-8 * sigma
+
+    def test_tukey_takes_no_newton_step_longer_than_c(self):
+        # On its fourth step sum(psi') is positive but near 0, and Newton's
+        # step would be 12.6 scales long, past every sample.  Capped at c,
+        # the reweighted mean's reach, it gives way to that mean's step, and
+        # the iteration ends on the reweighted mean's root.
+        spec = AggregatorSpec.tukey(1.5)
+        s = np.array([2.4, -1.0, 1.4, -0.4])
+        res = aggregate_matrix(spec, s[:, None])
+        assert res.converged
+        want, sigma = irls_reference(s, spec)
+        assert abs(res.values[0] - want) <= 1e-8 * sigma
+
+    def test_efficiency_chunk_iterations(self):
+        # Newton's steps settle a 100 x 20,000 Gaussian chunk in at most 6
+        # steps per 512-column block for both rules; Tukey's reweighted
+        # means took 18.
+        a = np.random.default_rng(0).standard_normal((100, 20000))
+        for spec in M_SPECS:
+            _, conv, iters = _m_estimate_columns(a, spec.kind, spec.c, full_layout(a))
+            assert conv.all()
+            assert iters <= 6
 
 
 class TestBlocks:

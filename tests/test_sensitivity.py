@@ -187,14 +187,14 @@ class TestSweep:
 # repr of max_sc_numeric's (z*, SC*) for (rule, seed, n, count), with a
 # standard-normal base of size n drawn from default_rng(seed).
 PINNED_ORACLE = {
-    ("talwar", 1, 5, 1): "(1.792155415049996, 3.7143751759852295)",
-    ("tukey", 1, 5, 1): "(1.6548633609877494, 2.432154029386083)",
-    ("talwar", 2, 17, 3): "(3.116942406853622, 9.286401966356708)",
-    ("tukey", 2, 17, 3): "(2.522835982092835, 5.367318920374795)",
-    ("talwar", 0, 40, 2): "(2.368806463159957, 2.419716089992032)",
-    ("tukey", 0, 40, 2): "(1.831967774750585, 2.9482368040511364)",
-    ("talwar", 3, 50, 12): "(3.37520242741167, 47.73381616731372)",
-    ("tukey", 3, 50, 12): "(2.8326824405405633, 29.015836318050827)",
+    ("talwar", 1, 5, 1): "(1.792155415049996, 3.714375175985228)",
+    ("tukey", 1, 5, 1): "(1.6548633613425492, 2.4321540291495998)",
+    ("talwar", 2, 17, 3): "(3.116942406853622, 9.286401966356706)",
+    ("tukey", 2, 17, 3): "(2.5228359937708453, 5.3673189213201935)",
+    ("talwar", 0, 40, 2): "(2.368806463159957, 2.4197160899920265)",
+    ("tukey", 0, 40, 2): "(1.83196775728133, 2.9482368013889317)",
+    ("talwar", 3, 50, 12): "(3.37520242741167, 47.7338161673137)",
+    ("tukey", 3, 50, 12): "(2.8326824332789444, 29.015836328120997)",
 }
 
 # (rule, base, count) draws for the oracle's accuracy and call-shape tests:

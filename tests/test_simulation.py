@@ -413,15 +413,16 @@ def _case_digest(dim, batch, num_malicious):
 
 
 # Recorded with one padded aggregate_matrix call per round, every column
-# summed row by row, on x86-64 Linux, NumPy 2.4.  Any change to these
-# bytes is a change to the traces.
+# summed row by row and every M-estimate solved by Newton's step in units
+# of its scale, on x86-64 Linux, NumPy 2.4.  Any change to these bytes is
+# a change to the traces.
 PINNED_TRACE_DIGESTS = {
-    (1, 1, 0): "c5cc0df9a9df01299a5a93e74cc7019e9997c2a3e728faf18b42e463268f16b2",
-    (1, 1, 2): "035c9cd9a65c5841418de38ff9229512e296c47bd9e2b9cd44efad9e4a716f8c",
-    (3, 4, 0): "d063111b7ab84e8fc6a446ec161591495d57e11de09fad7be9fa909724896f94",
-    (3, 4, 2): "8c5a85a72a54949f59d782cb926b612e46e3a5e6af9a0726e16c7fa90579b013",
-    (10, 1, 0): "707f0be2147986aa21f49adc4d1db45913ad4021f59c3a9bc2a712b484c9000f",
-    (10, 1, 2): "9972e268c0fdba605ea621227490a6fdaef1f42670cb505a84a55402d2d6304a",
+    (1, 1, 0): "9fa88316b50471ea67554a56735a7e08fc6db7b4d661864e078fa2564b6b5145",
+    (1, 1, 2): "d1f69fc80d485e1a66ed06427f62fc2c5de731dcd56fe5b3810819c76ec9ede1",
+    (3, 4, 0): "1b3af1f9c56e699268b4536c35ff1437f5be503b46abcc98e10ce40272c19c60",
+    (3, 4, 2): "ef1712de887529436142bdb8ae9365273ba4718ea3980bad7bdaa857875527eb",
+    (10, 1, 0): "16270a018b439615f4c2a44bd2652843f021b4594392d42a6de43f28d3b9cbbd",
+    (10, 1, 2): "55ae2873ff403b7e018b94e91075b1cad3c294cef4f5546d0564b53f899930af",
 }
 
 
