@@ -201,13 +201,21 @@ def _column_median(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
     column's count.  A count may exceed the stored rows, counting +inf
     values past them, while its middle ranks fall on finite values.  The
     sum starts from 0.0 as ``np.median``'s mean does, so a -0.0 middle
-    value comes out as +0.0 whichever zero the sort put there.
+    value comes out as +0.0 whichever zero the sort put there.  Where the
+    two middle values' sum overflows, their midpoint is lo/2 + hi/2.
     """
     s = np.sort(a, axis=0)
     cols = np.arange(s.shape[1])
     med = 0.0 + s[(counts - 1) // 2, cols]
     even = np.flatnonzero(counts % 2 == 0)
-    med[even] = (med[even] + s[counts[even] // 2, even]) / 2
+    lo, hi = med[even], s[counts[even] // 2, even]
+    try:
+        with np.errstate(over="raise"):
+            med[even] = (lo + hi) / 2
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            total = lo + hi
+        med[even] = np.where(np.isfinite(total), total / 2, lo / 2 + hi / 2)
     return med
 
 
@@ -220,12 +228,15 @@ def median_and_scale(a: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     with +inf below them or past the stored ones, as ``_column_median``
     reads them for both statistics; the padding's deviations stay +inf, and
     so does a deviation past the float range, which sorts last as it would
-    unrounded.
+    unrounded.  A scale past the float range raises ValueError.
     """
     med = _column_median(a, counts)
     with np.errstate(over="ignore"):
         deviations = np.abs(a - med)
-    return med, MAD_NORMALIZATION * _column_median(deviations, counts)
+        scale = MAD_NORMALIZATION * _column_median(deviations, counts)
+    if not np.isfinite(scale).all():
+        raise ValueError("the MAD scale overflows the float range: the values spread too widely")
+    return med, scale
 
 
 def mad(values) -> float:

@@ -3,14 +3,14 @@
 Each benign agent repeatedly takes a Huber-loss stochastic gradient step on
 fresh local data (adapt) and then aggregates the intermediate weights of
 its neighborhood with a robust rule (combine).  Malicious agents skip
-adaptation entirely; each iteration they report per-receiver crafted
-vectors instead.  A round is one padded matrix with a column per receiver
-and coordinate, laid out once per run: one ``craft_attack`` call takes
-the attacked columns' benign rows with their ``Layout``, as
-``aggregate_matrix`` takes a matrix, and fills their copy rows; one
-``aggregate_matrix`` call combines the matrix, which gives each receiver
-the bits of calls on its rows alone.  All randomness derives
-from per-agent streams spawned from the experiment seed, so traces are
+adaptation and report per-receiver crafted vectors, so the learning state
+is one row of weights per benign agent.  A round is one padded matrix, a
+column per receiver and coordinate, laid out once per run from the
+receivers' closed neighborhoods in the adjacency: one gather fills its
+benign rows from the adapted weights, one ``craft_attack`` call fills its
+copy rows, and one ``aggregate_matrix`` call combines it, giving each
+receiver the bits of calls on its rows alone.  All randomness derives from
+per-agent streams spawned from the experiment seed, so traces are
 reproducible bit for bit.
 """
 
@@ -140,8 +140,11 @@ def adapt(
 class ExperimentTrace:
     """Per-iteration metrics of one (aggregator, attack) run.
 
-    ``final_weights`` holds the benign agents' weight vectors after the
-    last iteration, one row per benign agent in agent-id order.
+    Per round (``iteration`` from 1): ``training_loss``, ``msd`` and
+    ``m_converged``, the "every combine column converged" flag.  After the
+    round that sets ``diverged``, losses and MSDs read the sentinel.
+    ``initial_msd`` is the zero start's MSD, and ``final_weights`` holds
+    the benign agents' last weights, one row each in agent-id order.
     """
 
     iteration: np.ndarray
@@ -150,7 +153,7 @@ class ExperimentTrace:
     m_converged: np.ndarray
     diverged: bool
     initial_msd: float
-    final_weights: np.ndarray | None = None
+    final_weights: np.ndarray
 
     @property
     def final_msd(self) -> float:
@@ -178,28 +181,25 @@ def run_experiment(
     """
     if attack is None and topology.num_malicious > 0:
         raise ValueError("an attack scheme is required when malicious agents are present")
-    n_agents = topology.agent_count
     dim = model.dim
     benign = topology.benign_agents
-    agent_seeds = np.random.SeedSequence(seed).spawn(n_agents)
+    agent_seeds = np.random.SeedSequence(seed).spawn(topology.agent_count)
     streams = [np.random.default_rng(agent_seeds[k]) for k in benign]
-    # Each round is one (rows, receivers*dim) matrix, one column per benign
-    # receiver and coordinate: the receiver's visible benign agents'
-    # weights, ascending by id, then one copy row per malicious neighbor,
-    # then padding.  The index that gathers its benign rows, and the layouts
-    # of its craft_attack and aggregate_matrix calls, are built here, once.
-    visible, n_malicious = [], []
-    for k in benign:
-        nb = topology.neighborhood(int(k))
-        is_mal = topology.malicious[nb]
-        visible.append(nb[~is_mal])
-        n_malicious.append(int(is_mal.sum()))
-    benign_counts = np.repeat([v.size for v in visible], dim)
-    malicious_counts = np.repeat(n_malicious, dim)
+    # Row j of ``closed`` is benign receiver j's closed neighborhood.  Each
+    # round is one (rows, receivers*dim) matrix, one column per receiver and
+    # coordinate: its visible benign agents' weights, ascending by id, then
+    # one copy row per malicious neighbor, then padding.  ``index`` holds the
+    # benign positions of those weights, each at its rank among the
+    # receiver's senders; it and both calls' layouts are built here, once.
+    closed = topology.adjacency[benign]
+    closed[np.arange(benign.size), benign] = True
+    senders = closed[:, benign]
+    benign_counts = np.repeat(senders.sum(axis=1), dim)
+    malicious_counts = np.repeat(closed[:, topology.malicious].sum(axis=1), dim)
     counts = benign_counts + malicious_counts
+    receiver, sender = np.nonzero(senders)
     index = np.zeros((counts.max(), benign.size), dtype=int)
-    for j, v in enumerate(visible):
-        index[: v.size, j] = v
+    index[np.cumsum(senders, axis=1)[receiver, sender] - 1, receiver] = sender
     row = np.arange(len(index))[:, None]
     copy_rows = (row >= benign_counts) & (row < counts)
     attacked = np.flatnonzero(malicious_counts)
@@ -209,13 +209,12 @@ def run_experiment(
     layout = Layout.of((len(index), counts.size), counts, "counts")
     crafted = np.zeros(counts.size)
 
-    weights = np.zeros((n_agents, dim))
-    phis = np.zeros((n_agents, dim))
+    weights = np.zeros((benign.size, dim))
     iters = learning.iterations
     loss_trace = np.full(iters, DIVERGENCE_SENTINEL)
     msd_trace = np.full(iters, DIVERGENCE_SENTINEL)
     m_converged = np.ones(iters, dtype=bool)
-    initial_msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))
+    initial_msd = float(np.mean(np.sum((weights - model.true_weights) ** 2, axis=1)))
     diverged = False
 
     with np.errstate(over="ignore"):
@@ -226,23 +225,21 @@ def run_experiment(
                     streams, model, min(DATA_CHUNK_ROUNDS, iters - i)
                 )
             regressors, targets = chunk_u[j], chunk_d[j]
-            own = weights[benign]
-            residuals = _residuals(own, regressors, targets)
+            residuals = _residuals(weights, regressors, targets)
             losses = huber_loss(residuals, learning.huber_delta).mean(axis=-1)
-            phis[benign] = adapt(own, regressors, targets, learning)
-            matrix = phis[index].reshape(len(index), -1)
+            matrix = adapt(weights, regressors, targets, learning)[index].reshape(len(index), -1)
             if attacked.size:
                 # np.take gathers in C order, which the input check keeps uncopied.
                 benign_rows = np.take(matrix[:craft_rows], attacked, axis=1)
                 crafted[attacked] = craft_attack(benign_rows, attack, craft_malicious, craft_layout)
                 np.copyto(matrix, crafted, where=copy_rows)
             combined = aggregate_matrix(aggregator, matrix, layout)
-            weights[benign] = combined.values.reshape(-1, dim)
+            weights = combined.values.reshape(-1, dim)
             m_converged[i] = combined.converged
-            msd = float(np.mean(np.sum((weights[benign] - model.true_weights) ** 2, axis=1)))
+            msd = float(np.mean(np.sum((weights - model.true_weights) ** 2, axis=1)))
             loss_trace[i] = min(float(losses.mean()), DIVERGENCE_SENTINEL)
             msd_trace[i] = min(msd, DIVERGENCE_SENTINEL)
-            if np.abs(weights[benign]).max() > DIVERGENCE_SENTINEL:
+            if np.abs(weights).max() > DIVERGENCE_SENTINEL:
                 diverged = True
                 break
 
@@ -253,5 +250,5 @@ def run_experiment(
         m_converged=m_converged,
         diverged=diverged,
         initial_msd=initial_msd,
-        final_weights=weights[benign].copy(),
+        final_weights=weights,
     )

@@ -618,6 +618,20 @@ class TestColumnMedian:
             got = _column_median(np.array(a)[:, None], np.array([len(a)]))[0]
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
+    def test_middles_past_half_the_float_range(self):
+        # The two middle values' sum overflows, their midpoint does not: the
+        # median and the MAD stay finite, with no overflow warning.
+        assert aggregate_matrix(MEDIAN, [[1.7e308], [1.7e308]]).values[0] == 1.7e308
+        assert aggregate_matrix(MEDIAN, [[1.6e308], [1.7e308]]).values[0] == pytest.approx(1.65e308)
+        assert mad([-1e308, -1e308, 1e308, 1e308]) == MAD_NORMALIZATION * 1e308
+        # A MAD scale past the float range is refused, not read as inf.
+        wide = [[-1.7e308], [-1.7e308], [1.7e308], [1.7e308]]
+        for spec in M_SPECS:
+            with pytest.raises(ValueError, match="MAD scale"):
+                aggregate_matrix(spec, wide)
+        with pytest.raises(ValueError, match="MAD scale"):
+            mad(np.ravel(wide))
+
 
 class TestEstimatorProperties:
     def test_translation_equivariance(self):

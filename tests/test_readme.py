@@ -1,3 +1,4 @@
+import builtins
 import importlib
 import math
 import pkgutil
@@ -25,14 +26,37 @@ def test_library_example_runs():
     assert math.isfinite(namespace["trace"].final_msd)
 
 
+def _modules():
+    return [
+        importlib.import_module(f"scmsim.{info.name}")
+        for info in pkgutil.iter_modules(scmsim.__path__)
+    ]
+
+
 def test_readme_constants_exist():
     # A constant named in the README must still be defined in some module,
     # so deleting one makes its stale mention fail here.
     names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", README.read_text()))
     assert names, "README names no UPPER_CASE constant"
-    modules = [
-        importlib.import_module(f"scmsim.{info.name}")
-        for info in pkgutil.iter_modules(scmsim.__path__)
-    ]
+    modules = _modules()
     missing = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
     assert not missing, f"README names constants no scmsim module defines: {missing}"
+
+
+def _resolves(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_calls_exist():
+    # A call named in the README (`name(` or `Owner.attr(`) must resolve in
+    # some module, so deleting a function makes its stale mention fail here.
+    calls = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_.]*)\(", README.read_text()))
+    names = {n for n in calls if not n.startswith("np.") and not hasattr(builtins, n)}
+    assert names, "README names no call"
+    modules = _modules()
+    missing = sorted(n for n in names if not any(_resolves(m, n) for m in modules))
+    assert not missing, f"README names calls no scmsim module defines: {missing}"

@@ -235,6 +235,55 @@ class TestGroupedCombine:
         run_experiment(topo, model, LearningConfig(iterations=4), spec, attack, seed=0)
         assert len(rounds) == 4 and len(set(rounds[0].tolist())) > 1
 
+    @pytest.mark.parametrize("graph", ["sparse", "complete"])
+    def test_round_rows_follow_the_neighborhoods(self, graph, monkeypatch):
+        # Each receiver's rows of each round's combine input, read against
+        # ``topology.neighborhood``: its visible benign agents' adapted
+        # weights in id order, then one crafted copy per malicious neighbor.
+        # On the complete graph every receiver sees every agent, so a round
+        # has more rows than there are benign agents.
+        if graph == "sparse":
+            topo, model = small_setup(num_malicious=2)
+        else:
+            topo = generate_topology(8, 1.0, 2, seed=5)
+            model = LinearModelConfig(true_weights=draw_true_weights(3, seed=6))
+        dim, benign = model.dim, topo.benign_agents
+        adapted, crafted, combined = [], [], []
+
+        def recording_adapt(*args):
+            adapted.append(adapt(*args))
+            return adapted[-1]
+
+        def recording_craft(*args):
+            crafted.append(craft_attack(*args))
+            return crafted[-1]
+
+        def recording_aggregate(aggregator, matrix, layout):
+            combined.append((matrix.copy(), layout.counts))
+            return aggregate_matrix(aggregator, matrix, layout)
+
+        monkeypatch.setattr(simulation, "adapt", recording_adapt)
+        monkeypatch.setattr(simulation, "craft_attack", recording_craft)
+        monkeypatch.setattr(simulation, "aggregate_matrix", recording_aggregate)
+        run_experiment(topo, model, LearningConfig(iterations=3), AggregatorSpec.tukey(),
+                       AttackSpec.tukey_scm(4.685), seed=0)
+        assert len(adapted) == len(crafted) == len(combined) == 3
+        if graph == "complete":
+            assert len(combined[0][0]) == topo.agent_count > benign.size
+        neighborhoods = [topo.neighborhood(int(k)) for k in benign]
+        attacked = np.flatnonzero(np.repeat([topo.malicious[nb].any() for nb in neighborhoods], dim))
+        for phi, copies, (matrix, counts) in zip(adapted, crafted, combined):
+            by_column = np.zeros(matrix.shape[1])
+            by_column[attacked] = copies
+            for j, nb in enumerate(neighborhoods):
+                visible = nb[~topo.malicious[nb]]
+                n_mal = int(topo.malicious[nb].sum())
+                cols = slice(j * dim, (j + 1) * dim)
+                want = np.vstack([phi[np.searchsorted(benign, visible)],
+                                  np.tile(by_column[cols], (n_mal, 1))])
+                assert counts[cols].tolist() == [visible.size + n_mal] * dim
+                assert matrix[: len(want), cols].tobytes() == want.tobytes()
+
 
 class TestRunExperiment:
     def test_trace_shape_and_metadata(self):
