@@ -182,7 +182,8 @@ def craft_attack(
     ``layout.counts[j]`` rows, above padding that is ignored (every row
     counts when ``layout`` is None).  ``malicious_count`` is the number of
     malicious agents that report the crafted value, one count for every
-    column or one per column.  The crafters trust these checks.
+    column or one per column.  The crafters trust these checks; a crafted
+    value past the float range raises ValueError.
     """
     a, layout = _as_matrix(benign, layout)
     p = _check_count(malicious_count, "malicious_count")
@@ -192,6 +193,11 @@ def craft_attack(
     if target is None:
         return np.full(a.shape[1], spec.lv_magnitude)
     columns = _pad(a, layout.valid, np.inf)
-    if target.kind is AggregatorKind.TRIMMED_MEAN:
-        return _trimmed_values(columns, layout.counts, p, target)
-    return _mestimator_values(columns, layout.counts, p, target)
+    crafter = _trimmed_values if target.kind is AggregatorKind.TRIMMED_MEAN else _mestimator_values
+    with np.errstate(over="ignore"):
+        values = crafter(columns, layout.counts, p, target)
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "the crafted values overflow the float range: the benign values spread too widely"
+        )
+    return values

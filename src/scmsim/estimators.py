@@ -348,14 +348,15 @@ def _m_estimate_columns(
     weight, both steps are one.  The location is median + sigma*t, and the
     tolerance applies to the step in units of sigma.
 
-    Returns (locations, converged flags, iterations used).  Columns with a
-    zero scale estimate return the median directly.  Columns whose samples
-    are all rejected, or that are still moving after
-    ``FIXED_POINT_MAX_ITER`` steps, keep their last iterate and are flagged
-    non-converged.  Rows past a column's count in ``layout`` are padding,
-    whatever they hold, and leave its bits unchanged.  Every call runs in
-    slices of _BLOCK_COLUMNS columns, one slice up to that width; the call's
-    iteration count is the largest slice's.
+    Returns (locations, converged flags, steps taken).  A column stops where
+    its step is within the tolerance or all its samples are rejected, and
+    after ``FIXED_POINT_MAX_ITER`` steps at most.  Its flag is read from the
+    sums at its final iterate: converged where some sample is kept there and
+    |sum(psi)| <= count*FIXED_POINT_TOL, or where its scale is zero and it
+    returns the median.  Rows past a column's count in ``layout`` are
+    padding, whatever they hold, and leave its bits unchanged.  Every call
+    runs in slices of _BLOCK_COLUMNS columns, one slice up to that width;
+    the call's step count is the largest slice's.
     """
     counts, valid = layout.counts, layout.valid
     blocks = (slice(lo, lo + _BLOCK_COLUMNS) for lo in range(0, a.shape[1], _BLOCK_COLUMNS))
@@ -381,29 +382,21 @@ def _fixed_point(
     r, w = np.empty_like(u), np.empty_like(u)
     t = np.zeros(a.shape[1])
     done = degenerate.copy()
-    all_rejected = np.zeros(a.shape[1], dtype=bool)
-    iterations = 0
-    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
-        if done.all():
-            iterations -= 1
-            break
+    # A done column steps by 0, which leaves its t and its bits.
+    for iterations in range(FIXED_POINT_MAX_ITER + 1):
         psi_sum, slope_sum, wsum = _psi_sums(kind, np.subtract(u, t, out=r), c, w)
-        dead = ~done & (wsum == 0.0)
-        all_rejected |= dead
-        done |= dead
-        active = np.flatnonzero(~done)
-        if active.size == 0:
+        done |= wsum == 0.0
+        if done.all() or iterations == FIXED_POINT_MAX_ITER:
             break
         # Newton's step on sum(psi) where it is shorter than c, the longest
         # step the reweighted mean of the samples within c of t can take;
         # elsewhere, and wherever sum(psi') <= 0, which only Tukey's
         # redescending psi reaches, the reweighted mean's own step.
-        psi_a, slope = psi_sum[active], slope_sum[active]
-        step = psi_a / np.where(np.abs(psi_a) < c * slope, slope, wsum[active])
-        t[active] += step
-        done[active[np.abs(step) <= FIXED_POINT_TOL]] = True
-    residual = np.abs(_psi_sums(kind, np.subtract(u, t, out=r), c, w)[0])
-    converged = degenerate | (~all_rejected & (residual <= counts * FIXED_POINT_TOL))
+        slope = np.where(np.abs(psi_sum) < c * slope_sum, slope_sum, wsum)
+        step = np.divide(psi_sum, slope, out=np.zeros_like(t), where=~done)
+        t += step
+        done |= np.abs(step) <= FIXED_POINT_TOL
+    converged = degenerate | ((wsum > 0.0) & (np.abs(psi_sum) <= counts * FIXED_POINT_TOL))
     return med + sigma * t, converged, iterations
 
 

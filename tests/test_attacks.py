@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from scmsim import attacks, sensitivity
 from scmsim.attacks import (
     SCM_TARGET,
     AttackSpec,
@@ -298,6 +299,22 @@ class TestCraftAttack:
         ):
             assert np.isfinite(craft_attack(benign, spec, 4)).all()
 
+    def test_crafted_values_past_float_range_raise(self):
+        # The trimmed-mean copies' offset scales with the benign spread,
+        # which overflows here, and the M-estimator copies go c0 scales
+        # above a median already near the float limit: each raises a
+        # named ValueError, with no overflow warning, instead of +-inf.
+        wide = np.array([[1e308], [-1e308], [1.7e308]])
+        near_limit = np.array([[1.7e308], [1.6e308], [1.5e308], [1.55e308]])
+        for values, spec in (
+            (wide, AttackSpec.trimmed_scm(0.2)),
+            (np.vstack([wide, [[0.0]]]), AttackSpec.tukey_scm(TUKEY_C_95)),
+            (np.vstack([wide, [[0.0]]]), AttackSpec.talwar_scm(TALWAR_C_95)),
+            (near_limit, AttackSpec.talwar_scm(TALWAR_C_95)),
+        ):
+            with pytest.raises(ValueError, match="benign values spread"):
+                craft_attack(values, spec, 1)
+
     def test_input_validation(self):
         spec = AttackSpec.large_value()
         with pytest.raises(ValueError, match="empty"):
@@ -456,6 +473,25 @@ class TestRoundCraft:
         got = craft_attack(values, spec, np.repeat(p, dim), layout)
         digest = hashlib.sha256(got.tobytes()).hexdigest()
         assert digest == CRAFT_DIGESTS[seed, receivers, dim, spec.label]
+
+    def test_crafting_never_calls_the_oracle(self, monkeypatch):
+        # The numeric oracle is the attacks' independent check: crafting
+        # neither imports from it nor calls it.
+        def oracle(*args, **kwargs):
+            raise AssertionError("crafting called the sensitivity oracle")
+
+        monkeypatch.setattr(sensitivity, "max_sc_numeric", oracle)
+        monkeypatch.setattr(sensitivity, "_curve", oracle)
+        for key, digest in CRAFT_DIGESTS.items():
+            seed, receivers, dim, label = key
+            spec = next(s for s in ROUND_ATTACKS if s.label == label)
+            sets, p = majority_draw(seed, receivers, dim, spec)
+            values, layout = padded_round(sets)
+            got = craft_attack(values, spec, np.repeat(p, dim), layout)
+            assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+        for name, value in vars(attacks).items():
+            assert value is not sensitivity, name
+            assert getattr(value, "__module__", None) != sensitivity.__name__, name
 
     def test_one_count_for_every_receiver(self):
         rng = np.random.default_rng(7)

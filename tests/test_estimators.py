@@ -386,6 +386,33 @@ class TestMEstimate:
             assert conv.all()
             assert iters <= 6
 
+    @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
+    def test_iterations_count_steps_taken(self, spec, monkeypatch):
+        # Every pass evaluates the sums once and then steps or stops, so a
+        # call reports one step fewer than it makes evaluations: none for a
+        # column whose every sample is rejected at the median or whose
+        # scale is zero, and 2 (Talwar) or 3 (Tukey) for a Gaussian column.
+        evaluations = []
+        psi_sums = estimators._psi_sums
+
+        def counted(*args):
+            evaluations.append(1)
+            return psi_sums(*args)
+
+        monkeypatch.setattr(estimators, "_psi_sums", counted)
+        gauss = np.random.default_rng(0).standard_normal(24)
+        steps = {"talwar": 2, "tukey": 3}[spec.label]
+        for values, c, want, flag in (
+            (np.repeat([-50.0, 50.0], 12), 0.3, 0, False),
+            (np.full(24, 1.5), spec.c, 0, True),
+            (gauss, spec.c, steps, True),
+        ):
+            evaluations.clear()
+            a = values[:, None]
+            _, conv, iters = _m_estimate_columns(a, spec.kind, c, full_layout(a))
+            assert (iters, len(evaluations)) == (want, want + 1)
+            assert conv.tolist() == [flag]
+
 
 class TestBlocks:
     @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
