@@ -31,9 +31,9 @@ TUKEY_C_95 = 4.685
 # FIXED_POINT_TOL scales, or after FIXED_POINT_MAX_ITER steps.
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 100
-# M-estimation runs this many columns at a time: a 100-row block's
-# per-step temporaries stay in cache, and each block stops as soon as its
-# own slowest column settles.
+# M-estimation steps a call in slices of at most this many columns: it
+# bounds a slice's per-step temporaries (u, r and w, rows x columns each),
+# which stay in cache for 100 rows.
 _BLOCK_COLUMNS = 512
 
 
@@ -354,50 +354,45 @@ def _m_estimate_columns(
     sums at its final iterate: converged where some sample is kept there and
     |sum(psi)| <= count*FIXED_POINT_TOL, or where its scale is zero and it
     returns the median.  Rows past a column's count in ``layout`` are
-    padding, whatever they hold, and leave its bits unchanged.  Every call
-    runs in slices of _BLOCK_COLUMNS columns, one slice up to that width;
-    the call's step count is the largest slice's.
+    padding, whatever they hold, and leave its bits unchanged.  A call of m
+    columns runs as ceil(m/_BLOCK_COLUMNS) slices, widths within one column
+    of each other; its step count is the largest slice's, and a zero-column
+    call returns empty arrays and 0 steps.
     """
-    counts, valid = layout.counts, layout.valid
-    blocks = (slice(lo, lo + _BLOCK_COLUMNS) for lo in range(0, a.shape[1], _BLOCK_COLUMNS))
-    locs, flags, iters = zip(
-        *(_fixed_point(a[:, b], kind, c, counts[b], valid if valid is None else valid[:, b])
-          for b in blocks)
-    )
-    return np.concatenate(locs), np.concatenate(flags), max(iters)
-
-
-def _fixed_point(
-    a: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray, valid: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    # One block of _m_estimate_columns, with its slice of the layout.  The
-    # block is standardized once, u = (y - med)/sigma, with its padding and
-    # any residual past the float range at +-inf, rejected at every offset t.
-    high = _pad(a, valid, np.inf)
-    med, sigma = median_and_scale(high, counts)
-    degenerate = sigma == 0.0
-    with np.errstate(over="ignore"):
-        u = np.subtract(high, med)
-        u /= np.where(degenerate, 1.0, sigma)
-    r, w = np.empty_like(u), np.empty_like(u)
-    t = np.zeros(a.shape[1])
-    done = degenerate.copy()
-    # A done column steps by 0, which leaves its t and its bits.
-    for iterations in range(FIXED_POINT_MAX_ITER + 1):
-        psi_sum, slope_sum, wsum = _psi_sums(kind, np.subtract(u, t, out=r), c, w)
-        done |= wsum == 0.0
-        if done.all() or iterations == FIXED_POINT_MAX_ITER:
-            break
-        # Newton's step on sum(psi) where it is shorter than c, the longest
-        # step the reweighted mean of the samples within c of t can take;
-        # elsewhere, and wherever sum(psi') <= 0, which only Tukey's
-        # redescending psi reaches, the reweighted mean's own step.
-        slope = np.where(np.abs(psi_sum) < c * slope_sum, slope_sum, wsum)
-        step = np.divide(psi_sum, slope, out=np.zeros_like(t), where=~done)
-        t += step
-        done |= np.abs(step) <= FIXED_POINT_TOL
-    converged = degenerate | ((wsum > 0.0) & (np.abs(psi_sum) <= counts * FIXED_POINT_TOL))
-    return med + sigma * t, converged, iterations
+    # u = (y - med)/sigma is +-inf, rejected at every t, in padding and past the float range.
+    high = _pad(a, layout.valid, np.inf)
+    m = a.shape[1]
+    k = max(1, -(-m // _BLOCK_COLUMNS))
+    locations, converged = np.empty(m), np.empty(m, dtype=bool)
+    steps = 0
+    for b in (slice(j * m // k, (j + 1) * m // k) for j in range(k)):
+        counts = layout.counts[b]
+        med, sigma = median_and_scale(high[:, b], counts)
+        degenerate = sigma == 0.0
+        with np.errstate(over="ignore"):
+            u = np.subtract(high[:, b], med)
+            u /= np.where(degenerate, 1.0, sigma)
+        r, w = np.empty_like(u), np.empty_like(u)
+        t = np.zeros_like(med)
+        done = degenerate.copy()
+        # A done column steps by 0, which leaves its t and its bits.
+        for iterations in range(FIXED_POINT_MAX_ITER + 1):
+            psi_sum, slope_sum, wsum = _psi_sums(kind, np.subtract(u, t, out=r), c, w)
+            done |= wsum == 0.0
+            if done.all() or iterations == FIXED_POINT_MAX_ITER:
+                break
+            # Newton's step on sum(psi) where it is shorter than c, the
+            # longest step the reweighted mean of the samples within c of t
+            # can take; elsewhere, and wherever sum(psi') <= 0, which only
+            # Tukey's redescending psi reaches, the reweighted mean's own step.
+            slope = np.where(np.abs(psi_sum) < c * slope_sum, slope_sum, wsum)
+            step = np.divide(psi_sum, slope, out=np.zeros_like(t), where=~done)
+            t += step
+            done |= np.abs(step) <= FIXED_POINT_TOL
+        locations[b] = med + sigma * t
+        converged[b] = degenerate | ((wsum > 0.0) & (np.abs(psi_sum) <= counts * FIXED_POINT_TOL))
+        steps = max(steps, iterations)
+    return locations, converged, steps
 
 
 class AggregationResult(NamedTuple):

@@ -64,6 +64,10 @@ class TestLargeValue:
     def test_zero_magnitude_is_null_attack(self):
         np.testing.assert_allclose(craft(np.ones((4, 2)), 1, AttackSpec.large_value(0.0)), 0.0)
 
+    def test_non_finite_magnitude_rejected(self):
+        with pytest.raises(ValueError, match="lv_magnitude must be finite"):
+            AttackSpec(lv_magnitude=float("inf"))
+
 
 class TestTrimmedScm:
     def test_worked_example(self):

@@ -177,6 +177,23 @@ class TestParseConfig:
         cfg = parse_config("[topology]\nseed = 99\n")
         assert cfg.topology_seed == 99
 
+    def test_explicit_auto_seed_equals_omitted_seed(self):
+        assert parse_config("[topology]\nseed = auto\n") == parse_config("")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sweep]\nsymmetric = maybe\n", "expected a boolean"),
+            ("[topology]\nmalicious_counts = ,\n", "expected at least one integer"),
+            ("[aggregators]\nschemes = ,\n", "expected at least one name"),
+            ("[aggregators]\nschemes = median median\n", "aggregators.schemes: duplicate scheme"),
+        ],
+        ids=["boolean", "empty-int-list", "empty-name-list", "duplicate-scheme"],
+    )
+    def test_malformed_value_names_the_fault(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_parser_fuzzing_raises_only_config_errors(self):
         rng = np.random.default_rng(0)
         base = resolved_text(ExperimentConfig())

@@ -377,9 +377,9 @@ class TestMEstimate:
         assert abs(res.values[0] - want) <= 1e-8 * sigma
 
     def test_efficiency_chunk_iterations(self):
-        # Newton's steps settle a 100 x 20,000 Gaussian chunk in at most 6
-        # steps per 512-column block for both rules; Tukey's reweighted
-        # means took 18.
+        # Newton's steps settle a 100 x 20,000 Gaussian chunk, run as 40
+        # slices of 500 columns, in at most 6 steps per slice for both rules;
+        # Tukey's reweighted means took 18.
         a = np.random.default_rng(0).standard_normal((100, 20000))
         for spec in M_SPECS:
             _, conv, iters = _m_estimate_columns(a, spec.kind, spec.c, full_layout(a))
@@ -423,8 +423,8 @@ class TestBlocks:
     def test_column_bits_do_not_depend_on_call_width(self, spec, width):
         # A wide call is tiled from 40 source columns.  In either layout,
         # each column must equal its source in a 2-column and in a 1-column
-        # call.  The slowest source sits only in the last column, which a
-        # 3B+1 or 2B+1 call runs as a one-column last block.
+        # call.  The slowest source sits only in the last column, so only
+        # the call's last slice takes that column's steps.
         rng = np.random.default_rng(width)
         cols = rng.standard_normal((24, 40))
         cols[:, 0] = 1.5  # zero scale: the median is returned directly
@@ -545,7 +545,8 @@ class TestRowOrder:
         # 40 source columns of 1 to 28 values, each estimated alone as an
         # (n, 1) call, are tiled into calls of several widths, C- and
         # F-ordered, with padding of one value below each column's count
-        # and three rows below every count.
+        # and three rows below every count.  Width 0 comes last so that it
+        # leaves the other widths' draws unchanged.
         rng = np.random.default_rng(51)
         rows = 28
         cols = rng.standard_normal((rows, 40)) * rng.uniform(1e-3, 50.0, 40)
@@ -565,7 +566,7 @@ class TestRowOrder:
                 for j, k in enumerate(counts)
             ]
             assert not flags[1] if spec.c == 0.3 else flags[1]
-        for width in (1, 2, 7, 40, 2 * _BLOCK_COLUMNS + 1):
+        for width in (1, 2, 7, 40, 2 * _BLOCK_COLUMNS + 1, 0):
             source = rng.permutation(np.resize(np.arange(40), width))
             pad = np.arange(rows + 3)[:, None] >= counts[source]
             tiled = np.vstack([cols[:, source], np.zeros((3, width))])

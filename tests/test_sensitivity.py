@@ -65,6 +65,10 @@ class TestSensitivityCurve:
         with pytest.raises(ValueError):
             sensitivity_values(MEAN, [1, 2], 1.0, 0)
 
+    def test_non_finite_outlier_rejected(self):
+        with pytest.raises(ValueError, match="outlier values must be finite"):
+            sensitivity_values(MEDIAN, [1, 2, 3], [np.nan])
+
     def test_count_must_be_whole(self):
         base = [0.5, 1.0, 2.0, 4.0]
         # A list or an array is not one count, even when it holds one.
@@ -156,6 +160,10 @@ class TestSweep:
     def test_non_increasing_grid_rejected(self):
         with pytest.raises(ValueError):
             sc_sweep([MEAN], [1.0, 2.0], [0.0, 0.0, 1.0])
+
+    def test_no_aggregators_rejected(self):
+        with pytest.raises(ValueError, match="no aggregators given"):
+            sc_sweep([], [1.0, 2.0], [0.0, 1.0])
 
     def test_shapes_median_flat_tukey_redescending(self):
         base = np.random.default_rng(6).standard_normal(100)

@@ -78,6 +78,9 @@ class TestAssignRoles:
         with pytest.raises(TopologyError, match="connectivity"):
             assign_roles(adj, 1, seed=0)
 
+    def test_no_benign_agent_is_not_connected(self):
+        assert not benign_subgraph_connected(complete_graph(3), np.ones(3, dtype=bool))
+
     def test_paper_scale_assignment_found(self):
         topo = generate_topology(32, 0.7, 12, seed=0)
         assert topo.num_malicious == 12
@@ -121,4 +124,8 @@ class TestNeighborhood:
         with_loop = np.eye(3, dtype=bool)
         with pytest.raises(TopologyError):
             NetworkTopology(with_loop, np.zeros(3, dtype=bool))
+        with pytest.raises(TopologyError, match="must be square"):
+            NetworkTopology(np.zeros((2, 3), dtype=bool), np.zeros(2, dtype=bool))
+        with pytest.raises(TopologyError, match="role vector length"):
+            NetworkTopology(complete_graph(3), np.zeros(4, dtype=bool))
 
