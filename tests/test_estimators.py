@@ -29,9 +29,9 @@ from scmsim.estimators import (
     trim_count,
     tuned_aggregators,
     _BLOCK_COLUMNS,
-    _column_median,
-    _m_estimate_columns,
+    _aggregate_columns,
     _psi_weights,
+    _ranked_median,
     _row_sum,
 )
 from scmsim.sensitivity import default_search_bounds, max_sc_numeric, sensitivity_values
@@ -54,6 +54,12 @@ SAMPLE_SET_ENTRIES = [
 def full_layout(a):
     """The layout of ``a`` that counts every row."""
     return Layout.of(a.shape, np.full(a.shape[1], a.shape[0]), "counts")
+
+
+def m_estimate(a, kind, c, layout):
+    """(locations, converged flags, steps taken) of one M-estimator on ``a``."""
+    values, flags, steps = _aggregate_columns([AggregatorSpec(kind, c=c)], a, layout)
+    return values[0], flags[0], steps[0]
 
 
 def rho_objective(values, spec, mu):
@@ -322,6 +328,23 @@ class TestMEstimate:
         assert res.converged
         assert 1.5e308 <= res.values[0] <= 1.6e308
 
+    @pytest.mark.parametrize(
+        "kind, want", [(AggregatorKind.TALWAR, 3e306), (AggregatorKind.TUKEY, 1.7301834122069118e306)]
+    )
+    def test_rejection_holds_at_the_largest_constants(self, kind, want):
+        # At c = the largest float, the +inf padding is still rejected: the
+        # location is the mean of the two counted rows.  At c = 1e308, the
+        # residual of -1e308 passes the float range once t leaves the median,
+        # and is still rejected with psi 0, never NaN.  c * sum(psi')
+        # overflows at these c.
+        padded = Layout.of((3, 1), [2], "counts")
+        col = np.append(np.linspace(-0.5, 0.5, 9), [-1e308, 3e307])[:, None]
+        with np.errstate(over="ignore"):
+            top = aggregate_matrix(AggregatorSpec(kind, c=np.finfo(float).max), [[0.0], [1.0], [5.0]], padded)
+            wide = aggregate_matrix(AggregatorSpec(kind, c=1e308), col)
+        assert (top.values[0], top.converged) == (0.5, True)
+        assert (wide.values[0], wide.converged) == (want, True)
+
     @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
     def test_padded_columns_keep_the_reweighted_mean_root(self, spec):
         # 200 columns of 18-28 Gaussian samples and 0-6 copies at 2.1 scales
@@ -339,7 +362,7 @@ class TestMEstimate:
         a = rng.uniform(-1e6, 1e6, (counts.max(), 200))  # padding below each count
         for k, col in enumerate(columns):
             a[: col.size, k] = col
-        got, conv, _ = _m_estimate_columns(a, spec.kind, spec.c, Layout.of(a.shape, counts, "counts"))
+        got, conv, _ = m_estimate(a, spec.kind, spec.c, Layout.of(a.shape, counts, "counts"))
         assert conv.all()
         for k, col in enumerate(columns):
             want, sigma = irls_reference(col, spec)
@@ -382,7 +405,7 @@ class TestMEstimate:
         # Tukey's reweighted means took 18.
         a = np.random.default_rng(0).standard_normal((100, 20000))
         for spec in M_SPECS:
-            _, conv, iters = _m_estimate_columns(a, spec.kind, spec.c, full_layout(a))
+            _, conv, iters = m_estimate(a, spec.kind, spec.c, full_layout(a))
             assert conv.all()
             assert iters <= 6
 
@@ -409,22 +432,21 @@ class TestMEstimate:
         ):
             evaluations.clear()
             a = values[:, None]
-            _, conv, iters = _m_estimate_columns(a, spec.kind, c, full_layout(a))
+            _, conv, iters = m_estimate(a, spec.kind, c, full_layout(a))
             assert (iters, len(evaluations)) == (want, want + 1)
             assert conv.tolist() == [flag]
 
 
 class TestBlocks:
     @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
-    @pytest.mark.parametrize(
-        "width",
-        [2 * _BLOCK_COLUMNS - 1, 2 * _BLOCK_COLUMNS, 2 * _BLOCK_COLUMNS + 1, 3 * _BLOCK_COLUMNS + 1],
-    )
+    @pytest.mark.parametrize("width", [1023, 1024, 1025, 1537])
     def test_column_bits_do_not_depend_on_call_width(self, spec, width):
-        # A wide call is tiled from 40 source columns.  In either layout,
-        # each column must equal its source in a 2-column and in a 1-column
-        # call.  The slowest source sits only in the last column, so only
-        # the call's last slice takes that column's steps.
+        # A wide call of three or four slices of unequal widths is tiled
+        # from 40 source columns.  In either layout, each column must equal
+        # its source in a 2-column and in a 1-column call.  The slowest
+        # source sits only in the last column, so only the call's last
+        # slice takes that column's steps.
+        assert -(-width // _BLOCK_COLUMNS) in (3, 4)
         rng = np.random.default_rng(width)
         cols = rng.standard_normal((24, 40))
         cols[:, 0] = 1.5  # zero scale: the median is returned directly
@@ -434,14 +456,14 @@ class TestBlocks:
                 (np.ascontiguousarray, lambda k: np.ascontiguousarray(cols[:, [k, k]])),
                 (np.asfortranarray, lambda k: np.asfortranarray(cols[:, k : k + 1])),
             ):
-                refs = [_m_estimate_columns(narrow(k), spec.kind, c, full_layout(narrow(k)))
+                refs = [m_estimate(narrow(k), spec.kind, c, full_layout(narrow(k)))
                         for k in range(40)]
                 ref_iters = [it for _, _, it in refs]
                 slow = int(np.argmax(ref_iters))
                 source = rng.choice(np.delete(np.arange(40), slow), width)
                 source[-1] = slow
                 a = layout(cols[:, source])
-                loc, conv, iters = _m_estimate_columns(a, spec.kind, c, full_layout(a))
+                loc, conv, iters = m_estimate(a, spec.kind, c, full_layout(a))
                 assert loc.tobytes() == np.array([refs[k][0][0] for k in source]).tobytes()
                 assert conv.tolist() == [bool(refs[k][1][0]) for k in source]
                 assert iters == ref_iters[slow]
@@ -462,6 +484,18 @@ class TestEfficiency:
         for sample_size in (0, 1):
             with pytest.raises(ValueError, match="sample_size"):
                 monte_carlo_efficiency([MEDIAN], 100, sample_size, seed=0)
+
+    def test_counts_read_as_whole_numbers(self):
+        # A whole float counts as its integer; a fraction, a list or a bool
+        # raises a named ValueError, not NumPy's TypeError.
+        want = monte_carlo_efficiency([MEDIAN], 1000, 10, seed=0)
+        assert monte_carlo_efficiency([MEDIAN], 1e3, 10.0, seed=0) == want
+        for trials, sample_size, name in (
+            (1000.5, 10, "trials"), ([1000], 10, "trials"), (True, 10, "trials"),
+            (1000, 10.5, "sample_size"), (1000, [10], "sample_size"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                monte_carlo_efficiency([MEDIAN], trials, sample_size, seed=0)
 
 
 class TestAggregate:
@@ -561,8 +595,8 @@ class TestRowOrder:
         alone = [aggregate_matrix(spec, cols[:k, j : j + 1]) for j, k in enumerate(counts)]
         if spec.kind in M_ESTIMATOR_KINDS:
             flags = [
-                _m_estimate_columns(cols[:k, j : j + 1], spec.kind, spec.c,
-                                    full_layout(cols[:k, j : j + 1]))[1][0]
+                m_estimate(cols[:k, j : j + 1], spec.kind, spec.c,
+                           full_layout(cols[:k, j : j + 1]))[1][0]
                 for j, k in enumerate(counts)
             ]
             assert not flags[1] if spec.c == 0.3 else flags[1]
@@ -579,8 +613,44 @@ class TestRowOrder:
                     assert res.values.tobytes() == want.tobytes()
                     assert res.converged == all(alone[k].converged for k in source)
                     if spec.kind in M_ESTIMATOR_KINDS:
-                        got = _m_estimate_columns(a, spec.kind, spec.c, laid_out)[1]
+                        got = m_estimate(a, spec.kind, spec.c, laid_out)[1]
                         assert got.tolist() == [flags[k] for k in source]
+
+    def test_rules_of_one_call_match_their_one_rule_calls(self):
+        # Each rule of an eight-rule call gives every column the bits, flags
+        # and steps of its one-rule call, padded or not, at widths on both
+        # sides of a slice boundary.  A wider trimmed mean comes before the
+        # tuned one.  The source columns hold a zero scale, one rejected
+        # whole at c = 0.3, and two near the float limit: one whose sums
+        # overflow, and one whose residuals pass the float range.
+        specs = [AggregatorSpec.trimmed_mean(0.2), *ALL_SPECS,
+                 AggregatorSpec.talwar(0.3), AggregatorSpec.tukey(0.3)]
+        rng = np.random.default_rng(61)
+        rows = 28
+        cols = rng.standard_normal((rows, 40)) * rng.uniform(1e-3, 50.0, 40)
+        cols[:, 0] = 1.5
+        cols[:, 1] = np.repeat([-50.0, 50.0], rows // 2)
+        cols[:, 2:4] = 1.5e308 + 1e306 * rng.standard_normal((rows, 2))
+        cols[::4, 3] = -1.5e308
+        counts = rng.integers(1, rows + 1, 40)
+        counts[:4] = rows
+        for width in (1, 2, 499, 500, 501, 1024):
+            source = rng.permutation(np.resize(np.arange(40), width))
+            padded = np.where(np.arange(rows)[:, None] < counts[source], cols[:, source], np.nan)
+            for a, layout in (
+                (cols[:, source], None),
+                (padded, Layout.of(padded.shape, counts[source], "counts")),
+            ):
+                with np.errstate(over="ignore"):  # the float-limit sums
+                    values, flags, steps = _aggregate_columns(specs, a, layout)
+                    for i, spec in enumerate(specs):
+                        (one,), (one_flags,), (one_steps,) = _aggregate_columns([spec], a, layout)
+                        assert values[i].tobytes() == one.tobytes()
+                        if spec.kind in M_ESTIMATOR_KINDS:
+                            assert flags[i].tolist() == one_flags.tolist()
+                            assert steps[i] == one_steps
+                        else:
+                            assert flags[i] is one_flags is None
 
 
 def draw_families(rng, n, m):
@@ -599,7 +669,7 @@ class TestColumnMedian:
         rng = np.random.default_rng(100 * n + m)
         for a in draw_families(rng, n, m):
             for arr in (a, np.asfortranarray(a)):
-                got = _column_median(arr, np.full(m, n))
+                got = _ranked_median(np.sort(arr, axis=0), np.full(m, n))
                 assert got.tobytes() == np.median(arr, axis=0).tobytes()
 
     @pytest.mark.parametrize("m", [1, 7, 40])
@@ -619,7 +689,7 @@ class TestColumnMedian:
                 want_med, want_scale = median_and_scale(values, counts[j : j + 1])
                 assert med[j].tobytes() == np.median(values).tobytes() == want_med[0].tobytes()
                 assert scale[j].tobytes() == want_scale[0].tobytes()
-            assert _column_median(padded, counts).tobytes() == med.tobytes()
+            assert _ranked_median(np.sort(padded, axis=0), counts).tobytes() == med.tobytes()
 
     def test_trimmed_boundary_read_by_count(self):
         # The trimmed crafter reads rank n - t (n - 1 when t = 0) of each
@@ -643,7 +713,7 @@ class TestColumnMedian:
 
     def test_signed_zero_middles_give_positive_zero(self):
         for a in ([-0.0], [-0.0, -0.0], [-1.0, -0.0, 2.0], [-0.0, -0.0, 0.0, 3.0]):
-            got = _column_median(np.array(a)[:, None], np.array([len(a)]))[0]
+            got = _ranked_median(np.sort(a)[:, None], np.array([len(a)]))[0]
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_middles_past_half_the_float_range(self):
