@@ -98,8 +98,8 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _check_count(value, name: str):
-    """``value`` as a whole number of at least 1, or an int array of them.
+def _check_count(value, name: str, minimum: int = 1):
+    """``value`` as a whole number of at least ``minimum``, or an int array of them.
 
     A bool, a fraction or a non-number raises ``ValueError`` naming ``name``
     instead of reaching NumPy as a shape or a silently truncated index.
@@ -110,17 +110,17 @@ def _check_count(value, name: str):
     )
     if not whole:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if (a < 1).any():
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    if (a < minimum).any():
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
     return a.astype(int) if a.ndim else int(a)
 
 
-def _one_count(value, name: str) -> int:
-    # One whole number of at least 1: a list or an array raises ValueError
-    # naming ``name`` instead of reaching NumPy as a scalar index.
+def _one_count(value, name: str, minimum: int = 1) -> int:
+    # One whole number of at least ``minimum``: a list or an array raises
+    # ValueError naming ``name`` instead of reaching NumPy as a scalar index.
     if np.ndim(value):
         raise ValueError(f"{name} must be one whole number, got {value!r}")
-    return _check_count(value, name)
+    return _check_count(value, name, minimum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,7 +479,8 @@ def monte_carlo_efficiency(
     Draws ``trials`` standard-normal samples of length ``sample_size``,
     shared across estimators, and reports var(sample mean)/var(estimator)
     with a normal-theory confidence band from ``EFFICIENCY_CI_BATCHES``
-    disjoint batches.
+    disjoint batches.  The reference mean is the first rule of each chunk's
+    one call, which runs a spec equal to it only once.
     """
     trials, sample_size = _one_count(trials, "trials"), _one_count(sample_size, "sample_size")
     if trials < 2 * EFFICIENCY_CI_BATCHES:
@@ -490,26 +491,19 @@ def monte_carlo_efficiency(
     if sample_size < 2:
         raise ValueError(f"sample_size must be at least 2, got {sample_size}")
     rng = np.random.default_rng(seed)
-    values = [np.empty(trials) for _ in specs]
-    mean_values = np.empty(trials)
-    start = 0
-    while start < trials:
-        stop = min(start + EFFICIENCY_CHUNK, trials)
-        draws = rng.standard_normal((sample_size, stop - start))
-        mean_values[start:stop] = _row_sum(draws) / sample_size
-        for est, out in zip(_aggregate_columns(specs, draws)[0], values):
-            out[start:stop] = est
-        start = stop
+    rules = list(dict.fromkeys([AggregatorSpec.sample_mean(), *specs]))
+    values = np.empty((len(rules), trials))
+    for start in range(0, trials, EFFICIENCY_CHUNK):
+        chunk = values[:, start : start + EFFICIENCY_CHUNK]
+        chunk[:] = _aggregate_columns(rules, rng.standard_normal((sample_size, chunk.shape[1])))[0]
     edges = np.linspace(0, trials, EFFICIENCY_CI_BATCHES + 1).astype(int)
-    rows = []
-    for s, est in zip(specs, values):
-        ratio = float(np.var(mean_values) / np.var(est))
-        per_batch = np.array(
-            [
-                np.var(mean_values[lo:hi]) / np.var(est[lo:hi])
-                for lo, hi in zip(edges[:-1], edges[1:])
-            ]
-        )
-        half = 1.96 * per_batch.std(ddof=1) / np.sqrt(EFFICIENCY_CI_BATCHES)
-        rows.append(EfficiencyRow(s.label, ratio, ratio - half, ratio + half))
-    return rows
+    # Every reduction runs along contiguous rows: NumPy sums one in the order
+    # it sums a 1-D array, and a column of the (batches, rules) layout in another.
+    var = np.var(values, axis=1)
+    batch_var = np.stack([np.var(values[:, lo:hi], axis=1) for lo, hi in zip(edges, edges[1:])], 1)
+    ratio = var[0] / var
+    half = 1.96 * (batch_var[:1] / batch_var).std(axis=1, ddof=1) / np.sqrt(EFFICIENCY_CI_BATCHES)
+    return [
+        EfficiencyRow(s.label, float(ratio[i]), ratio[i] - half[i], ratio[i] + half[i])
+        for s, i in zip(specs, map(rules.index, specs))
+    ]

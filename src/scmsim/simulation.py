@@ -160,7 +160,8 @@ class ExperimentTrace:
         return float(self.msd[-1])
 
     def tail_mean_loss(self, window: int = 30) -> float:
-        return float(self.training_loss[-window:].mean())
+        """Mean training loss over the last ``window`` rounds, or all of them if fewer."""
+        return float(self.training_loss[-_one_count(window, "window"):].mean())
 
 
 def run_experiment(

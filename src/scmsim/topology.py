@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _one_count
+
 # generate_topology draws up to this many graphs before it gives up, and
 # assign_roles up to this many role assignments per graph.
 MAX_GRAPH_ATTEMPTS = 100
@@ -24,8 +26,7 @@ class TopologyError(RuntimeError):
 
 def erdos_renyi(agent_count: int, edge_probability: float, seed) -> np.ndarray:
     """Random graph: each unordered pair connected independently with prob p."""
-    if agent_count < 2:
-        raise ValueError("need at least 2 agents")
+    agent_count = _one_count(agent_count, "agent_count", minimum=2)
     if not 0.0 < edge_probability <= 1.0:
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_probability}")
     rng = np.random.default_rng(seed)
@@ -110,10 +111,9 @@ def assign_roles(adjacency: np.ndarray, num_malicious: int, seed) -> NetworkTopo
     constraints that failed after ``MAX_ROLE_ATTEMPTS`` draws.
     """
     agent_count = adjacency.shape[0]
-    if not 0 <= num_malicious < agent_count / 2:
-        raise ValueError(
-            f"num_malicious must satisfy 0 <= m < K/2, got {num_malicious} of {agent_count}"
-        )
+    num_malicious = _one_count(num_malicious, "num_malicious", minimum=0)
+    if not num_malicious < agent_count / 2:
+        raise ValueError(f"num_malicious must be below K/2, got {num_malicious} of {agent_count}")
     rng = np.random.default_rng(seed)
     failures = {"benign majority": 0, "benign connectivity": 0}
     for _ in range(MAX_ROLE_ATTEMPTS):
@@ -136,9 +136,11 @@ def generate_topology(
     agent_count: int, edge_probability: float, num_malicious: int, seed
 ) -> NetworkTopology:
     """Sample a graph and role assignment, regenerating the graph if needed."""
+    root = np.random.SeedSequence(seed)
     last_error: TopologyError | None = None
-    for child in np.random.SeedSequence(seed).spawn(MAX_GRAPH_ATTEMPTS):
-        graph_seed, role_seed = child.spawn(2)
+    for _ in range(MAX_GRAPH_ATTEMPTS):
+        # The i-th child spawned one at a time is spawn(MAX_GRAPH_ATTEMPTS)[i].
+        graph_seed, role_seed = root.spawn(1)[0].spawn(2)
         adjacency = erdos_renyi(agent_count, edge_probability, graph_seed)
         try:
             return assign_roles(adjacency, num_malicious, role_seed)

@@ -470,6 +470,26 @@ class TestBlocks:
                 assert refs[0][1][0] and refs[1][1][0] == (c > 0.67)
 
 
+# Each rule's (variance ratio, CI low, CI high) at sample size 30, seed 3:
+# 5,121 trials make unequal CI batches and 20,001 a one-column second chunk.
+PINNED_EFFICIENCY_ROWS = {
+    5121: {
+        "sample_mean": (1.0, 1.0, 1.0),
+        "trimmed_mean": (0.9631661070779567, 0.9551852616526672, 0.9711469525032462),
+        "talwar": (0.9173986012931459, 0.9044623512232746, 0.9303348513630172),
+        "tukey": (0.9306677634967444, 0.9198728010142074, 0.9414627259792814),
+        "median": (0.6595113427438203, 0.6422864145553591, 0.6767362709322815),
+    },
+    20001: {
+        "sample_mean": (1.0, 1.0, 1.0),
+        "trimmed_mean": (0.9663519896763355, 0.9620737383598981, 0.970630240992773),
+        "talwar": (0.9046475627313953, 0.8972266441458212, 0.9120684813169695),
+        "tukey": (0.9264949843569869, 0.9199921945238422, 0.9329977741901315),
+        "median": (0.669832884430726, 0.6604329982186631, 0.6792327706427889),
+    },
+}
+
+
 class TestEfficiency:
     def test_fewer_than_two_trials_per_batch_rejected(self):
         # A one-trial batch has variance 0: its ratio would be 0/0 and the
@@ -479,6 +499,14 @@ class TestEfficiency:
                 monte_carlo_efficiency([MEDIAN], trials, 2, seed=0)
         (row,) = monte_carlo_efficiency([MEDIAN], 2 * EFFICIENCY_CI_BATCHES, 2, seed=0)
         assert np.isfinite([row.variance_ratio, row.ci_low, row.ci_high]).all()
+        # Larger trial counts give each rule its pinned row, bit for bit,
+        # whether the list lacks the mean, puts it last or repeats it.
+        for trials, pinned in PINNED_EFFICIENCY_ROWS.items():
+            for specs in ([MEDIAN], [M_SPECS[1], MEAN], ALL_SPECS[::-1], [MEAN, MEAN]):
+                rows = monte_carlo_efficiency(specs, trials, 30, seed=3)
+                assert [(r.label, *map(float, r[1:])) for r in rows] == [
+                    (s.label, *pinned[s.label]) for s in specs
+                ]
 
     def test_sample_size_below_two_rejected(self):
         for sample_size in (0, 1):

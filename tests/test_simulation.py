@@ -296,6 +296,18 @@ class TestRunExperiment:
         assert not tr.diverged
         assert tr.initial_msd == pytest.approx(np.sum(model.true_weights**2))
 
+    def test_tail_mean_loss_window(self):
+        topo, model = small_setup()
+        tr = run_experiment(
+            topo, model, LearningConfig(iterations=5), AggregatorSpec.sample_mean(), None, seed=0
+        )
+        tr.training_loss = np.arange(1.0, 6.0)
+        assert tr.tail_mean_loss(2) == tr.tail_mean_loss(2.0) == 4.5
+        assert tr.tail_mean_loss(9) == 3.0
+        for window in (0, -2, 2.5, True, [2]):
+            with pytest.raises(ValueError, match="window"):
+                tr.tail_mean_loss(window)
+
     def test_one_adapt_call_per_round(self, monkeypatch):
         calls = []
 

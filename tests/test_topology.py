@@ -48,6 +48,20 @@ class TestErdosRenyi:
             erdos_renyi(5, 0.0, seed=0)
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5, seed=0)
+        # Counts are whole numbers: 32.0 and 6.0 count as 32 and 6, while a
+        # fraction, a bool or a list raises a ValueError naming the count.
+        want = generate_topology(32, 0.7, 6, 100)
+        for agents, malicious in ((32.0, 6), (32, 6.0)):
+            got = generate_topology(agents, 0.7, malicious, 100)
+            np.testing.assert_array_equal(got.adjacency, want.adjacency)
+            np.testing.assert_array_equal(got.malicious, want.malicious)
+        for agents, malicious, name in (
+            (32.5, 6, "agent_count"), (True, 0, "agent_count"), ([32], 6, "agent_count"),
+            (32, 6.5, "num_malicious"), (32, True, "num_malicious"), (32, [6], "num_malicious"),
+            (32, -1, "num_malicious"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                generate_topology(agents, 0.7, malicious, 100)
 
 
 class TestAssignRoles:
@@ -92,6 +106,10 @@ class TestAssignRoles:
         b = generate_topology(32, 0.7, 6, seed=5)
         np.testing.assert_array_equal(a.adjacency, b.adjacency)
         np.testing.assert_array_equal(a.malicious, b.malicious)
+        # Seed 19 draws 4 graphs before one admits a valid role assignment.
+        topo = generate_topology(8, 0.3, 1, seed=19)
+        assert np.packbits(topo.adjacency).tobytes().hex() == "051a1164419140ac"
+        assert np.flatnonzero(topo.malicious).tolist() == [4]
 
 
 class TestNeighborhood:
