@@ -74,10 +74,7 @@ def _simulate_cell(cfg: ExperimentConfig, attack_name: str, num_malicious: int) 
     model, learning = cfg.model(), cfg.learning()
     attack = cfg.attack_spec(attack_name)
     specs = cfg.aggregator_specs()
-    traces = [
-        run_experiment(topology, model, learning, agg, attack, cfg.data_seed)
-        for agg in specs
-    ]
+    traces = run_experiment(topology, model, learning, specs, attack, cfg.data_seed)
     stem = f"edge_{_edge_tag(cfg.edge_probability)}_mal_{num_malicious}_out_{attack_name}"
     header = ["iteration"] + [spec.label for spec in specs]
     iteration = traces[0].iteration

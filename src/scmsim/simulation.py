@@ -4,19 +4,23 @@ Each benign agent repeatedly takes a Huber-loss stochastic gradient step on
 fresh local data (adapt) and then aggregates the intermediate weights of
 its neighborhood with a robust rule (combine).  Malicious agents skip
 adaptation and report per-receiver crafted vectors, so the learning state
-is one row of weights per benign agent.  A round is one padded matrix, a
-column per receiver and coordinate, laid out once per run from the
-receivers' closed neighborhoods in the adjacency: one gather fills its
-benign rows from the adapted weights, one ``craft_attack`` call fills its
-copy rows, and one ``aggregate_matrix`` call combines it, giving each
-receiver the bits of calls on its rows alone.  All randomness derives from
-per-agent streams spawned from the experiment seed, so traces are
-reproducible bit for bit.
+is one row of weights per benign agent.  The rules of one call learn in
+lockstep on the same data: the state is one (rules, benign, dim) array,
+and a round is one padded matrix per rule, a column per receiver and
+coordinate, laid out once per run from the receivers' closed
+neighborhoods in the adjacency.  One ``adapt`` call and one gather fill
+every rule's benign rows, one ``craft_attack`` call fills every rule's
+copy rows, and one ``aggregate_matrix`` call per rule combines its
+matrix, giving each receiver the bits of calls on its rows alone and each
+rule the bits of its own run.  A rule that diverges leaves the round, and
+the others go on.  All randomness derives from per-agent streams spawned
+from the experiment seed, so traces are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,18 +172,29 @@ def run_experiment(
     topology: NetworkTopology,
     model: LinearModelConfig,
     learning: LearningConfig,
-    aggregator: AggregatorSpec,
+    aggregator: AggregatorSpec | Sequence[AggregatorSpec],
     attack: AttackSpec | None,
     seed,
-) -> ExperimentTrace:
-    """Simulate the full network for ``learning.iterations`` rounds.
+) -> ExperimentTrace | list[ExperimentTrace]:
+    """Simulate the full network for ``learning.iterations`` rounds under
+    one rule, or under each rule of a sequence in lockstep.
 
-    The training loss is the benign-agent mean of the Huber loss on each
+    One ``AggregatorSpec`` gives one trace; a sequence gives one trace per
+    spec, in order, each byte for byte that spec's own run: the rules share
+    the data draws, the set-up and each round's adapt and craft calls.  The
+    training loss is the benign-agent mean of the Huber loss on each
     agent's fresh batch, evaluated at its pre-adaptation weights; the MSD is
     the benign-agent mean of ||w_k - w_true||^2 after combining.  Once any
-    weight magnitude exceeds ``DIVERGENCE_SENTINEL`` the run is marked
-    diverged and the remaining trace rows are frozen at the sentinel.
+    weight magnitude of a rule exceeds ``DIVERGENCE_SENTINEL`` its run is
+    marked diverged, keeps that round's weights, and its remaining trace
+    rows are frozen at the sentinel while the other rules go on.  A crafted
+    value past the float range fails the whole call, as it fails the run
+    of the rule it was crafted for.
     """
+    single = isinstance(aggregator, AggregatorSpec)
+    specs = [aggregator] if single else list(aggregator)
+    if not specs:
+        raise ValueError("run_experiment needs at least one aggregator")
     if attack is None and topology.num_malicious > 0:
         raise ValueError("an attack scheme is required when malicious agents are present")
     dim = model.dim
@@ -187,11 +202,12 @@ def run_experiment(
     agent_seeds = np.random.SeedSequence(seed).spawn(topology.agent_count)
     streams = [np.random.default_rng(agent_seeds[k]) for k in benign]
     # Row j of ``closed`` is benign receiver j's closed neighborhood.  Each
-    # round is one (rows, receivers*dim) matrix, one column per receiver and
-    # coordinate: its visible benign agents' weights, ascending by id, then
-    # one copy row per malicious neighbor, then padding.  ``index`` holds the
-    # benign positions of those weights, each at its rank among the
-    # receiver's senders; it and both calls' layouts are built here, once.
+    # rule's round is one (rows, receivers*dim) matrix, one column per
+    # receiver and coordinate: its visible benign agents' weights, ascending
+    # by id, then one copy row per malicious neighbor, then padding.
+    # ``index`` holds the benign positions of those weights, each at its
+    # rank among the receiver's senders; it and the combine layout are
+    # built here, once.
     closed = topology.adjacency[benign]
     closed[np.arange(benign.size), benign] = True
     senders = closed[:, benign]
@@ -201,22 +217,29 @@ def run_experiment(
     receiver, sender = np.nonzero(senders)
     index = np.zeros((counts.max(), benign.size), dtype=int)
     index[np.cumsum(senders, axis=1)[receiver, sender] - 1, receiver] = sender
-    row = np.arange(len(index))[:, None]
+    rows, columns = index.shape[0], counts.size
+    row = np.arange(rows)[:, None]
     copy_rows = (row >= benign_counts) & (row < counts)
     attacked = np.flatnonzero(malicious_counts)
     craft_benign, craft_malicious = benign_counts[attacked], malicious_counts[attacked]
     craft_rows = craft_benign.max(initial=0)
-    craft_layout = Layout.of((craft_rows, attacked.size), craft_benign, "benign_count")
-    layout = Layout.of((len(index), counts.size), counts, "counts")
-    crafted = np.zeros(counts.size)
+    layout = Layout.of((rows, columns), counts, "counts")
 
-    weights = np.zeros((benign.size, dim))
+    # The state is one (active rules, benign, dim) array, and ``active``
+    # holds each of its rows' spec; a diverged rule's row leaves it.
+    rules = len(specs)
+    active = np.arange(rules)
+    weights = np.zeros((rules, benign.size, dim))
+    matrices = np.empty((rules, rows, columns))
+    crafted = np.zeros((rules, columns))
+    craft_layout = None
     iters = learning.iterations
-    loss_trace = np.full(iters, DIVERGENCE_SENTINEL)
-    msd_trace = np.full(iters, DIVERGENCE_SENTINEL)
-    m_converged = np.ones(iters, dtype=bool)
-    initial_msd = float(np.mean(np.sum((weights - model.true_weights) ** 2, axis=1)))
-    diverged = False
+    loss_trace = np.full((rules, iters), DIVERGENCE_SENTINEL)
+    msd_trace = np.full((rules, iters), DIVERGENCE_SENTINEL)
+    m_converged = np.ones((rules, iters), dtype=bool)
+    initial_msd = float(np.mean(np.sum((weights[0] - model.true_weights) ** 2, axis=1)))
+    diverged = np.zeros(rules, dtype=bool)
+    final_weights = np.empty_like(weights)
 
     with np.errstate(over="ignore"):
         for i in range(iters):
@@ -228,28 +251,49 @@ def run_experiment(
             regressors, targets = chunk_u[j], chunk_d[j]
             residuals = _residuals(weights, regressors, targets)
             losses = huber_loss(residuals, learning.huber_delta).mean(axis=-1)
-            matrix = adapt(weights, regressors, targets, learning)[index].reshape(len(index), -1)
+            n = active.size
+            matrix = matrices[:n]
+            # mode="clip" lets np.take write straight into ``out``.
+            np.take(adapt(weights, regressors, targets, learning), index, axis=1,
+                    out=matrix.reshape(n, rows, benign.size, dim), mode="clip")
             if attacked.size:
-                # np.take gathers in C order, which the input check keeps uncopied.
-                benign_rows = np.take(matrix[:craft_rows], attacked, axis=1)
-                crafted[attacked] = craft_attack(benign_rows, attack, craft_malicious, craft_layout)
-                np.copyto(matrix, crafted, where=copy_rows)
-            combined = aggregate_matrix(aggregator, matrix, layout)
-            weights = combined.values.reshape(-1, dim)
-            m_converged[i] = combined.converged
-            msd = float(np.mean(np.sum((weights - model.true_weights) ** 2, axis=1)))
-            loss_trace[i] = min(float(losses.mean()), DIVERGENCE_SENTINEL)
-            msd_trace[i] = min(msd, DIVERGENCE_SENTINEL)
-            if np.abs(weights).max() > DIVERGENCE_SENTINEL:
-                diverged = True
-                break
+                if craft_layout is None:
+                    craft_layout = Layout.of(
+                        (craft_rows, n * attacked.size), np.tile(craft_benign, n), "benign_count"
+                    )
+                    craft_counts = np.tile(craft_malicious, n)
+                # Every active rule's attacked columns side by side, rule by rule.
+                benign_rows = np.take(matrix[:, :craft_rows].transpose(1, 0, 2), attacked, axis=2)
+                crafted[:n, attacked] = craft_attack(
+                    benign_rows.reshape(craft_rows, -1), attack, craft_counts, craft_layout
+                ).reshape(n, -1)
+                np.copyto(matrix, crafted[:n, None], where=copy_rows)
+            for slot, r in enumerate(active):
+                combined = aggregate_matrix(specs[r], matrix[slot], layout)
+                weights[slot] = combined.values.reshape(-1, dim)
+                m_converged[r, i] = combined.converged
+            msd = np.sum((weights - model.true_weights) ** 2, axis=2).mean(axis=1)
+            loss_trace[active, i] = np.minimum(losses.mean(axis=1), DIVERGENCE_SENTINEL)
+            msd_trace[active, i] = np.minimum(msd, DIVERGENCE_SENTINEL)
+            gone = np.abs(weights).max(axis=(1, 2)) > DIVERGENCE_SENTINEL
+            if gone.any():
+                diverged[active[gone]] = True
+                final_weights[active[gone]] = weights[gone]
+                active, weights, craft_layout = active[~gone], weights[~gone], None
+                if not active.size:
+                    break
+    final_weights[active] = weights
 
-    return ExperimentTrace(
-        iteration=np.arange(1, iters + 1),
-        training_loss=loss_trace,
-        msd=msd_trace,
-        m_converged=m_converged,
-        diverged=diverged,
-        initial_msd=initial_msd,
-        final_weights=weights,
-    )
+    traces = [
+        ExperimentTrace(
+            iteration=np.arange(1, iters + 1),
+            training_loss=loss_trace[r],
+            msd=msd_trace[r],
+            m_converged=m_converged[r],
+            diverged=bool(diverged[r]),
+            initial_msd=initial_msd,
+            final_weights=final_weights[r],
+        )
+        for r in range(rules)
+    ]
+    return traces[0] if single else traces

@@ -8,6 +8,7 @@ benign agents do not form a connected subgraph.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,10 @@ class TopologyError(RuntimeError):
 def erdos_renyi(agent_count: int, edge_probability: float, seed) -> np.ndarray:
     """Random graph: each unordered pair connected independently with prob p."""
     agent_count = _one_count(agent_count, "agent_count", minimum=2)
-    if not 0.0 < edge_probability <= 1.0:
-        raise ValueError(f"edge probability must lie in (0, 1], got {edge_probability}")
+    # A bool, an array or a string is no probability, whatever it compares as.
+    p = edge_probability
+    if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real) or not 0.0 < p <= 1.0:
+        raise ValueError(f"edge_probability must be a real number in (0, 1], got {p!r}")
     rng = np.random.default_rng(seed)
     adjacency = np.zeros((agent_count, agent_count), dtype=bool)
     iu = np.triu_indices(agent_count, k=1)

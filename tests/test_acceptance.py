@@ -86,33 +86,34 @@ def trace_bytes(trace) -> bytes:
 
 @pytest.fixture(scope="module")
 def grid():
-    # The 53 runs are independent, so they are spread over one worker
-    # process per available CPU; each trace is filed under the same key.
+    # The 53 traces come from 11 independent lockstep calls, one per
+    # (topology, attack, data seed) cell, spread over one worker process per
+    # available CPU; each trace is filed under the same key.
     t0 = time.time()
     model = LinearModelConfig(true_weights=draw_true_weights(10, WEIGHT_SEED))
     learn = LearningConfig()
     topo = {m: generate_topology(32, 0.7, m, TOPOLOGY_SEED) for m in (0, 3, 6)}
-    runs = {}  # (Grid field, key) -> run_experiment arguments
-    for agg in tuned_aggregators():
-        for seed in DATA_SEEDS:
-            runs[("baseline", (agg.label, seed))] = (topo[0], model, learn, agg, None, seed)
+    specs = tuned_aggregators()
+    bounded = [agg for agg in specs if agg.label in BOUNDED_INFLUENCE]
+    cells = []  # (Grid field, trace keys, run_experiment arguments)
+    for seed in DATA_SEEDS:
+        keys = [(agg.label, seed) for agg in specs]
+        cells.append(("baseline", keys, (topo[0], model, learn, specs, None, seed)))
     for name, (attack, _) in matched_attacks().items():
-        for agg in tuned_aggregators():
-            runs[("attacked19", (name, agg.label))] = (
-                topo[6], model, learn, agg, attack, DATA_SEEDS[0]
-            )
+        keys = [(name, agg.label) for agg in specs]
+        cells.append(("attacked19", keys, (topo[6], model, learn, specs, attack, DATA_SEEDS[0])))
     lv = matched_attacks()["large_value"][0]
     lv_far = AttackSpec.large_value(1e6)
-    for agg in tuned_aggregators():
-        runs[("lv9", agg.label)] = (topo[3], model, learn, agg, lv, DATA_SEEDS[0])
-        if agg.label in BOUNDED_INFLUENCE:
-            runs[("lv9_far", agg.label)] = (topo[3], model, learn, agg, lv_far, DATA_SEEDS[0])
+    cells.append(("lv9", [agg.label for agg in specs],
+                  (topo[3], model, learn, specs, lv, DATA_SEEDS[0])))
+    cells.append(("lv9_far", [agg.label for agg in bounded],
+                  (topo[3], model, learn, bounded, lv_far, DATA_SEEDS[0])))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ProcessPoolExecutor(max_workers=min(cpus or 1, len(runs))) as pool:
-        traces = list(pool.map(run_experiment, *zip(*runs.values())))
+    with ProcessPoolExecutor(max_workers=min(cpus or 1, len(cells))) as pool:
+        results = list(pool.map(run_experiment, *zip(*(args for *_, args in cells))))
     g = Grid(lv9_topology=topo[3])
-    for (name, key), trace in zip(runs, traces):
-        getattr(g, name)[key] = trace
+    for (name, keys, _), traces in zip(cells, results):
+        getattr(g, name).update(zip(keys, traces))
     g.elapsed = time.time() - t0
     return g
 

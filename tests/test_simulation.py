@@ -237,17 +237,20 @@ class TestGroupedCombine:
 
     @pytest.mark.parametrize("graph", ["sparse", "complete"])
     def test_round_rows_follow_the_neighborhoods(self, graph, monkeypatch):
-        # Each receiver's rows of each round's combine input, read against
+        # Each receiver's rows of each rule's combine input, read against
         # ``topology.neighborhood``: its visible benign agents' adapted
         # weights in id order, then one crafted copy per malicious neighbor.
         # On the complete graph every receiver sees every agent, so a round
-        # has more rows than there are benign agents.
+        # has more rows than there are benign agents.  A round adapts and
+        # crafts once for every rule of the call, and combines once per rule.
         if graph == "sparse":
             topo, model = small_setup(num_malicious=2)
         else:
             topo = generate_topology(8, 1.0, 2, seed=5)
             model = LinearModelConfig(true_weights=draw_true_weights(3, seed=6))
         dim, benign = model.dim, topo.benign_agents
+        neighborhoods = [topo.neighborhood(int(k)) for k in benign]
+        attacked = np.flatnonzero(np.repeat([topo.malicious[nb].any() for nb in neighborhoods], dim))
         adapted, crafted, combined = [], [], []
 
         def recording_adapt(*args):
@@ -265,24 +268,31 @@ class TestGroupedCombine:
         monkeypatch.setattr(simulation, "adapt", recording_adapt)
         monkeypatch.setattr(simulation, "craft_attack", recording_craft)
         monkeypatch.setattr(simulation, "aggregate_matrix", recording_aggregate)
-        run_experiment(topo, model, LearningConfig(iterations=3), AggregatorSpec.tukey(),
-                       AttackSpec.tukey_scm(4.685), seed=0)
-        assert len(adapted) == len(crafted) == len(combined) == 3
-        if graph == "complete":
-            assert len(combined[0][0]) == topo.agent_count > benign.size
-        neighborhoods = [topo.neighborhood(int(k)) for k in benign]
-        attacked = np.flatnonzero(np.repeat([topo.malicious[nb].any() for nb in neighborhoods], dim))
-        for phi, copies, (matrix, counts) in zip(adapted, crafted, combined):
-            by_column = np.zeros(matrix.shape[1])
-            by_column[attacked] = copies
-            for j, nb in enumerate(neighborhoods):
-                visible = nb[~topo.malicious[nb]]
-                n_mal = int(topo.malicious[nb].sum())
-                cols = slice(j * dim, (j + 1) * dim)
-                want = np.vstack([phi[np.searchsorted(benign, visible)],
-                                  np.tile(by_column[cols], (n_mal, 1))])
-                assert counts[cols].tolist() == [visible.size + n_mal] * dim
-                assert matrix[: len(want), cols].tobytes() == want.tobytes()
+        for specs in ([AggregatorSpec.tukey()],
+                      [AggregatorSpec.tukey(), AggregatorSpec.talwar(), AggregatorSpec.median()]):
+            for record in (adapted, crafted, combined):
+                record.clear()
+            run_experiment(topo, model, LearningConfig(iterations=3), specs,
+                           AttackSpec.tukey_scm(4.685), seed=0)
+            rules = len(specs)
+            assert len(adapted) == len(crafted) == 3 and len(combined) == 3 * rules
+            assert [phi.shape for phi in adapted] == [(rules, benign.size, dim)] * 3
+            if graph == "complete":
+                assert len(combined[0][0]) == topo.agent_count > benign.size
+            for k, (phis, copies) in enumerate(zip(adapted, crafted)):
+                for phi, rule_copies, (matrix, counts) in zip(
+                    phis, copies.reshape(rules, -1), combined[k * rules : (k + 1) * rules]
+                ):
+                    by_column = np.zeros(matrix.shape[1])
+                    by_column[attacked] = rule_copies
+                    for j, nb in enumerate(neighborhoods):
+                        visible = nb[~topo.malicious[nb]]
+                        n_mal = int(topo.malicious[nb].sum())
+                        cols = slice(j * dim, (j + 1) * dim)
+                        want = np.vstack([phi[np.searchsorted(benign, visible)],
+                                          np.tile(by_column[cols], (n_mal, 1))])
+                        assert counts[cols].tolist() == [visible.size + n_mal] * dim
+                        assert matrix[: len(want), cols].tobytes() == want.tobytes()
 
 
 class TestRunExperiment:
@@ -318,9 +328,11 @@ class TestRunExperiment:
         monkeypatch.setattr(simulation, "adapt", counting_adapt)
         topo, model = small_setup(num_malicious=2)
         att = AttackSpec.trimmed_scm()
-        run_experiment(topo, model, LearningConfig(iterations=6),
-                       AggregatorSpec.trimmed_mean(), att, seed=0)
-        assert calls == [(topo.benign_agents.size, model.dim)] * 6
+        # One call adapts every rule's weights, as (rules, benign, dim).
+        for aggregator, rules in ((AggregatorSpec.trimmed_mean(), 1), (tuned_aggregators()[:3], 3)):
+            calls.clear()
+            run_experiment(topo, model, LearningConfig(iterations=6), aggregator, att, seed=0)
+            assert calls == [(rules, topo.benign_agents.size, model.dim)] * 6
 
     def test_one_craft_call_per_round(self, monkeypatch):
         calls = []
@@ -370,13 +382,19 @@ class TestRunExperiment:
             build(self, *args)
 
         monkeypatch.setattr(Layout, "__init__", counting_init)
+        # One combine layout serves every rule of a call, and one craft
+        # layout all of their attacked columns.
         topo, model = small_setup(num_malicious=2)
-        for spec in (AggregatorSpec.trimmed_mean(), AggregatorSpec.tukey()):
-            att = AttackSpec(spec)
+        for aggregator, att in (
+            (AggregatorSpec.trimmed_mean(), AttackSpec(AggregatorSpec.trimmed_mean())),
+            (AggregatorSpec.tukey(), AttackSpec(AggregatorSpec.tukey())),
+            (tuned_aggregators()[:3], AttackSpec(AggregatorSpec.tukey())),
+        ):
             counts = []
             for iterations in (2, 5):
                 built.clear()
-                run_experiment(topo, model, LearningConfig(iterations=iterations), spec, att, seed=0)
+                run_experiment(topo, model, LearningConfig(iterations=iterations), aggregator,
+                               att, seed=0)
                 counts.append(len(built))
             assert counts == [2, 2]
 
@@ -491,3 +509,78 @@ PINNED_TRACE_DIGESTS = {
                          ids=lambda c: "dim%d-batch%d-mal%d" % c)
 def test_trace_bytes_pinned(case):
     assert _case_digest(*case) == PINNED_TRACE_DIGESTS[case]
+
+
+def _trace_fields(trace):
+    return (
+        trace.training_loss.tobytes(), trace.msd.tobytes(), trace.m_converged.tobytes(),
+        trace.diverged, np.float64(trace.initial_msd).tobytes(),
+        trace.final_weights.shape, trace.final_weights.tobytes(),
+    )
+
+
+def _lockstep_traces(topo, model, learn, specs, attack, seed=0):
+    """A multi-rule call's traces, each checked byte for byte against its
+    rule's one-rule call."""
+    traces = run_experiment(topo, model, learn, specs, attack, seed)
+    assert len(traces) == len(specs)
+    for spec, trace in zip(specs, traces):
+        assert _trace_fields(trace) == _trace_fields(
+            run_experiment(topo, model, learn, spec, attack, seed)
+        )
+    return traces
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("attack", [None] + ALL_ATTACKS,
+                             ids=lambda a: "none" if a is None else a.label)
+    def test_each_rule_equals_its_own_run(self, attack, batch):
+        # The five tuned rules and a repeated spec over more rounds than
+        # one data chunk holds.
+        topo, model = small_setup(num_malicious=0 if attack is None else 2, agents=16, dim=3)
+        model = LinearModelConfig(true_weights=model.true_weights, samples_per_iteration=batch)
+        specs = tuned_aggregators() + [AggregatorSpec.tukey()]
+        traces = _lockstep_traces(topo, model, LearningConfig(iterations=DATA_CHUNK_ROUNDS + 6),
+                                  specs, attack)
+        assert not any(t.diverged for t in traces)
+        assert _trace_fields(traces[3]) == _trace_fields(traces[5])
+
+    def test_rules_diverge_on_their_own_rounds(self, monkeypatch):
+        # Against 1e31 copies the mean diverges in round 1 and the trimmed
+        # mean in round 2; the bounded-influence rules go on to the end.
+        # A diverged rule is adapted no more from the next round on.
+        topo = generate_topology(32, 0.7, 3, seed=100)
+        model = LinearModelConfig(true_weights=draw_true_weights(3, seed=12))
+        lv = AttackSpec.large_value(1e31)
+        specs = tuned_aggregators()
+        first = run_experiment(topo, model, LearningConfig(iterations=1), specs, lv, seed=0)
+        assert [t.diverged for t in first] == [True, False, False, False, False]
+        rules = []
+
+        def counting_adapt(weights, *args):
+            rules.append(len(weights))
+            return adapt(weights, *args)
+
+        monkeypatch.setattr(simulation, "adapt", counting_adapt)
+        traces = run_experiment(topo, model, LearningConfig(iterations=8), specs, lv, seed=0)
+        assert rules == [5, 4] + [3] * 6
+        monkeypatch.undo()
+        traces = _lockstep_traces(topo, model, LearningConfig(iterations=8), specs, lv)
+        assert [t.diverged for t in traces] == [True, True, False, False, False]
+        assert traces[0].msd[1:].tolist() == [DIVERGENCE_SENTINEL] * 7
+        assert np.isfinite(traces[2].final_weights).all()
+
+    def test_every_rule_diverges(self):
+        topo = generate_topology(32, 0.7, 3, seed=100)
+        model = LinearModelConfig(true_weights=draw_true_weights(3, seed=12))
+        specs = [AggregatorSpec.sample_mean(), AggregatorSpec.trimmed_mean(),
+                 AggregatorSpec.sample_mean()]
+        traces = _lockstep_traces(topo, model, LearningConfig(iterations=8), specs,
+                                  AttackSpec.large_value(1e31))
+        assert all(t.diverged for t in traces)
+
+    def test_no_aggregator_rejected(self):
+        topo, model = small_setup()
+        with pytest.raises(ValueError, match="aggregator"):
+            run_experiment(topo, model, LearningConfig(iterations=2), [], None, seed=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,13 @@ class TestErdosRenyi:
         ):
             with pytest.raises(ValueError, match=name):
                 generate_topology(agents, 0.7, malicious, 100)
+        # The edge probability is one real number: a NumPy float is one, while
+        # a bool, an array or a string raises a ValueError naming it.
+        got = generate_topology(32, np.float64(0.7), 6, 100)
+        np.testing.assert_array_equal(got.adjacency, want.adjacency)
+        for bad in (True, np.array([0.7]), "0.7", math.nan):
+            with pytest.raises(ValueError, match="edge_probability"):
+                generate_topology(32, bad, 6, 100)
 
 
 class TestAssignRoles:
