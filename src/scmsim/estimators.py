@@ -12,6 +12,7 @@ only Tukey's redescending psi reaches, the step is the reweighted mean's.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -35,6 +36,13 @@ FIXED_POINT_MAX_ITER = 100
 # 512-column slice takes about twice as long per column as one of 500 (406
 # against 206 ns at 100 rows, 126 against 67 at 28), so slices stay below 512.
 _BLOCK_COLUMNS = 500
+# A call of two or more slices runs them on threads, one per CPU the process
+# may use, where each slice holds at least this many values (rows x columns):
+# below it the GIL hand-offs between NumPy's short calls outweigh a second
+# CPU.  Speed-up of five rules on 4,000 columns on 2 CPUs, in two runs of 15
+# alternating pairs: 0.52-0.65x at 12 and 25 rows, 0.88-0.91x at 50,
+# 1.03-1.39x at 66, 1.11-1.44x at 80, 1.33-1.71x at 100 and 200.
+_THREAD_VALUES = 40_000
 
 
 class AggregatorKind(enum.Enum):
@@ -375,7 +383,10 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
     (None without M-estimation) and the steps its largest slice took.  The
     m columns run as k = ceil(m/_BLOCK_COLUMNS) slices of about m/k, each
     sorted once for all order statistics; the M-estimators share one median,
-    MAD and u = (y - median)/sigma.  The sample mean sorts nothing.
+    MAD and u = (y - median)/sigma.  The sample mean sorts nothing.  Each
+    slice depends on its own columns alone, so where two or more slices
+    hold ``_THREAD_VALUES`` values each they run on threads, with the bits
+    of the serial loop.
     """
     a, layout = _as_matrix(matrix, layout)
     counts, valid = layout.counts, layout.valid
@@ -386,9 +397,11 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
     low = _pad(a, valid, -0.0) if AggregatorKind.SAMPLE_MEAN in kinds else None
     m = a.shape[1]
     k = max(1, -(-m // _BLOCK_COLUMNS))
-    values, steps = np.empty((len(specs), m)), [0] * len(specs)
+    values, steps = np.empty((len(specs), m)), [[0] * len(specs) for _ in range(k)]
     flags = [np.ones(m, dtype=bool) if kind in M_ESTIMATOR_KINDS else None for kind in kinds]
-    for j in range(k):
+
+    def run_slice(j: int) -> None:
+        # Writes only slice j's columns of ``values`` and the flags, and row j of ``steps``.
         b = slice(j * m // k, (j + 1) * m // k)
         n = counts[b]
         s = None if high is None else np.sort(high[:, b], axis=0)
@@ -407,10 +420,62 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
             elif kind is AggregatorKind.TRIMMED_MEAN:
                 values[i, b] = _trimmed_mean(s, n, spec.alpha, valid)
             else:
-                t, flags[i][b], slice_steps = _m_estimate_columns(u, kind, spec.c, n, degenerate)
+                t, flags[i][b], steps[j][i] = _m_estimate_columns(u, kind, spec.c, n, degenerate)
                 values[i, b] = med + sigma * t
-                steps[i] = max(steps[i], slice_steps)
-    return values, flags, steps
+
+    threaded = k > 1 and a.shape[0] * (m // k) >= _THREAD_VALUES
+    _run_slices(run_slice, k, min(_worker_count(), k) if threaded else 1)
+    return values, flags, [max(rule_steps) for rule_steps in zip(*steps)]
+
+
+def _worker_count() -> int:
+    # The CPUs this process may run on, or the machine's where that cannot be read.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_slices(task, k: int, workers: int) -> None:
+    """``task(j)`` for every slice j < k, on ``workers`` threads, the caller among them.
+
+    Threads take the next slice as they come free, each under the caller's
+    NumPy error state, which a new thread does not inherit.  Every helper is
+    joined before this returns; then the lowest failing slice's exception is
+    raised, the one the serial loop would raise, since every slice before it
+    was handed out before it failed.
+    """
+    if workers < 2:
+        for j in range(k):
+            task(j)
+        return
+    import threading
+
+    lock, pending, failed, err = threading.Lock(), iter(range(k)), {}, np.geterr()
+
+    def work() -> None:
+        with np.errstate(**err):
+            while not failed:
+                with lock:
+                    j = next(pending, None)
+                if j is None:
+                    return
+                try:
+                    task(j)
+                except BaseException as exc:  # re-raised below; an interrupt stops the helpers too
+                    failed[j] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 def _trimmed_mean(s: np.ndarray, counts: np.ndarray, alpha: float, valid) -> np.ndarray:

@@ -127,16 +127,21 @@ def adapt(
     regressors: np.ndarray,
     targets: np.ndarray,
     learning: LearningConfig,
+    residuals: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stochastic gradient step on the batch-averaged Huber loss.
 
     Leading axes index agents: ``weights`` is (..., dim), ``regressors``
     (..., batch, dim) and ``targets`` (..., batch).  Each agent's step is the
     same arithmetic as a single-agent call, so stacking agents changes no bit.
+    ``residuals``, when given, are this batch's ``targets - regressors @
+    weights`` as ``_residuals`` computes them, and are not computed again.
     """
     if regressors.shape[-2] == 0:
         raise ValueError("adapt requires a non-empty batch")
-    g = huber_grad_factor(_residuals(weights, regressors, targets), learning.huber_delta)
+    if residuals is None:
+        residuals = _residuals(weights, regressors, targets)
+    g = huber_grad_factor(residuals, learning.huber_delta)
     return weights + learning.step_size * (g[..., None] * regressors).mean(axis=-2)
 
 
@@ -254,7 +259,7 @@ def run_experiment(
             n = active.size
             matrix = matrices[:n]
             # mode="clip" lets np.take write straight into ``out``.
-            np.take(adapt(weights, regressors, targets, learning), index, axis=1,
+            np.take(adapt(weights, regressors, targets, learning, residuals), index, axis=1,
                     out=matrix.reshape(n, rows, benign.size, dim), mode="clip")
             if attacked.size:
                 if craft_layout is None:

@@ -5,7 +5,7 @@ import string
 import numpy as np
 import pytest
 
-from scmsim import cli
+from scmsim import cli, estimators
 from scmsim.attacks import craft_attack
 from scmsim.cli import cmd_efficiency_check, cmd_sc_sweep, cmd_simulate, main
 from scmsim.config import (
@@ -308,6 +308,15 @@ class TestSimulateCommand:
                 tmp_path / "par" / name
             ).read_bytes()
 
+    def test_process_pool_after_a_threaded_estimator_call(self, tmp_path, monkeypatch):
+        # The pool forks its workers from a process whose last estimator
+        # call ran its slices on threads: none of them may be left running.
+        monkeypatch.setattr(estimators, "_worker_count", lambda: 2)
+        a = np.random.default_rng(0).standard_normal((100, 1000))
+        estimators._aggregate_columns(estimators.tuned_aggregators(), a)
+        outputs = cmd_simulate(parse_config(FAST_SIM.format(out=tmp_path / "run")), threads=2)
+        assert "manifest.json" in [p.name for p in outputs]
+
     @pytest.mark.parametrize(
         "counts, threads, pools", [("0 2", 8, [2]), ("2", 8, []), ("0 2", 1, [])]
     )
@@ -491,6 +500,11 @@ PINNED_OFFLINE_DIGESTS = {
     # Eleven M-estimation blocks, the last one a single column.
     "efficiency-5121": ("efficiency-check", "[efficiency]\ntrials = 5121\nsample_size = 60\n", {
         "efficiency.csv": "5c6536a3d5b7737b1f6173ad61f9a24b60be346766e6cab241eeb408dcb672ac",
+    }),
+    # Four slices of 100 rows: the call runs its slices on worker threads
+    # where the process may use more than one CPU.  Recorded serially.
+    "efficiency-2000-n100": ("efficiency-check", "[efficiency]\ntrials = 2000\nsample_size = 100\n", {
+        "efficiency.csv": "7b4a2d7919d91f62198b625e58497187cee88a6bd791a92c891ff05f5d778351",
     }),
 }
 

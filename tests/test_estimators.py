@@ -1,6 +1,8 @@
 import functools
 import math
 import operator
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -679,6 +681,102 @@ class TestRowOrder:
                             assert steps[i] == one_steps
                         else:
                             assert flags[i] is one_flags is None
+
+
+class TestThreads:
+    def _record_workers(self, monkeypatch):
+        # The thread counts that calls hand to ``_run_slices``.
+        given = []
+        run_slices = estimators._run_slices
+
+        def recording(task, k, workers):
+            given.append(workers)
+            return run_slices(task, k, workers)
+
+        monkeypatch.setattr(estimators, "_run_slices", recording)
+        return given
+
+    def test_threaded_call_matches_serial_bits(self, monkeypatch):
+        # A 100 x 3,250 call runs as seven slices of 464 or 465 columns,
+        # handed out to three threads that switch every microsecond, and
+        # gives every rule the values, flags and steps of the same call on
+        # one thread, padded or not.  Every 97th column from the first holds
+        # a zero scale, from the second one rejected whole at c = 0.3, and
+        # from the third and fourth float-limit values, whose sums overflow
+        # and whose residuals pass the float range.
+        specs = [*ALL_SPECS, AggregatorSpec.talwar(0.3), AggregatorSpec.tukey(0.3)]
+        rng = np.random.default_rng(71)
+        rows, width = 100, 3250
+        assert rows * (width // 7) >= estimators._THREAD_VALUES
+        cols = rng.standard_normal((rows, width)) * rng.uniform(1e-3, 50.0, width)
+        cols[:, 0::97] = 1.5
+        cols[:, 1::97] = np.repeat([-50.0, 50.0], rows // 2)[:, None]
+        for j in (2, 3):
+            cols[:, j::97] = 1.5e308 + 1e306 * rng.standard_normal((rows, cols[:, j::97].shape[1]))
+        cols[::4, 3::97] = -1.5e308
+        counts = rng.integers(1, rows + 1, width)
+        counts[np.arange(width) % 97 < 4] = rows
+        padded = np.where(np.arange(rows)[:, None] < counts, cols, np.nan)
+        given = self._record_workers(monkeypatch)
+        for a, layout in ((cols, None), (padded, Layout.of(padded.shape, counts, "counts"))):
+            with np.errstate(over="ignore"):
+                monkeypatch.setattr(estimators, "_worker_count", lambda: 1)
+                values, flags, steps = _aggregate_columns(specs, a, layout)
+                monkeypatch.setattr(estimators, "_worker_count", lambda: 3)
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    got_values, got_flags, got_steps = _aggregate_columns(specs, a, layout)
+                finally:
+                    sys.setswitchinterval(interval)
+            assert got_values.tobytes() == values.tobytes()
+            for got, want in zip(got_flags, flags):
+                assert (got is want is None) or got.tobytes() == want.tobytes()
+            assert got_steps == steps
+            assert not flags[-1][1] and flags[2][1]
+        assert given == [1, 3, 1, 3]
+
+    @pytest.mark.parametrize("second, error", [
+        (np.full(100, 1.5e308), RuntimeWarning),  # the mean's sum overflows
+        (np.repeat([-1.7e308, 1.7e308], 50), ValueError),  # the MAD scale overflows
+    ], ids=["sum-overflow-warning", "mad-overflow"])
+    def test_helper_errors_reach_the_caller(self, monkeypatch, second, error):
+        # The second of four slices holds the column ``second``, and the
+        # third and fourth one whose sum overflows.  Each of four threads
+        # holds one slice until all four have one, so helpers run at least
+        # two failing slices, and the caller raises the second slice's error,
+        # as the serial loop does.  The suite's warning filter makes the
+        # warning an error, outside any errstate.
+        specs = [MEAN, *M_SPECS]
+        a = np.random.default_rng(81).standard_normal((100, 1750))
+        a[:, 500] = second
+        a[:, [1000, 1500]] = 1.5e308
+        with pytest.raises(error) as serial:
+            _aggregate_columns(specs, a)
+        monkeypatch.setattr(estimators, "_worker_count", lambda: 4)
+        barrier, threads = threading.Barrier(4, timeout=60), set()
+        deviations = estimators._deviations_and_scale
+
+        def one_slice_per_thread(*args):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return deviations(*args)
+
+        monkeypatch.setattr(estimators, "_deviations_and_scale", one_slice_per_thread)
+        before = threading.active_count()
+        with pytest.raises(error) as threaded:
+            _aggregate_columns(specs, a)
+        assert type(threaded.value) is type(serial.value)
+        assert str(threaded.value) == str(serial.value)
+        assert len(threads) == 4 and threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        given = self._record_workers(monkeypatch)
+        monkeypatch.setattr(estimators, "_worker_count", lambda: 3)
+        a = np.random.default_rng(91).standard_normal((100, 2000))
+        before = threading.active_count()
+        _aggregate_columns(ALL_SPECS, a)
+        assert given == [3] and threading.active_count() == before
 
 
 def draw_families(rng, n, m):

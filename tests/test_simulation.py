@@ -334,6 +334,21 @@ class TestRunExperiment:
             run_experiment(topo, model, LearningConfig(iterations=6), aggregator, att, seed=0)
             assert calls == [(rules, topo.benign_agents.size, model.dim)] * 6
 
+    def test_residuals_computed_once_per_round(self, monkeypatch):
+        # The training loss's residuals feed the round's gradient step.
+        calls = []
+
+        def counting_residuals(*args):
+            calls.append(1)
+            return residuals(*args)
+
+        residuals = simulation._residuals
+        monkeypatch.setattr(simulation, "_residuals", counting_residuals)
+        topo, model = small_setup(num_malicious=2)
+        run_experiment(topo, model, LearningConfig(iterations=6), tuned_aggregators()[:3],
+                       AttackSpec.trimmed_scm(), seed=0)
+        assert len(calls) == 6
+
     def test_one_craft_call_per_round(self, monkeypatch):
         calls = []
 
