@@ -38,8 +38,10 @@ from .estimators import (
     _as_matrix,
     _check_count,
     _check_positive,
+    _check_real,
+    _deviations_and_scale,
     _pad,
-    median_and_scale,
+    _ranked_median,
     trim_count,
 )
 
@@ -73,7 +75,7 @@ class AttackSpec:
     lv_magnitude: float = DEFAULT_LV_MAGNITUDE
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lv_magnitude):
+        if not math.isfinite(_check_real(self.lv_magnitude, "lv_magnitude must be finite")):
             raise ValueError("lv_magnitude must be finite")
         if self.target is not None and self.target.kind not in SCM_TARGET.values():
             raise ValueError(f"no SCM attack targets the {self.target.label} rule")
@@ -116,7 +118,7 @@ def min_tuning_constant(kind: AggregatorKind) -> float:
     return 2.0 / (psi_argmax(kind, 1.0) * (1.0 - BOUNDARY_MARGIN) * MAD_NORMALIZATION)
 
 
-def _trimmed_values(a: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) -> np.ndarray:
+def _trimmed_values(s: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate value just below the trim-survival boundary.
 
     With N_k = n + p received vectors, n benign and p malicious, the
@@ -126,18 +128,17 @@ def _trimmed_values(a: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) -> 
     copy survives at the largest surviving position, and no higher
     placement keeps all copies.  When t = 0 nothing is trimmed and the
     largest benign value serves as the stealth boundary instead.  Every
-    column's ranks are read from one sort of the +inf-padded columns ``a``.
+    column's ranks are read from ``s``, the sorted +inf-padded columns.
     """
     t = trim_count(n + p, target.alpha)
     if (n - t < 1).any():
         raise ValueError("trim boundary exceeds the benign neighborhood")
-    s = np.sort(a, axis=0)
-    cols = np.arange(a.shape[1])
+    cols = np.arange(s.shape[1])
     boundary = s[np.where(t >= 1, n - t, n - 1), cols]
     return boundary - EPSILON_SCALE * (1.0 + (s[n - 1, cols] - s[0]))
 
 
-def _mestimator_values(a: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) -> np.ndarray:
+def _mestimator_values(s: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) -> np.ndarray:
     """Per-coordinate peak-influence value against a Talwar/Tukey defender.
 
     The copies go to z = med + c0*scale, the influence peak c0 seen through
@@ -147,7 +148,8 @@ def _mestimator_values(a: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) 
     MADs.  From c >= ``min_tuning_constant`` up (c0*1.4826 >= 2 MADs; the
     tuned defaults give 4.14 and 3.11) the copies thus sort above both
     statistics' middle ranks, which read the same values as with the copies
-    at +inf: ``median_and_scale`` at count n + p on the +inf-padded columns.
+    at +inf: the median and MAD at count n + p of ``s``, the sorted +inf-padded
+    columns, whose order leaves the deviations' sorted magnitudes as they are.
     With p < n those ranks, (n + p)//2 and below, are stored benign rows.
     A smaller c, whose copies could fall inside the MAD's middle ranks, is
     rejected; so is p >= n, where the copies hold the median (its breakdown
@@ -167,8 +169,8 @@ def _mestimator_values(a: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) 
             " defender: the copies would hold its median"
         )
     c0 = psi_argmax(target.kind, target.c) * (1.0 - BOUNDARY_MARGIN)
-    med, scale = median_and_scale(a, n + p)
-    return c0 * scale + med
+    med = _ranked_median(s, n + p)
+    return c0 * _deviations_and_scale(s, med, n + p)[1] + med
 
 
 def craft_attack(
@@ -192,10 +194,16 @@ def craft_attack(
     target = spec.target
     if target is None:
         return np.full(a.shape[1], spec.lv_magnitude)
-    columns = _pad(a, layout.valid, np.inf)
+    # One sort of the +inf-padded columns for both crafters: in place in the
+    # padded copy, into a new array where ``a`` may be the caller's own.
+    if layout.valid is None:
+        s = np.sort(a, axis=0)
+    else:
+        s = _pad(a, layout.valid, np.inf)
+        s.sort(axis=0)
     crafter = _trimmed_values if target.kind is AggregatorKind.TRIMMED_MEAN else _mestimator_values
     with np.errstate(over="ignore"):
-        values = crafter(columns, layout.counts, p, target)
+        values = crafter(s, layout.counts, p, target)
     if not np.isfinite(values).all():
         raise ValueError(
             "the crafted values overflow the float range: the benign values spread too widely"

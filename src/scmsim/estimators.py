@@ -12,6 +12,7 @@ only Tukey's redescending psi reaches, the step is the reweighted mean's.
 from __future__ import annotations
 
 import enum
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -70,8 +71,8 @@ class AggregatorSpec:
     c: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind is AggregatorKind.TRIMMED_MEAN and not 0.0 <= self.alpha < 0.5:
-            raise ValueError(f"trim fraction must lie in [0, 0.5), got {self.alpha}")
+        if self.kind is AggregatorKind.TRIMMED_MEAN:
+            _check_trim_fraction(self.alpha)
         if self.kind in M_ESTIMATOR_KINDS:
             _check_positive("tuning constant c", self.c)
 
@@ -100,10 +101,25 @@ class AggregatorSpec:
         return AggregatorSpec(AggregatorKind.TUKEY, c=c)
 
 
+def _check_real(value, message: str):
+    # ``value`` as it is if it is one real number, a NumPy float or int too; a
+    # bool, a string or an array, whatever it compares as, raises ValueError.
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{message}, got {value!r}")
+    return value
+
+
 def _check_positive(name: str, value: float) -> None:
+    message = f"{name} must be finite and positive"
     # NaN fails both comparisons.
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not 0.0 < _check_real(value, message) < np.inf:
+        raise ValueError(f"{message}, got {value}")
+
+
+def _check_trim_fraction(alpha: float) -> None:
+    message = "trim fraction must lie in [0, 0.5)"
+    if not 0.0 <= _check_real(alpha, message) < 0.5:
+        raise ValueError(f"{message}, got {alpha}")
 
 
 def _check_count(value, name: str, minimum: int = 1):
@@ -258,8 +274,7 @@ def trim_count(n, alpha: float):
 
     An integer array ``n`` gives one count per entry.
     """
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError(f"trim fraction must lie in [0, 0.5), got {alpha}")
+    _check_trim_fraction(alpha)
     return (alpha * np.asarray(n)).astype(int)
 
 

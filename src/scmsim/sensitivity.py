@@ -20,10 +20,9 @@ import numpy as np
 
 from .estimators import (
     AggregatorSpec,
+    _aggregate_columns,
     _as_column,
     _one_count,
-    aggregate_matrix,
-    estimate,
     median_and_scale,
 )
 
@@ -43,16 +42,18 @@ def _contaminated_columns(base: np.ndarray, outliers: np.ndarray, count: int) ->
     return np.concatenate([cols, copies], axis=0)
 
 
-def _clean_base(agg: AggregatorSpec, base, count: int) -> tuple[np.ndarray, int, float]:
-    # The checked (n, 1) base column, the outlier count, the clean estimate.
+def _clean_base(aggs: Sequence[AggregatorSpec], base, count: int):
+    # The checked (n, 1) base column, the outlier count, the clean estimates.
     a, _ = _as_column(base)
     count = _one_count(count, "outlier count")
-    return a, count, estimate(agg, a)
+    return a, count, _aggregate_columns(aggs, a)[0]
 
 
-def _curve(agg: AggregatorSpec, a: np.ndarray, clean: float, zs: np.ndarray, count: int):
-    # n * (AGG(base + count copies of z) - AGG(base)), one entry per z.
-    contaminated = aggregate_matrix(agg, _contaminated_columns(a, zs, count)).values
+def _curve(aggs: Sequence[AggregatorSpec], a: np.ndarray, clean: np.ndarray, zs, count: int):
+    # n * (AGG(base + count copies of z) - AGG(base)): one row per rule, one entry per z.
+    if not np.isfinite(zs).all():
+        raise ValueError("outlier values must be finite")
+    contaminated = _aggregate_columns(aggs, _contaminated_columns(a, zs, count))[0]
     return (a.size + count) * (contaminated - clean)
 
 
@@ -62,11 +63,8 @@ def sensitivity_values(agg: AggregatorSpec, base, outliers, count: int = 1):
     ``count`` identical copies of each value join the base set.  A scalar
     ``outliers`` gives a float; an array gives one value per entry.
     """
-    a, count, clean = _clean_base(agg, base, count)
-    zs = np.asarray(outliers, dtype=float).ravel()
-    if not np.isfinite(zs).all():
-        raise ValueError("outlier values must be finite")
-    out = _curve(agg, a, clean, zs, count)
+    a, count, clean = _clean_base([agg], base, count)
+    out = _curve([agg], a, clean, np.asarray(outliers, dtype=float).ravel(), count)[0]
     return float(out[0]) if np.isscalar(outliers) else out
 
 
@@ -82,7 +80,7 @@ class SCTable:
 def sc_sweep(
     aggs: Sequence[AggregatorSpec], base, grid, count: int = 1
 ) -> SCTable:
-    """Evaluate the sensitivity curve of each aggregator over a value grid."""
+    """Evaluate every aggregator's sensitivity curve over a value grid in one wide call."""
     zs = np.asarray(grid, dtype=float).ravel()
     if zs.size == 0:
         raise ValueError("outlier grid is empty")
@@ -90,8 +88,8 @@ def sc_sweep(
         raise ValueError("outlier grid must be strictly increasing")
     if not aggs:
         raise ValueError("no aggregators given")
-    rows = np.vstack([sensitivity_values(agg, base, zs, count) for agg in aggs])
-    return SCTable(zs.copy(), tuple(agg.label for agg in aggs), rows)
+    a, count, clean = _clean_base(aggs, base, count)
+    return SCTable(zs.copy(), tuple(agg.label for agg in aggs), _curve(aggs, a, clean, zs, count))
 
 
 def default_search_bounds(base) -> tuple[float, float]:
@@ -113,19 +111,19 @@ def max_sc_numeric(agg: AggregatorSpec, base, count: int = 1) -> tuple[float, fl
     gain; it stops once the cell is below 1e-12 relative.  Every evaluation
     is one wide call on a grid.  Returns ``(z_star, sc_star)``.
     """
-    a, count, clean = _clean_base(agg, base, count)
+    a, count, clean = _clean_base([agg], base, count)
     lo, hi = default_search_bounds(a)
     if not (lo < hi and math.isfinite(hi - lo)):  # a finite width: finite grid values
         raise ValueError(f"invalid search bounds ({lo}, {hi}): search window not finite")
 
     zs, step = np.linspace(lo, hi, ORACLE_GRID_POINTS, retstep=True)
-    scs = _curve(agg, a, clean, zs, count)
+    scs = _curve([agg], a, clean, zs, count)[0]
     tied = np.flatnonzero(scs >= scs.max() - _TIE_TOL)
     i = min(tied, key=lambda j: (abs(zs[j]), -zs[j]))
     z, sc = float(zs[i]), float(scs[i])
     while step > 1e-12 * (1.0 + abs(z)):
         zs, step = np.linspace(max(lo, z - step), min(hi, z + step), _REFINE_POINTS, retstep=True)
-        scs = _curve(agg, a, clean, zs, count)
+        scs = _curve([agg], a, clean, zs, count)[0]
         i = int(scs.argmax())
         if scs[i] > sc:
             z, sc = float(zs[i]), float(scs[i])

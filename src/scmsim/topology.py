@@ -8,12 +8,11 @@ benign agents do not form a connected subgraph.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _one_count
+from .estimators import _check_real, _one_count
 
 # generate_topology draws up to this many graphs before it gives up, and
 # assign_roles up to this many role assignments per graph.
@@ -28,10 +27,9 @@ class TopologyError(RuntimeError):
 def erdos_renyi(agent_count: int, edge_probability: float, seed) -> np.ndarray:
     """Random graph: each unordered pair connected independently with prob p."""
     agent_count = _one_count(agent_count, "agent_count", minimum=2)
-    # A bool, an array or a string is no probability, whatever it compares as.
-    p = edge_probability
-    if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real) or not 0.0 < p <= 1.0:
-        raise ValueError(f"edge_probability must be a real number in (0, 1], got {p!r}")
+    message = "edge_probability must be a real number in (0, 1]"
+    if not 0.0 < _check_real(edge_probability, message) <= 1.0:
+        raise ValueError(f"{message}, got {edge_probability!r}")
     rng = np.random.default_rng(seed)
     adjacency = np.zeros((agent_count, agent_count), dtype=bool)
     iu = np.triu_indices(agent_count, k=1)

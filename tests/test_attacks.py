@@ -478,6 +478,24 @@ class TestRoundCraft:
         digest = hashlib.sha256(got.tobytes()).hexdigest()
         assert digest == CRAFT_DIGESTS[seed, receivers, dim, spec.label]
 
+    @pytest.mark.parametrize("spec", ROUND_ATTACKS, ids=lambda s: s.label)
+    @pytest.mark.parametrize("case", ["no_layout", "every_row_counted", "nan_padding"])
+    def test_input_left_untouched(self, spec, case):
+        # Without padding the checked matrix is the caller's own array, so
+        # crafting must sort a copy of it, not the array itself.
+        values = np.random.default_rng(21).standard_normal((15, 8))
+        layout = None
+        if case == "every_row_counted":
+            layout = Layout.of(values.shape, np.full(8, 15), "benign_count")
+        elif case == "nan_padding":
+            counts = np.arange(8, 16)
+            values[np.arange(15)[:, None] >= counts] = np.nan
+            layout = Layout.of(values.shape, counts, "benign_count")
+        before, copy = values.tobytes(), values.copy()
+        got = craft_attack(values, spec, 2, layout)
+        assert values.tobytes() == before
+        assert got.tobytes() == craft_attack(copy, spec, 2, layout).tobytes()
+
     def test_crafting_never_calls_the_oracle(self, monkeypatch):
         # The numeric oracle is the attacks' independent check: crafting
         # neither imports from it nor calls it.

@@ -37,6 +37,7 @@ from scmsim.estimators import (
     _row_sum,
 )
 from scmsim.sensitivity import default_search_bounds, max_sc_numeric, sensitivity_values
+from scmsim.simulation import LearningConfig, LinearModelConfig
 
 ALL_SPECS = tuned_aggregators()
 MEAN = AggregatorSpec.sample_mean()
@@ -177,6 +178,45 @@ class TestScalarEstimators:
         assert trim_count(100, TRIM_ALPHA_95) == 6
         assert trim_count(3, TRIM_ALPHA_95) == 0
         assert trim_count(23, TRIM_ALPHA_95) == 1
+
+
+# A real-valued parameter takes one real number: a bool, a string or an
+# array raises a ValueError naming it, by (name, constructor of the value).
+NOT_ONE_REAL = [
+    ("tuning constant c", lambda: AggregatorSpec.talwar(True)),
+    ("tuning constant c", lambda: AggregatorSpec.talwar("3")),
+    ("tuning constant c", lambda: AggregatorSpec.tukey(np.array([3.0, 5.0]))),
+    ("tuning constant c", lambda: AggregatorSpec.talwar(np.array(3.0))),
+    ("trim fraction", lambda: AggregatorSpec.trimmed_mean(False)),
+    ("trim fraction", lambda: trim_count(10, "0.1")),
+    ("lv_magnitude", lambda: AttackSpec.large_value(True)),
+    ("lv_magnitude", lambda: AttackSpec.large_value("5")),
+    ("step_size", lambda: LearningConfig(step_size=True)),
+    ("noise_var", lambda: LinearModelConfig(np.zeros(2), noise_var=np.array([0.1, 0.2]))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, make", NOT_ONE_REAL, ids=[f"{name}-{i}" for i, (name, _) in enumerate(NOT_ONE_REAL)]
+)
+def test_real_parameter_takes_one_real_number(name, make):
+    prefix = "trim fraction must lie in" if name == "trim fraction" else f"{name} must be finite"
+    with pytest.raises(ValueError, match=prefix):
+        make()
+
+
+def test_numpy_real_parameters_keep_their_bytes():
+    # A NumPy float or int is one real number, kept as it is.
+    values = np.random.default_rng(5).standard_normal((9, 4))
+    for spec, same in (
+        (AggregatorSpec.talwar(np.float64(TALWAR_C_95)), AggregatorSpec.talwar()),
+        (AggregatorSpec.tukey(np.int64(5)), AggregatorSpec.tukey(5.0)),
+        (AggregatorSpec.trimmed_mean(np.float64(0.2)), AggregatorSpec.trimmed_mean(0.2)),
+    ):
+        got, want = aggregate_matrix(spec, values).values, aggregate_matrix(same, values).values
+        assert got.tobytes() == want.tobytes()
+    assert AttackSpec.large_value(np.int64(5)).lv_magnitude == 5
+    assert LearningConfig(step_size=np.float64(0.1)).step_size == 0.1
 
 
 class TestPsi:

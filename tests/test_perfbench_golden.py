@@ -40,9 +40,11 @@ def test_golden_pass_within_tolerance(tmp_path, name):
 def test_tracer_binds_every_traced_name(tmp_path):
     # The tracer rebinds scmsim names it imports by attribute; a renamed
     # one would drop out of the per-layer metrics.  ``SCTable.save`` has
-    # never existed.
+    # never existed.  ``sensitivity`` no longer imports ``aggregate_matrix``:
+    # its curves run every rule in one ``_aggregate_columns`` call, so no
+    # scmsim call goes through that name.
     tracer = _load("spans").Tracer(tmp_path)
-    assert tracer.missing == ["SCTable.save"]
+    assert tracer.missing == ["scmsim.sensitivity.aggregate_matrix", "SCTable.save"]
 
 
 def test_traced_pass_labels_every_craft(tmp_path):

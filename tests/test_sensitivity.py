@@ -33,6 +33,19 @@ def symmetric_base(seed=4242, half_size=50):
     return np.concatenate([half, -half])
 
 
+def record_calls(monkeypatch):
+    """The (rules, width) of every estimator call ``sensitivity`` makes from now on."""
+    calls = []
+    original = sensitivity._aggregate_columns
+
+    def recording(specs, matrix, *args, **kwargs):
+        calls.append((list(specs), matrix.shape[1]))
+        return original(specs, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "_aggregate_columns", recording)
+    return calls
+
+
 class TestSensitivityCurve:
     def test_mean_closed_form_example(self):
         assert sensitivity_values(MEAN, [1, 2, 3], 10.0) == pytest.approx(8.0, abs=1e-12)
@@ -175,6 +188,19 @@ class TestSweep:
         assert abs(tuk_row[0]) < 0.2 * np.abs(tuk_row).max()
         assert abs(tuk_row[-1]) < 0.2 * np.abs(tuk_row).max()
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_every_rule_in_two_calls_with_each_rule_bits(self, monkeypatch, count):
+        # The clean base and the grid are one call each for every rule, and
+        # each row keeps the bits of that rule's own curve.
+        rules = [*tuned_aggregators(), AggregatorSpec.talwar(3.5), AggregatorSpec.tukey(5.5)]
+        base = np.random.default_rng(12).standard_normal(60)
+        grid = np.linspace(-8.0, 8.0, 161)
+        calls = record_calls(monkeypatch)
+        table = sc_sweep(rules, base, grid, count)
+        assert calls == [(rules, 1), (rules, grid.size)]
+        for rule, row in zip(rules, table.values):
+            assert row.tobytes() == sensitivity_values(rule, base, grid, count).tobytes()
+
     def test_csv_layout(self, tmp_path):
         # SC.csv is written from the table's names, grid and rows in this layout.
         from scmsim.cli import _write_csv
@@ -264,32 +290,22 @@ class TestMaxNumeric:
         assert z <= 10.0
 
     def test_clean_base_estimated_once_per_call(self, monkeypatch):
-        calls = []
-        original = sensitivity.estimate
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sensitivity, "estimate", counting)
+        calls = record_calls(monkeypatch)
         max_sc_numeric(TUKEY, np.random.default_rng(0).standard_normal(40), count=2)
-        assert len(calls) == 1
+        widths = [width for _, width in calls]
+        assert widths[0] == 1
+        assert widths.count(1) == 1
 
     def test_every_evaluation_is_one_grid_call(self, monkeypatch):
-        widths = []
-        original = sensitivity.aggregate_matrix
-
-        def counting(agg, matrix, *args, **kwargs):
-            widths.append(matrix.shape[1])
-            return original(agg, matrix, *args, **kwargs)
-
-        monkeypatch.setattr(sensitivity, "aggregate_matrix", counting)
+        calls = record_calls(monkeypatch)
         for spec, base, count in ORACLE_ACCURACY_CASES:
-            widths.clear()
+            calls.clear()
             max_sc_numeric(spec, base, count)
-            assert widths[0] == ORACLE_GRID_POINTS
-            assert set(widths[1:]) <= {_REFINE_POINTS}
-            assert len(widths) <= 12
+            widths = [width for _, width in calls]
+            # The clean base, then the window grid, then the refinements.
+            assert widths[:2] == [1, ORACLE_GRID_POINTS]
+            assert set(widths[2:]) <= {_REFINE_POINTS}
+            assert len(widths) - 1 <= 12
 
     @pytest.mark.parametrize(
         "case", range(len(ORACLE_ACCURACY_CASES)),
