@@ -39,9 +39,8 @@ from .estimators import (
     _check_count,
     _check_positive,
     _check_real,
-    _deviations_and_scale,
+    _median_and_scale,
     _pad,
-    _ranked_median,
     trim_count,
 )
 
@@ -169,8 +168,8 @@ def _mestimator_values(s: np.ndarray, n: np.ndarray, p, target: AggregatorSpec) 
             " defender: the copies would hold its median"
         )
     c0 = psi_argmax(target.kind, target.c) * (1.0 - BOUNDARY_MARGIN)
-    med = _ranked_median(s, n + p)
-    return c0 * _deviations_and_scale(s, med, n + p)[1] + med
+    med, scale = _median_and_scale(s, n + p)
+    return c0 * scale + med
 
 
 def craft_attack(

@@ -45,12 +45,10 @@ ATTACK_NAMES = frozenset(("none", "large_value", *SCM_TARGET))
 
 
 def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:

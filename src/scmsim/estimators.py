@@ -236,37 +236,31 @@ def _ranked_median(s: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return med
 
 
-def _deviations_and_scale(a: np.ndarray, med: np.ndarray, counts: np.ndarray):
-    # The deviations a - med, +-inf in the padding and past the float range,
-    # and the normalized MAD read from one sort of their magnitudes, where
-    # such a deviation sorts last as it would unrounded.  A scale past the
-    # float range raises ValueError.
+def _median_and_scale(s: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column medians of ``s``, sorted as ``_ranked_median`` reads it, and
+    their normalized MADs: the defender's fixed M-estimation scale, and the
+    one the M-estimator attack reads.
+
+    The deviations' magnitudes, +inf in the padding and past the float
+    range, are taken and sorted in place in one new array; a column's
+    order leaves their sorted magnitudes as they are.  A scale past the
+    float range raises ValueError.
+    """
+    med = _ranked_median(s, counts)
     with np.errstate(over="ignore"):
-        d = a - med
-        scale = MAD_NORMALIZATION * _ranked_median(np.sort(np.abs(d), axis=0), counts)
+        d = s - med
+        np.abs(d, out=d).sort(axis=0)
+        scale = MAD_NORMALIZATION * _ranked_median(d, counts)
     if not np.isfinite(scale).all():
         raise ValueError("the MAD scale overflows the float range: the values spread too widely")
-    return d, scale
-
-
-def median_and_scale(a: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column medians of a (samples, columns) array and the normalized MADs.
-
-    The scale is the median absolute deviation about the median times
-    1.4826: the defender's fixed M-estimation scale, and the one the
-    M-estimator attack reads.  Column j counts ``counts[j]`` rows, +inf
-    padded, as ``_ranked_median`` reads them.  A scale past the float range
-    raises ValueError.
-    """
-    med = _ranked_median(np.sort(a, axis=0), counts)
-    return med, _deviations_and_scale(a, med, counts)[1]
+    return med, scale
 
 
 def mad(values) -> float:
     """Median absolute deviation from the median, times 1.4826 so that it
     is consistent for the standard deviation under Gaussian data."""
     a, layout = _as_column(values)
-    return float(median_and_scale(a, layout.counts)[1][0])
+    return float(_median_and_scale(np.sort(a, axis=0), layout.counts)[1][0])
 
 
 def trim_count(n, alpha: float):
@@ -383,8 +377,10 @@ def _m_estimate_columns(
         # take; elsewhere, and wherever sum(psi') <= 0, the reweighted mean's
         # own step sum(psi)/sum(w) with w = psi(r)/r.  Only Tukey's
         # redescending psi reaches that fallback: Talwar's psi' is its 0/1
-        # weight, so both of its steps are one.
-        slope = np.where(np.abs(psi_sum) < c * slope_sum, slope_sum, wsum)
+        # weight, so both of its steps are one.  A c * sum(psi') past the
+        # float range compares as +-inf, as the unrounded product would.
+        with np.errstate(over="ignore"):
+            slope = np.where(np.abs(psi_sum) < c * slope_sum, slope_sum, wsum)
         step = np.divide(psi_sum, slope, out=np.zeros_like(t), where=~done)
         t += step
         done |= np.abs(step) <= FIXED_POINT_TOL
@@ -420,13 +416,15 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
         b = slice(j * m // k, (j + 1) * m // k)
         n = counts[b]
         s = None if high is None else np.sort(high[:, b], axis=0)
-        if medians:
-            med = _ranked_median(s, n)
         if m_estimates:
-            u, sigma = _deviations_and_scale(high[:, b], med, n)
+            med, sigma = _median_and_scale(s, n)
             degenerate = sigma == 0.0
+            # u from the unsorted rows, which _psi_sums adds in order.
             with np.errstate(over="ignore"):
+                u = high[:, b] - med
                 u /= np.where(degenerate, 1.0, sigma)
+        elif medians:
+            med = _ranked_median(s, n)
         for i, (spec, kind) in enumerate(zip(specs, kinds)):
             if kind is AggregatorKind.SAMPLE_MEAN:
                 values[i, b] = _row_sum(low[:, b]) / n

@@ -22,8 +22,8 @@ from .estimators import (
     AggregatorSpec,
     _aggregate_columns,
     _as_column,
+    _median_and_scale,
     _one_count,
-    median_and_scale,
 )
 
 # Window-grid arg-maxima within this slack of the maximum count as ties;
@@ -95,7 +95,7 @@ def sc_sweep(
 def default_search_bounds(base) -> tuple[float, float]:
     """Search window covering the redescending maxima: median +/- 10*(mad+1)."""
     a, layout = _as_column(base)
-    center, scale = (float(v[0]) for v in median_and_scale(a, layout.counts))
+    center, scale = (float(v[0]) for v in _median_and_scale(np.sort(a, axis=0), layout.counts))
     halfwidth = 10.0 * (scale + 1.0)
     return center - halfwidth, center + halfwidth
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,6 +496,27 @@ class TestRoundCraft:
         got = craft_attack(values, spec, 2, layout)
         assert values.tobytes() == before
         assert got.tobytes() == craft_attack(copy, spec, 2, layout).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AttackSpec.trimmed_scm(), AttackSpec.talwar_scm(TALWAR_C_95), AttackSpec.tukey_scm(TUKEY_C_95)],
+        ids=lambda s: s.label,
+    )
+    def test_peak_memory_stays_within_three_inputs(self, spec):
+        # A padded 22x1,300 round: the crafters hold the one sorted padded
+        # copy, and the M-crafters one array of deviation magnitudes beside
+        # it (about 2.4 inputs; 1.25 for the trimmed mean).
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((22, 1300))
+        layout = Layout.of(values.shape, rng.integers(12, 23, 1300), "benign_count")
+        craft_attack(values, spec, 3, layout)
+        tracemalloc.start()
+        try:
+            craft_attack(values, spec, 3, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * values.nbytes
 
     def test_crafting_never_calls_the_oracle(self, monkeypatch):
         # The numeric oracle is the attacks' independent check: crafting

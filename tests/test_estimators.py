@@ -25,13 +25,13 @@ from scmsim.estimators import (
     aggregate_matrix,
     estimate,
     mad,
-    median_and_scale,
     monte_carlo_efficiency,
     psi,
     trim_count,
     tuned_aggregators,
     _BLOCK_COLUMNS,
     _aggregate_columns,
+    _median_and_scale,
     _psi_weights,
     _ranked_median,
     _row_sum,
@@ -378,14 +378,26 @@ class TestMEstimate:
         # location is the mean of the two counted rows.  At c = 1e308, the
         # residual of -1e308 passes the float range once t leaves the median,
         # and is still rejected with psi 0, never NaN.  c * sum(psi')
-        # overflows at these c.
+        # overflows at these c, silently.
         padded = Layout.of((3, 1), [2], "counts")
         col = np.append(np.linspace(-0.5, 0.5, 9), [-1e308, 3e307])[:, None]
-        with np.errstate(over="ignore"):
-            top = aggregate_matrix(AggregatorSpec(kind, c=np.finfo(float).max), [[0.0], [1.0], [5.0]], padded)
-            wide = aggregate_matrix(AggregatorSpec(kind, c=1e308), col)
+        top = aggregate_matrix(AggregatorSpec(kind, c=np.finfo(float).max), [[0.0], [1.0], [5.0]], padded)
+        wide = aggregate_matrix(AggregatorSpec(kind, c=1e308), col)
         assert (top.values[0], top.converged) == (0.5, True)
         assert (wide.values[0], wide.converged) == (want, True)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AggregatorSpec.talwar(1e308), AggregatorSpec.tukey(1e308), AggregatorSpec.talwar(np.finfo(float).max)],
+        ids=["talwar-1e308", "tukey-1e308", "talwar-max"],
+    )
+    def test_step_rule_product_overflows_silently(self, spec):
+        # c * sum(psi') passes the float range at these c; compared as inf,
+        # it leaves Newton's step, with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = aggregate_matrix(spec, np.linspace(0, 1, 12)[:, None])
+        assert (got.values[0], got.converged) == (0.5, True)
 
     @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
     def test_padded_columns_keep_the_reweighted_mean_root(self, spec):
@@ -776,35 +788,37 @@ class TestThreads:
             assert not flags[-1][1] and flags[2][1]
         assert given == [1, 3, 1, 3]
 
-    @pytest.mark.parametrize("second, error", [
-        (np.full(100, 1.5e308), RuntimeWarning),  # the mean's sum overflows
-        (np.repeat([-1.7e308, 1.7e308], 50), ValueError),  # the MAD scale overflows
-    ], ids=["sum-overflow-warning", "mad-overflow"])
-    def test_helper_errors_reach_the_caller(self, monkeypatch, second, error):
+    @pytest.mark.parametrize("second, over, error", [
+        (np.full(100, 1.5e308), "warn", RuntimeWarning),  # the mean's sum overflows
+        (np.full(100, 1.5e308), "raise", FloatingPointError),
+        (np.repeat([-1.7e308, 1.7e308], 50), "warn", ValueError),  # the MAD scale overflows
+    ], ids=["sum-overflow-warning", "sum-overflow-raise", "mad-overflow"])
+    def test_helper_errors_reach_the_caller(self, monkeypatch, second, over, error):
         # The second of four slices holds the column ``second``, and the
         # third and fourth one whose sum overflows.  Each of four threads
         # holds one slice until all four have one, so helpers run at least
         # two failing slices, and the caller raises the second slice's error,
-        # as the serial loop does.  The suite's warning filter makes the
-        # warning an error, outside any errstate.
+        # as the serial loop does.  The suite's warning filter makes a
+        # warning an error; an overflow raises under the caller's
+        # errstate(over="raise"), which the helpers take too.
         specs = [MEAN, *M_SPECS]
         a = np.random.default_rng(81).standard_normal((100, 1750))
         a[:, 500] = second
         a[:, [1000, 1500]] = 1.5e308
-        with pytest.raises(error) as serial:
+        with pytest.raises(error) as serial, np.errstate(over=over):
             _aggregate_columns(specs, a)
         monkeypatch.setattr(estimators, "_worker_count", lambda: 4)
         barrier, threads = threading.Barrier(4, timeout=60), set()
-        deviations = estimators._deviations_and_scale
+        median_and_scale = estimators._median_and_scale
 
         def one_slice_per_thread(*args):
             threads.add(threading.get_ident())
             barrier.wait()
-            return deviations(*args)
+            return median_and_scale(*args)
 
-        monkeypatch.setattr(estimators, "_deviations_and_scale", one_slice_per_thread)
+        monkeypatch.setattr(estimators, "_median_and_scale", one_slice_per_thread)
         before = threading.active_count()
-        with pytest.raises(error) as threaded:
+        with pytest.raises(error) as threaded, np.errstate(over=over):
             _aggregate_columns(specs, a)
         assert type(threaded.value) is type(serial.value)
         assert str(threaded.value) == str(serial.value)
@@ -849,10 +863,10 @@ class TestColumnMedian:
         valid = np.arange(rows)[:, None] < counts
         for a in draw_families(rng, rows, m):
             padded = np.where(valid, a, np.inf)
-            med, scale = median_and_scale(padded, counts)
+            med, scale = _median_and_scale(np.sort(padded, axis=0), counts)
             for j, k in enumerate(counts):
                 values = a[:k, j : j + 1]
-                want_med, want_scale = median_and_scale(values, counts[j : j + 1])
+                want_med, want_scale = _median_and_scale(np.sort(values, axis=0), counts[j : j + 1])
                 assert med[j].tobytes() == np.median(values).tobytes() == want_med[0].tobytes()
                 assert scale[j].tobytes() == want_scale[0].tobytes()
             assert _ranked_median(np.sort(padded, axis=0), counts).tobytes() == med.tobytes()
