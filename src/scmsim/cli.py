@@ -23,7 +23,7 @@ from .config import (
     write_manifest,
 )
 from .attacks import SCM_TARGET, AttackSpec, craft_attack
-from .estimators import monte_carlo_efficiency
+from .estimators import _one_count, monte_carlo_efficiency
 from .sensitivity import sc_sweep, sensitivity_values
 from .simulation import run_experiment
 from .topology import TopologyError, generate_topology
@@ -85,8 +85,7 @@ def _simulate_cell(cfg: ExperimentConfig, attack_name: str, num_malicious: int) 
 
 def cmd_simulate(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Run the (attack x contamination) grid; one CSV per cell and metric."""
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
+    threads = _one_count(threads, "threads")
     cells = [(a, m) for a in cfg.attack_names for m in cfg.malicious_counts]
     # A worker per cell at most: under fork every worker starts up front.
     workers = min(threads, len(cells))

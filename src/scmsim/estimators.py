@@ -293,20 +293,17 @@ def psi(kind: AggregatorKind, x, c: float):
 
 def _psi_weights(kind: AggregatorKind, r: np.ndarray, c: float, out=None) -> np.ndarray:
     # psi(r)/r with the limit value 1 at r = 0, for both families, written
-    # to ``out`` when given.
+    # to ``out`` when given.  fmax takes a NaN residual's taper, like an
+    # infinite one's, to 0.
     out = np.empty_like(r) if out is None else out
     if kind is AggregatorKind.TALWAR:
         return np.less_equal(np.abs(r, out=out), c, out=out)
-    return np.square(_tukey_taper(r, c, out), out=out)
+    return np.square(np.fmax(_tukey_taper(r, c, out), 0.0, out=out), out=out)
 
 
 def _tukey_taper(r: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
-    # fmax(1 - (r/c)**2, 0), the square root of Tukey's weight, in ``out``.
-    # fmax takes a NaN residual, like an infinite one, to 0.
-    np.divide(r, c, out=out)
-    np.square(out, out=out)
-    np.subtract(1.0, out, out=out)
-    return np.fmax(out, 0.0, out=out)
+    # 1 - (r/c)**2 in ``out``: the square root of Tukey's weight where |r| <= c.
+    return np.subtract(1.0, np.square(np.divide(r, c, out=out), out=out), out=out)
 
 
 def _psi_sums(
@@ -315,9 +312,9 @@ def _psi_sums(
     # Column sums of psi(r), psi'(r) and the weights psi(r)/r, with r and the
     # scratch array w overwritten.  r is clipped to [-c, c] once the weights
     # are read from it: a rejected residual, an infinite one too, then gives
-    # psi = r*w = 0, never NaN.  Tukey's taper of the clipped r has the bits
-    # of its taper of r, without the overflow.  psi' is Talwar's 0/1 weight
-    # itself, and Tukey's s*(5s - 4) = 5w - 4s with s its taper.
+    # psi = r*w = 0, never NaN.  Tukey's taper of the clipped r, never below
+    # 0, has the bits of its taper of r, without the overflow.  psi' is
+    # Talwar's 0/1 weight itself, and Tukey's s*(5s - 4) = 5w - 4s with s its taper.
     if kind is AggregatorKind.TALWAR:
         wsum = slope_sum = _row_sum(_psi_weights(kind, r, c, w))
         np.clip(r, -c, c, out=r)
@@ -350,41 +347,44 @@ def _pad(a: np.ndarray, valid: np.ndarray | None, fill: float) -> np.ndarray:
 
 
 def _m_estimate_columns(
-    u: np.ndarray, kind: AggregatorKind, c: float, counts: np.ndarray, degenerate: np.ndarray
+    u: np.ndarray, kind: AggregatorKind, c: float, degenerate: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Newton's iteration on one slice's standardized samples u = (y - median)/sigma.
 
     A column's location is median + sigma*t, t the zero of sum(psi(u - t))
     and sigma its normalized MAD.  u is +-inf, rejected at every t, in
     padding and past the float range, and a ``degenerate`` column, whose
-    scale is zero, keeps t = 0.  Returns (t, converged flags, steps taken).
-    A column stops where its step is within FIXED_POINT_TOL or all its
-    samples are rejected, after ``FIXED_POINT_MAX_ITER`` steps at most.  It
-    is flagged converged where some sample is kept at its final iterate and
-    |sum(psi)| <= count*FIXED_POINT_TOL there, or where it is degenerate.
+    scale is zero, keeps t = 0, converged.  Returns (t, converged flags,
+    steps taken), one evaluation of the sums per step.  A column stops,
+    converged, once its step is within FIXED_POINT_TOL: |sum(psi)| <=
+    count*FIXED_POINT_TOL held where it stepped from, as the step's slope is
+    at most the count.  It stops unconverged where all its samples are
+    rejected, or after ``FIXED_POINT_MAX_ITER`` steps.
     """
-    r, w = np.empty_like(u), np.empty_like(u)
-    t = np.zeros(u.shape[1])
-    done = degenerate.copy()
-    # A done column steps by 0, which leaves its t and its bits.
-    for steps in range(FIXED_POINT_MAX_ITER + 1):
+    r, w, t = np.empty_like(u), np.empty_like(u), np.zeros(u.shape[1])
+    active, converged, steps = ~degenerate, degenerate.copy(), 0
+    # An inactive column steps by 0, which leaves its t and its bits.
+    while steps < FIXED_POINT_MAX_ITER and active.any():
         psi_sum, slope_sum, wsum = _psi_sums(kind, np.subtract(u, t, out=r), c, w)
-        done |= wsum == 0.0
-        if done.all() or steps == FIXED_POINT_MAX_ITER:
+        active &= wsum != 0.0
+        if not active.any():
             break
         # Newton's step sum(psi)/sum(psi') where it is shorter than c, the
         # longest step the reweighted mean of the samples within c of t can
         # take; elsewhere, and wherever sum(psi') <= 0, the reweighted mean's
-        # own step sum(psi)/sum(w) with w = psi(r)/r.  Only Tukey's
-        # redescending psi reaches that fallback: Talwar's psi' is its 0/1
-        # weight, so both of its steps are one.  A c * sum(psi') past the
+        # own step sum(psi)/sum(w) with w = psi(r)/r.  Talwar's psi' is its
+        # 0/1 weight, so both of its steps are one.  A c * sum(psi') past the
         # float range compares as +-inf, as the unrounded product would.
-        with np.errstate(over="ignore"):
-            slope = np.where(np.abs(psi_sum) < c * slope_sum, slope_sum, wsum)
-        step = np.divide(psi_sum, slope, out=np.zeros_like(t), where=~done)
+        if kind is AggregatorKind.TUKEY:
+            with np.errstate(over="ignore"):
+                slope_sum = np.where(np.abs(psi_sum) < c * slope_sum, slope_sum, wsum)
+        step = np.divide(psi_sum, slope_sum, out=np.zeros_like(t), where=active)
         t += step
-        done |= np.abs(step) <= FIXED_POINT_TOL
-    return t, degenerate | ((wsum > 0.0) & (np.abs(psi_sum) <= counts * FIXED_POINT_TOL)), steps
+        steps += 1
+        stopped = active & (np.abs(step) <= FIXED_POINT_TOL)
+        converged |= stopped
+        active ^= stopped
+    return t, converged, steps
 
 
 def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout | None = None):
@@ -433,7 +433,7 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
             elif kind is AggregatorKind.TRIMMED_MEAN:
                 values[i, b] = _trimmed_mean(s, n, spec.alpha, valid)
             else:
-                t, flags[i][b], steps[j][i] = _m_estimate_columns(u, kind, spec.c, n, degenerate)
+                t, flags[i][b], steps[j][i] = _m_estimate_columns(u, kind, spec.c, degenerate)
                 values[i, b] = med + sigma * t
 
     threaded = k > 1 and a.shape[0] * (m // k) >= _THREAD_VALUES

@@ -481,6 +481,34 @@ class TestMainEntry:
         assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "threads, message",
+        [
+            (2.5, "threads must be a whole number, got 2.5"),
+            ("2", "threads must be a whole number, got '2'"),
+            (None, "threads must be a whole number, got None"),
+            (True, "threads must be a whole number, got True"),
+            ([2], "threads must be one whole number, got [2]"),
+        ],
+        ids=["fraction", "string", "none", "bool", "list"],
+    )
+    @pytest.mark.parametrize("counts", ["0 2", "0 1 2"])
+    def test_threads_one_whole_number(self, tmp_path, monkeypatch, threads, message, counts):
+        # Library calls reach cmd_simulate without argparse's int check; a
+        # value that is not one whole number starts nothing.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a rejected threads value started a simulation")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(cli, "_simulate_cell", no_work)
+        text = FAST_SIM.format(out=tmp_path / "run").replace(
+            "malicious_counts = 0 2", f"malicious_counts = {counts}"
+        )
+        with pytest.raises(ValueError) as exc:
+            cmd_simulate(parse_config(text), threads=threads)
+        assert str(exc.value) == message
+        assert not (tmp_path / "run").exists()
+
 
 # sha256 of the offline outputs, recorded with every estimator sum taken
 # row by row, on x86-64 Linux, NumPy 2.4.  Any change to these bytes is a

@@ -465,10 +465,11 @@ class TestMEstimate:
 
     @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
     def test_iterations_count_steps_taken(self, spec, monkeypatch):
-        # Every pass evaluates the sums once and then steps or stops, so a
-        # call reports one step fewer than it makes evaluations: none for a
-        # column whose every sample is rejected at the median or whose
-        # scale is zero, and 2 (Talwar) or 3 (Tukey) for a Gaussian column.
+        # Every step takes one evaluation of the sums, and a column stops
+        # right after the step that brings it within tolerance: 2 (Talwar)
+        # or 3 (Tukey) of each for a Gaussian column, none for a column whose
+        # scale is zero.  A column whose every sample is rejected at the
+        # median stops after one evaluation, without a step.
         evaluations = []
         psi_sums = estimators._psi_sums
 
@@ -479,16 +480,46 @@ class TestMEstimate:
         monkeypatch.setattr(estimators, "_psi_sums", counted)
         gauss = np.random.default_rng(0).standard_normal(24)
         steps = {"talwar": 2, "tukey": 3}[spec.label]
-        for values, c, want, flag in (
-            (np.repeat([-50.0, 50.0], 12), 0.3, 0, False),
-            (np.full(24, 1.5), spec.c, 0, True),
-            (gauss, spec.c, steps, True),
+        for values, c, want, evals, flag in (
+            (np.repeat([-50.0, 50.0], 12), 0.3, 0, 1, False),
+            (np.full(24, 1.5), spec.c, 0, 0, True),
+            (gauss, spec.c, steps, steps, True),
         ):
             evaluations.clear()
             a = values[:, None]
             _, conv, iters = m_estimate(a, spec.kind, c, full_layout(a))
-            assert (iters, len(evaluations)) == (want, want + 1)
+            assert (iters, len(evaluations)) == (want, evals)
             assert conv.tolist() == [flag]
+        # The 100 x 20,000 efficiency chunk: one evaluation per step of each
+        # of its 40 slices.
+        evaluations.clear()
+        a = np.random.default_rng(0).standard_normal((100, 20000))
+        _, conv, _ = m_estimate(a, spec.kind, spec.c, full_layout(a))
+        assert conv.all()
+        assert len(evaluations) == {"talwar": 168, "tukey": 157}[spec.label]
+
+    def test_step_budget_stops_unconverged(self, monkeypatch):
+        # A Gaussian Tukey column needs 3 Newton steps.  Two allowed leave it
+        # at the second iterate, flagged non-converged; three converge.  The
+        # zero-scale and all-rejected stops are pinned above.
+        spec = AggregatorSpec.tukey()
+        gauss = np.random.default_rng(0).standard_normal(24)
+        med = np.median(gauss)
+        sigma = MAD_NORMALIZATION * np.median(np.abs(gauss - med))
+        u, t, c = (gauss - med) / sigma, 0.0, spec.c
+        for _ in range(2):
+            r = u - t
+            s = np.where(np.abs(r) <= c, 1.0 - (r / c) ** 2, 0.0)
+            t += (r * s * s).sum() / (s * (5.0 * s - 4.0)).sum()
+        a = gauss[:, None]
+        locs = {}
+        for budget, flag in ((2, False), (3, True)):
+            monkeypatch.setattr(estimators, "FIXED_POINT_MAX_ITER", budget)
+            locs[budget], conv, iters = m_estimate(a, spec.kind, spec.c, full_layout(a))
+            assert (iters, conv.tolist()) == (budget, [flag])
+        assert locs[2][0] == pytest.approx(med + sigma * t, rel=0, abs=1e-15)
+        # The third step is shorter than the tolerance but moves the location.
+        assert abs(locs[3][0] - locs[2][0]) > 1e-13
 
 
 class TestBlocks:
