@@ -76,6 +76,8 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(_check_real(self.lv_magnitude, "lv_magnitude must be finite")):
             raise ValueError("lv_magnitude must be finite")
+        if not (self.target is None or isinstance(self.target, AggregatorSpec)):
+            raise ValueError(f"target must be None or an AggregatorSpec, got {self.target!r}")
         if self.target is not None and self.target.kind not in SCM_TARGET.values():
             raise ValueError(f"no SCM attack targets the {self.target.label} rule")
 

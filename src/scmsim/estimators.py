@@ -71,6 +71,8 @@ class AggregatorSpec:
     c: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, AggregatorKind):
+            raise ValueError(f"kind must be an AggregatorKind, got {self.kind!r}")
         if self.kind is AggregatorKind.TRIMMED_MEAN:
             _check_trim_fraction(self.alpha)
         if self.kind in M_ESTIMATOR_KINDS:
@@ -408,11 +410,11 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
     low = _pad(a, valid, -0.0) if AggregatorKind.SAMPLE_MEAN in kinds else None
     m = a.shape[1]
     k = max(1, -(-m // _BLOCK_COLUMNS))
-    values, steps = np.empty((len(specs), m)), [[0] * len(specs) for _ in range(k)]
+    values = np.empty((len(specs), m))
     flags = [np.ones(m, dtype=bool) if kind in M_ESTIMATOR_KINDS else None for kind in kinds]
 
-    def run_slice(j: int) -> None:
-        # Writes only slice j's columns of ``values`` and the flags, and row j of ``steps``.
+    def run_slice(j: int) -> list[int]:
+        # Writes only slice j's columns of ``values`` and the flags; returns its steps per rule.
         b = slice(j * m // k, (j + 1) * m // k)
         n = counts[b]
         s = None if high is None else np.sort(high[:, b], axis=0)
@@ -425,6 +427,7 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
                 u /= np.where(degenerate, 1.0, sigma)
         elif medians:
             med = _ranked_median(s, n)
+        steps = [0] * len(specs)
         for i, (spec, kind) in enumerate(zip(specs, kinds)):
             if kind is AggregatorKind.SAMPLE_MEAN:
                 values[i, b] = _row_sum(low[:, b]) / n
@@ -433,11 +436,12 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
             elif kind is AggregatorKind.TRIMMED_MEAN:
                 values[i, b] = _trimmed_mean(s, n, spec.alpha, valid)
             else:
-                t, flags[i][b], steps[j][i] = _m_estimate_columns(u, kind, spec.c, degenerate)
+                t, flags[i][b], steps[i] = _m_estimate_columns(u, kind, spec.c, degenerate)
                 values[i, b] = med + sigma * t
+        return steps
 
     threaded = k > 1 and a.shape[0] * (m // k) >= _THREAD_VALUES
-    _run_slices(run_slice, k, min(_worker_count(), k) if threaded else 1)
+    steps = _run_slices(run_slice, k, min(_worker_count(), k) if threaded else 1)
     return values, flags, [max(rule_steps) for rule_steps in zip(*steps)]
 
 
@@ -449,46 +453,26 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_slices(task, k: int, workers: int) -> None:
-    """``task(j)`` for every slice j < k, on ``workers`` threads, the caller among them.
+def _run_slices(task, k: int, workers: int) -> list:
+    """``[task(j) for j in range(k)]``, on a pool of ``workers`` threads while the caller waits.
 
-    Threads take the next slice as they come free, each under the caller's
-    NumPy error state, which a new thread does not inherit.  Every helper is
-    joined before this returns; then the lowest failing slice's exception is
-    raised, the one the serial loop would raise, since every slice before it
-    was handed out before it failed.
+    Each slice runs under the caller's NumPy error state, which a new thread
+    does not inherit.  The lowest failing slice's exception is raised, the
+    one the serial loop would raise; slices not yet started are cancelled,
+    and every thread is joined before this returns or raises.
     """
     if workers < 2:
-        for j in range(k):
-            task(j)
-        return
-    import threading
+        return [task(j) for j in range(k)]
+    from concurrent.futures import ThreadPoolExecutor
 
-    lock, pending, failed, err = threading.Lock(), iter(range(k)), {}, np.geterr()
+    err = np.geterr()
 
-    def work() -> None:
+    def work(j: int):
         with np.errstate(**err):
-            while not failed:
-                with lock:
-                    j = next(pending, None)
-                if j is None:
-                    return
-                try:
-                    task(j)
-                except BaseException as exc:  # re-raised below; an interrupt stops the helpers too
-                    failed[j] = exc
+            return task(j)
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    try:
-        for helper in helpers:
-            helper.start()
-        work()
-    finally:
-        for helper in helpers:
-            if helper.ident is not None:
-                helper.join()
-    if failed:
-        raise failed[min(failed)]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(work, range(k)))
 
 
 def _trimmed_mean(s: np.ndarray, counts: np.ndarray, alpha: float, valid) -> np.ndarray:

@@ -70,7 +70,8 @@ class NetworkTopology:
 
     def neighborhood(self, k: int) -> np.ndarray:
         """Agent ids adjacent to k, plus k itself, sorted."""
-        if not 0 <= k < self.agent_count:
+        k = _one_count(k, "agent id", minimum=0)
+        if k >= self.agent_count:
             raise ValueError(f"agent id {k} out of range")
         nb = self.adjacency[k].copy()
         nb[k] = True

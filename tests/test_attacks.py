@@ -375,6 +375,11 @@ class TestCraftAttack:
             with pytest.raises(ValueError, match="no SCM attack targets"):
                 AttackSpec(unsupported)
 
+    @pytest.mark.parametrize("target", ["talwar", AggregatorKind.TALWAR, 3])
+    def test_attack_target_must_be_a_spec(self, target):
+        with pytest.raises(ValueError, match="target must be None or an AggregatorSpec"):
+            AttackSpec(target=target)
+
     def test_label_names_the_attack_on_the_target(self):
         assert AttackSpec.large_value().label == "large_value"
         for name, kind in SCM_TARGET.items():

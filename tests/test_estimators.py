@@ -205,6 +205,14 @@ def test_real_parameter_takes_one_real_number(name, make):
         make()
 
 
+@pytest.mark.parametrize("kind", ["median", None, 3])
+def test_spec_kind_must_be_an_aggregator_kind(kind):
+    # A kind that is not an AggregatorKind would reach the M-estimation
+    # branch of every call and fail there without naming the field.
+    with pytest.raises(ValueError, match="kind must be an AggregatorKind"):
+        AggregatorSpec(kind)
+
+
 def test_numpy_real_parameters_keep_their_bytes():
     # A NumPy float or int is one real number, kept as it is.
     values = np.random.default_rng(5).standard_normal((9, 4))
@@ -854,6 +862,29 @@ class TestThreads:
         assert type(threaded.value) is type(serial.value)
         assert str(threaded.value) == str(serial.value)
         assert len(threads) == 4 and threading.active_count() == before
+
+    def test_interrupt_in_a_slice_reaches_the_caller(self, monkeypatch):
+        # A BaseException that is not an Exception, as an interrupt is, in
+        # the third of four threaded slices reaches the caller, and every
+        # thread is gone when it does.
+        class Interrupt(BaseException):
+            pass
+
+        given = self._record_workers(monkeypatch)
+        monkeypatch.setattr(estimators, "_worker_count", lambda: 3)
+        a = np.random.default_rng(83).standard_normal((100, 2000))
+        median_and_scale, third = estimators._median_and_scale, a[:, 1000].min()
+
+        def interrupted(s, n):
+            if s[0, 0] == third:  # the sorted first column of slice 2
+                raise Interrupt("slice 2")
+            return median_and_scale(s, n)
+
+        monkeypatch.setattr(estimators, "_median_and_scale", interrupted)
+        before = threading.active_count()
+        with pytest.raises(Interrupt, match="slice 2"):
+            _aggregate_columns(M_SPECS, a)
+        assert given == [3] and threading.active_count() == before
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         given = self._record_workers(monkeypatch)

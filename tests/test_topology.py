@@ -140,8 +140,16 @@ class TestNeighborhood:
 
     def test_invalid_id_rejected(self):
         topo = NetworkTopology(complete_graph(3), np.zeros(3, dtype=bool))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="agent id 3 out of range"):
             topo.neighborhood(3)
+        # Only a whole number is an id: a bool would index as a new axis and
+        # mark all 64 entries, a fraction or a string reach NumPy's raw
+        # IndexError or TypeError.
+        topo = NetworkTopology(complete_graph(8), np.zeros(8, dtype=bool))
+        for k in (True, False, 1.5, "2", None, [1]):
+            with pytest.raises(ValueError, match="agent id"):
+                topo.neighborhood(k)
+        np.testing.assert_array_equal(topo.neighborhood(np.int64(2)), np.arange(8))
 
     def test_malformed_topology_rejected(self):
         bad = np.zeros((3, 3), dtype=bool)
