@@ -188,6 +188,8 @@ def craft_attack(
     column or one per column.  The crafters trust these checks; a crafted
     value past the float range raises ValueError.
     """
+    if not isinstance(spec, AttackSpec):
+        raise ValueError(f"spec must be an AttackSpec, got {spec!r}")
     a, layout = _as_matrix(benign, layout)
     p = _check_count(malicious_count, "malicious_count")
     if np.ndim(p) and np.shape(p) != (a.shape[1],):

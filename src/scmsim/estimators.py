@@ -149,6 +149,30 @@ def _one_count(value, name: str, minimum: int = 1) -> int:
     return _check_count(value, name, minimum)
 
 
+def _check_seed(seed, sequence: bool = True):
+    # ``seed`` as it is if it reproduces its draws: a whole number of at
+    # least 0 of any size, not a bool, or, where ``sequence``, a SeedSequence
+    # spawned from one.  None, which draws fresh entropy, raises ValueError.
+    if (sequence and isinstance(seed, np.random.SeedSequence)) or (
+        isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0
+    ):
+        return seed
+    raise ValueError(f"seed must be a whole number of at least 0, got {seed!r}")
+
+
+def _check_rules(specs, name: str) -> list[AggregatorSpec]:
+    # ``specs`` as a list of AggregatorSpecs: one spec, a string or anything
+    # else where a sequence of them goes, or an item that is not one, raises
+    # ValueError naming ``name``.
+    if isinstance(specs, (str, AggregatorSpec)) or not np.iterable(specs):
+        raise ValueError(f"{name} must be a sequence of AggregatorSpecs, got {specs!r}")
+    specs = list(specs)
+    for spec in specs:
+        if not isinstance(spec, AggregatorSpec):
+            raise ValueError(f"{name} must hold AggregatorSpecs only, got {spec!r}")
+    return specs
+
+
 @dataclass(frozen=True, eq=False)
 class Layout:
     """Which rows of a (rows, columns) matrix hold each column's values:
@@ -278,29 +302,21 @@ def psi(kind: AggregatorKind, x, c: float):
     """Influence function ψ of the M-estimators.
 
     Talwar passes x through inside [-c, c] and rejects outside; biweight
-    Tukey tapers as x(1 - x^2/c^2)^2 inside and rejects outside.  Accepts
-    scalars or arrays.
+    Tukey tapers as x(1 - x^2/c^2)^2 inside and rejects outside.  Both read
+    x clipped to [-c, c], as the M-estimation kernel does, so nothing
+    overflows; a rejected, infinite or NaN x gives 0.  Accepts scalars or arrays.
     """
     if kind not in M_ESTIMATOR_KINDS:
         raise ValueError(f"psi is defined for Talwar/Tukey only, got {kind}")
     _check_positive("tuning constant c", c)
     arr = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # (r/c)**2 past the float range: weight 0
-        w = _psi_weights(kind, arr, c)
-    # A rejected residual has weight 0 and psi 0, an infinite one too,
-    # whose product with the weight would be NaN.
-    out = np.multiply(arr, w, out=np.zeros_like(w), where=w != 0.0)
-    return float(out) if np.isscalar(x) else out
-
-
-def _psi_weights(kind: AggregatorKind, r: np.ndarray, c: float, out=None) -> np.ndarray:
-    # psi(r)/r with the limit value 1 at r = 0, for both families, written
-    # to ``out`` when given.  fmax takes a NaN residual's taper, like an
-    # infinite one's, to 0.
-    out = np.empty_like(r) if out is None else out
+    clipped = np.clip(arr, -c, c)
     if kind is AggregatorKind.TALWAR:
-        return np.less_equal(np.abs(r, out=out), c, out=out)
-    return np.square(np.fmax(_tukey_taper(r, c, out), 0.0, out=out), out=out)
+        w = np.abs(arr) <= c
+    else:
+        w = np.square(_tukey_taper(clipped, c, np.empty_like(clipped)))
+    out = np.multiply(clipped, w, out=np.zeros_like(clipped), where=w > 0)
+    return float(out) if np.isscalar(x) else out
 
 
 def _tukey_taper(r: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
@@ -312,13 +328,14 @@ def _psi_sums(
     kind: AggregatorKind, r: np.ndarray, c: float, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Column sums of psi(r), psi'(r) and the weights psi(r)/r, with r and the
-    # scratch array w overwritten.  r is clipped to [-c, c] once the weights
-    # are read from it: a rejected residual, an infinite one too, then gives
-    # psi = r*w = 0, never NaN.  Tukey's taper of the clipped r, never below
-    # 0, has the bits of its taper of r, without the overflow.  psi' is
-    # Talwar's 0/1 weight itself, and Tukey's s*(5s - 4) = 5w - 4s with s its taper.
+    # scratch array w overwritten.  psi reads r clipped to [-c, c], as ``psi``
+    # does: Talwar's 0/1 weight |r| <= c is read before the clip, Tukey's
+    # weight is the square of its taper of the clipped r, 0 at +-c, which
+    # cannot overflow.  A rejected residual, an infinite one too, then gives
+    # psi = r*w = 0, never NaN.  psi' is Talwar's 0/1 weight itself, and
+    # Tukey's s*(5s - 4) = 5w - 4s with s its taper.
     if kind is AggregatorKind.TALWAR:
-        wsum = slope_sum = _row_sum(_psi_weights(kind, r, c, w))
+        wsum = slope_sum = _row_sum(np.less_equal(np.abs(r, out=w), c, out=w))
         np.clip(r, -c, c, out=r)
     else:
         np.clip(r, -c, c, out=r)
@@ -401,6 +418,7 @@ def _aggregate_columns(specs: Sequence[AggregatorSpec], matrix, layout: Layout |
     hold ``_THREAD_VALUES`` values each they run on threads, with the bits
     of the serial loop.
     """
+    specs = _check_rules(specs, "aggregation rules")
     a, layout = _as_matrix(matrix, layout)
     counts, valid = layout.counts, layout.valid
     kinds = [spec.kind for spec in specs]
@@ -544,6 +562,7 @@ def monte_carlo_efficiency(
     disjoint batches.  The reference mean is the first rule of each chunk's
     one call, which runs a spec equal to it only once.
     """
+    specs, seed = _check_rules(specs, "specs"), _check_seed(seed)
     trials, sample_size = _one_count(trials, "trials"), _one_count(sample_size, "sample_size")
     if trials < 2 * EFFICIENCY_CI_BATCHES:
         # A one-trial batch has variance 0 and a 0/0 ratio.

@@ -22,6 +22,7 @@ from .estimators import (
     AggregatorSpec,
     _aggregate_columns,
     _as_column,
+    _check_rules,
     _median_and_scale,
     _one_count,
 )
@@ -81,6 +82,7 @@ def sc_sweep(
     aggs: Sequence[AggregatorSpec], base, grid, count: int = 1
 ) -> SCTable:
     """Evaluate every aggregator's sensitivity curve over a value grid in one wide call."""
+    aggs = _check_rules(aggs, "aggs")
     zs = np.asarray(grid, dtype=float).ravel()
     if zs.size == 0:
         raise ValueError("outlier grid is empty")

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AttackSpec, craft_attack
-from .estimators import AggregatorSpec, Layout, _check_positive, _one_count, aggregate_matrix
+from .estimators import (
+    AggregatorSpec,
+    Layout,
+    _check_positive,
+    _check_rules,
+    _check_seed,
+    _one_count,
+    aggregate_matrix,
+)
 from .topology import NetworkTopology
 
 # Traces are capped here; any weight beyond it marks the run as diverged.
@@ -38,7 +46,8 @@ DATA_CHUNK_ROUNDS = 64
 
 def draw_true_weights(dim: int, seed) -> np.ndarray:
     """Ground-truth model drawn once per experiment, standard normal."""
-    return np.random.default_rng(seed).standard_normal(dim)
+    dim = _one_count(dim, "dim")
+    return np.random.default_rng(_check_seed(seed)).standard_normal(dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +206,12 @@ def run_experiment(
     of the rule it was crafted for.
     """
     single = isinstance(aggregator, AggregatorSpec)
-    specs = [aggregator] if single else list(aggregator)
+    specs = [aggregator] if single else _check_rules(aggregator, "aggregator")
     if not specs:
         raise ValueError("run_experiment needs at least one aggregator")
+    if not (attack is None or isinstance(attack, AttackSpec)):
+        raise ValueError(f"attack must be None or an AttackSpec, got {attack!r}")
+    seed = _check_seed(seed, sequence=False)
     if attack is None and topology.num_malicious > 0:
         raise ValueError("an attack scheme is required when malicious agents are present")
     dim = model.dim

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _check_real, _one_count
+from .estimators import _check_real, _check_seed, _one_count
 
 # generate_topology draws up to this many graphs before it gives up, and
 # assign_roles up to this many role assignments per graph.
@@ -30,7 +30,7 @@ def erdos_renyi(agent_count: int, edge_probability: float, seed) -> np.ndarray:
     message = "edge_probability must be a real number in (0, 1]"
     if not 0.0 < _check_real(edge_probability, message) <= 1.0:
         raise ValueError(f"{message}, got {edge_probability!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     adjacency = np.zeros((agent_count, agent_count), dtype=bool)
     iu = np.triu_indices(agent_count, k=1)
     adjacency[iu] = rng.random(iu[0].size) < edge_probability
@@ -116,7 +116,7 @@ def assign_roles(adjacency: np.ndarray, num_malicious: int, seed) -> NetworkTopo
     num_malicious = _one_count(num_malicious, "num_malicious", minimum=0)
     if not num_malicious < agent_count / 2:
         raise ValueError(f"num_malicious must be below K/2, got {num_malicious} of {agent_count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     failures = {"benign majority": 0, "benign connectivity": 0}
     for _ in range(MAX_ROLE_ATTEMPTS):
         malicious = np.zeros(agent_count, dtype=bool)
@@ -138,7 +138,7 @@ def generate_topology(
     agent_count: int, edge_probability: float, num_malicious: int, seed
 ) -> NetworkTopology:
     """Sample a graph and role assignment, regenerating the graph if needed."""
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(_check_seed(seed, sequence=False))
     last_error: TopologyError | None = None
     for _ in range(MAX_GRAPH_ATTEMPTS):
         # The i-th child spawned one at a time is spawn(MAX_GRAPH_ATTEMPTS)[i].

@@ -380,6 +380,11 @@ class TestCraftAttack:
         with pytest.raises(ValueError, match="target must be None or an AggregatorSpec"):
             AttackSpec(target=target)
 
+    @pytest.mark.parametrize("spec", ["x", AggregatorSpec.tukey(), None], ids=repr)
+    def test_craft_spec_must_be_an_attack_spec(self, spec):
+        with pytest.raises(ValueError, match="spec must be an AttackSpec"):
+            craft_attack(np.ones((3, 2)), spec, 1)
+
     def test_label_names_the_attack_on_the_target(self):
         assert AttackSpec.large_value().label == "large_value"
         for name, kind in SCM_TARGET.items():

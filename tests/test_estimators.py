@@ -32,7 +32,6 @@ from scmsim.estimators import (
     _BLOCK_COLUMNS,
     _aggregate_columns,
     _median_and_scale,
-    _psi_weights,
     _ranked_median,
     _row_sum,
 )
@@ -259,17 +258,23 @@ class TestPsi:
             assert out[0] == 0.0 and out[2] == 0.0
 
     def test_tukey_weights_bits_match_masked_formula(self):
-        # The mask-free fmax(1 - (r/c)^2, 0)^2 against the masked form it
-        # replaced, on and beside the rejection boundary, at signed and tiny
-        # zeros, at infinite and NaN residuals, and on random draws.
+        # psi against the masked forms r*w, on and beside the rejection
+        # boundary, at signed and tiny zeros, at infinite and NaN residuals,
+        # and on random draws, at c from the smallest float to the largest.
+        # The ``where`` keeps +0.0 where the weight is 0, at r = -c too.
         rng = np.random.default_rng(31)
-        for c in (1.0, TUKEY_C_95, 0.3):
+        for c in (1.0, TUKEY_C_95, 0.3, 1e-300, 1e300, 5e-324, 1.7e308):
             edge = np.array([c, np.nextafter(c, np.inf), np.nextafter(c, 0.0), 0.0, 1e-300,
                              np.inf, np.nan])
-            r = np.concatenate([edge, -edge, c * rng.uniform(-1.5, 1.5, 2000),
-                                rng.standard_normal(2000)]).reshape(2, -1)
-            u = np.where(np.abs(r) <= c, 1.0 - (r / c) ** 2, 0.0)
-            assert _psi_weights(AggregatorKind.TUKEY, r, c).tobytes() == (u * u).tobytes()
+            with np.errstate(over="ignore"):
+                r = np.concatenate([edge, -edge, c * rng.uniform(-1.5, 1.5, 2000),
+                                    rng.standard_normal(2000)]).reshape(2, -1)
+                kept = np.abs(r) <= c
+                u = np.where(kept, 1.0 - (r / c) ** 2, 0.0)
+            w = u * u
+            tukey = np.multiply(r, w, out=np.zeros_like(r), where=w > 0)
+            assert psi(AggregatorKind.TUKEY, r, c).tobytes() == tukey.tobytes()
+            assert psi(AggregatorKind.TALWAR, r, c).tobytes() == np.where(kept, r, 0.0).tobytes()
         for kind in M_ESTIMATOR_KINDS:
             assert psi(kind, math.nan, 2.0) == 0.0
 
@@ -617,6 +622,32 @@ class TestEfficiency:
         ):
             with pytest.raises(ValueError, match=name):
                 monte_carlo_efficiency([MEDIAN], trials, sample_size, seed=0)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "a", -3], ids=repr)
+    def test_efficiency_seed_must_be_a_whole_number(self, seed):
+        # None would draw fresh entropy and True run as seed 1.
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            monte_carlo_efficiency([MEDIAN], 40, 5, seed)
+
+    @pytest.mark.parametrize(
+        "rule", ["median", AggregatorKind.MEDIAN, AttackSpec.tukey_scm(TUKEY_C_95), None], ids=repr
+    )
+    def test_rule_must_be_an_aggregator_spec(self, rule):
+        # Every entry reaches the one multi-rule call, which names the rule.
+        for call in (
+            lambda: aggregate_matrix(rule, np.ones((3, 2))),
+            lambda: estimate(rule, [1.0, 2.0]),
+            lambda: monte_carlo_efficiency([MEDIAN, rule], 40, 5, 0),
+        ):
+            with pytest.raises(ValueError, match="must hold AggregatorSpecs only"):
+                call()
+
+    @pytest.mark.parametrize("specs", [MEDIAN, "median", None], ids=repr)
+    def test_efficiency_rules_must_be_a_sequence(self, specs):
+        with pytest.raises(ValueError, match="specs must be a sequence of AggregatorSpecs"):
+            monte_carlo_efficiency(specs, 40, 5, 0)
 
 
 class TestAggregate:

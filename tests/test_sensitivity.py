@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from scmsim import sensitivity
-from scmsim.estimators import AggregatorSpec, aggregate_matrix, tuned_aggregators
+from scmsim.attacks import AttackSpec
+from scmsim.estimators import AggregatorKind, AggregatorSpec, aggregate_matrix, tuned_aggregators
 from scmsim.sensitivity import (
     _REFINE_POINTS,
     _TIE_TOL,
@@ -165,6 +166,24 @@ class TestSweep:
     def test_mean_row_is_the_grid_itself(self):
         table = sc_sweep([MEAN], [0.0], [-1.0, 0.0, 1.0])
         np.testing.assert_allclose(table.values[0], [-1.0, 0.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "rule", ["median", AggregatorKind.MEDIAN, AttackSpec.tukey_scm(4.685), None], ids=repr
+    )
+    def test_rule_must_be_an_aggregator_spec(self, rule):
+        base = np.arange(9.0)
+        for call in (
+            lambda: sensitivity_values(rule, base, 1.0),
+            lambda: max_sc_numeric(rule, base),
+            lambda: sc_sweep([MEDIAN, rule], base, [0.0, 1.0]),
+        ):
+            with pytest.raises(ValueError, match="must hold AggregatorSpecs only"):
+                call()
+
+    @pytest.mark.parametrize("aggs", [MEDIAN, "median", None], ids=repr)
+    def test_rules_must_be_a_sequence(self, aggs):
+        with pytest.raises(ValueError, match="aggs must be a sequence of AggregatorSpecs"):
+            sc_sweep(aggs, np.arange(9.0), [0.0, 1.0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,13 @@ import pytest
 
 from scmsim import simulation
 from scmsim.attacks import SCM_TARGET, AttackSpec, craft_attack
-from scmsim.estimators import AggregatorSpec, Layout, aggregate_matrix, tuned_aggregators
+from scmsim.estimators import (
+    AggregatorKind,
+    AggregatorSpec,
+    Layout,
+    aggregate_matrix,
+    tuned_aggregators,
+)
 from scmsim.simulation import (
     DATA_CHUNK_ROUNDS,
     DIVERGENCE_SENTINEL,
@@ -599,3 +605,45 @@ class TestLockstep:
         topo, model = small_setup()
         with pytest.raises(ValueError, match="aggregator"):
             run_experiment(topo, model, LearningConfig(iterations=2), [], None, seed=0)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "a", -3], ids=repr)
+    @pytest.mark.parametrize("entry", ["draw_true_weights", "run_experiment"])
+    def test_seed_must_be_a_whole_number(self, entry, seed):
+        topo, model = small_setup(num_malicious=1)
+        calls = {
+            "draw_true_weights": lambda: draw_true_weights(3, seed),
+            "run_experiment": lambda: run_experiment(
+                topo, model, LearningConfig(iterations=2), AggregatorSpec.median(),
+                AttackSpec.large_value(), seed,
+            ),
+        }
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("dim", [2.5, True, -1, 0, [3]], ids=repr)
+    def test_dim_must_be_a_whole_number(self, dim):
+        with pytest.raises(ValueError, match="dim must"):
+            draw_true_weights(dim, 1)
+
+    @pytest.mark.parametrize(
+        "aggregator", ["median", None, AggregatorKind.MEDIAN, ["median"], (AggregatorKind.MEDIAN,)],
+        ids=repr,
+    )
+    def test_aggregator_must_be_specs(self, aggregator):
+        topo, model = small_setup(num_malicious=1)
+        with pytest.raises(ValueError, match="aggregator must"):
+            run_experiment(
+                topo, model, LearningConfig(iterations=2), aggregator, AttackSpec.large_value(), 0
+            )
+
+    @pytest.mark.parametrize("attack", ["tukey_scm", AggregatorSpec.tukey()], ids=repr)
+    def test_attack_must_be_an_attack_spec(self, attack):
+        # Rejected with malicious agents to craft for and without them.
+        for num_malicious in (0, 1):
+            topo, model = small_setup(num_malicious=num_malicious)
+            with pytest.raises(ValueError, match="attack must be None or an AttackSpec"):
+                run_experiment(
+                    topo, model, LearningConfig(iterations=2), AggregatorSpec.median(), attack, 0
+                )

@@ -164,3 +164,32 @@ class TestNeighborhood:
         with pytest.raises(TopologyError, match="role vector length"):
             NetworkTopology(complete_graph(3), np.zeros(4, dtype=bool))
 
+
+# None would draw fresh entropy and True run as seed 1; a fraction, a string
+# and a negative number would reach NumPy's own unnamed errors.
+BAD_SEEDS = [None, True, 1.5, "a", -3]
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    @pytest.mark.parametrize("entry", ["erdos_renyi", "assign_roles", "generate_topology"])
+    def test_seed_must_be_a_whole_number(self, entry, seed):
+        calls = {
+            "erdos_renyi": lambda: erdos_renyi(6, 0.5, seed),
+            "assign_roles": lambda: assign_roles(complete_graph(6), 1, seed),
+            "generate_topology": lambda: generate_topology(12, 0.7, 2, seed),
+        }
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            calls[entry]()
+
+    def test_whole_seeds_of_any_size_and_spawned_sequences(self):
+        # A NumPy integer draws what its int does and a seed past 2**64 runs.
+        # The two steps take the SeedSequences generate_topology spawns for
+        # them; generate_topology takes none, as spawning changes the caller's.
+        np.testing.assert_array_equal(erdos_renyi(9, 0.5, np.uint64(7)), erdos_renyi(9, 0.5, 7))
+        assert generate_topology(12, 0.7, 2, 2**70).num_malicious == 2
+        ss = np.random.SeedSequence(7)
+        np.testing.assert_array_equal(erdos_renyi(9, 0.5, ss), erdos_renyi(9, 0.5, ss))
+        assert assign_roles(complete_graph(6), 1, ss).num_malicious == 1
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            generate_topology(12, 0.7, 2, ss)
