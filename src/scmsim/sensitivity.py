@@ -95,11 +95,17 @@ def sc_sweep(
 
 
 def default_search_bounds(base) -> tuple[float, float]:
-    """Search window covering the redescending maxima: median +/- 10*(mad+1)."""
+    """Search window covering the redescending maxima: median +/- 10*(mad+1).
+
+    A bound past the float range raises ``ValueError``.
+    """
     a, layout = _as_column(base)
     center, scale = (float(v[0]) for v in _median_and_scale(np.sort(a, axis=0), layout.counts))
     halfwidth = 10.0 * (scale + 1.0)
-    return center - halfwidth, center + halfwidth
+    lo, hi = center - halfwidth, center + halfwidth
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"invalid search bounds ({lo}, {hi}): median +/- 10*(mad+1) not finite")
+    return lo, hi
 
 
 def max_sc_numeric(agg: AggregatorSpec, base, count: int = 1) -> tuple[float, float]:

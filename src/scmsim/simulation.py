@@ -35,7 +35,7 @@ from .estimators import (
     _one_count,
     aggregate_matrix,
 )
-from .topology import NetworkTopology
+from .topology import NetworkTopology, _closed_neighborhoods
 
 # Traces are capped here; any weight beyond it marks the run as diverged.
 DIVERGENCE_SENTINEL = 1e30
@@ -114,6 +114,7 @@ def generate_batch(streams, model: LinearModelConfig, rounds: int):
     noise draw per round, so the values do not depend on how many rounds
     one call covers.
     """
+    rounds = _one_count(rounds, "rounds", minimum=0)
     size = model.samples_per_iteration
     width = size * model.dim
     raw = np.empty((rounds, len(streams), width + size))
@@ -211,11 +212,20 @@ def run_experiment(
         raise ValueError("run_experiment needs at least one aggregator")
     if not (attack is None or isinstance(attack, AttackSpec)):
         raise ValueError(f"attack must be None or an AttackSpec, got {attack!r}")
+    for name, value, kind in (
+        ("topology", topology, NetworkTopology),
+        ("model", model, LinearModelConfig),
+        ("learning", learning, LearningConfig),
+    ):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
     seed = _check_seed(seed, sequence=False)
     if attack is None and topology.num_malicious > 0:
         raise ValueError("an attack scheme is required when malicious agents are present")
     dim = model.dim
     benign = topology.benign_agents
+    if not benign.size:
+        raise ValueError("run_experiment needs at least one benign agent")
     agent_seeds = np.random.SeedSequence(seed).spawn(topology.agent_count)
     streams = [np.random.default_rng(agent_seeds[k]) for k in benign]
     # Row j of ``closed`` is benign receiver j's closed neighborhood.  Each
@@ -225,8 +235,7 @@ def run_experiment(
     # ``index`` holds the benign positions of those weights, each at its
     # rank among the receiver's senders; it and the combine layout are
     # built here, once.
-    closed = topology.adjacency[benign]
-    closed[np.arange(benign.size), benign] = True
+    closed = _closed_neighborhoods(topology.adjacency, benign)
     senders = closed[:, benign]
     benign_counts = np.repeat(senders.sum(axis=1), dim)
     malicious_counts = np.repeat(closed[:, topology.malicious].sum(axis=1), dim)

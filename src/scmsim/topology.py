@@ -73,36 +73,30 @@ class NetworkTopology:
         k = _one_count(k, "agent id", minimum=0)
         if k >= self.agent_count:
             raise ValueError(f"agent id {k} out of range")
-        nb = self.adjacency[k].copy()
-        nb[k] = True
-        return np.flatnonzero(nb)
+        return np.flatnonzero(_closed_neighborhoods(self.adjacency, np.array([k]))[0])
+
+
+def _closed_neighborhoods(adjacency: np.ndarray, agents: np.ndarray) -> np.ndarray:
+    # One boolean row per listed agent: its neighbors and the agent itself.
+    return adjacency[agents] | (np.arange(adjacency.shape[0]) == agents[:, None])
 
 
 def benign_majority_holds(adjacency: np.ndarray, malicious: np.ndarray) -> bool:
     """True if every benign agent sees more benign than malicious neighbors."""
-    closed = (adjacency | np.eye(adjacency.shape[0], dtype=bool)).astype(np.int64)
-    benign_counts = closed @ (~malicious).astype(np.int64)
-    malicious_counts = closed @ malicious.astype(np.int64)
-    benign = ~malicious
-    return bool((benign_counts[benign] > malicious_counts[benign]).all())
+    heard = _closed_neighborhoods(adjacency, np.flatnonzero(~malicious))
+    return bool((heard[:, ~malicious].sum(1) > heard[:, malicious].sum(1)).all())
 
 
 def benign_subgraph_connected(adjacency: np.ndarray, malicious: np.ndarray) -> bool:
     """True if the graph restricted to benign agents is connected."""
     benign = np.flatnonzero(~malicious)
-    if benign.size == 0:
-        return False
-    sub = adjacency[np.ix_(benign, benign)]
-    seen = np.zeros(benign.size, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(sub[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return bool(seen.all())
+    heard = _closed_neighborhoods(adjacency, benign)[:, benign]
+    # Grow the set reached from the first benign agent until it stops growing.
+    reached, count = np.arange(benign.size) == 0, 0
+    while reached.sum() > count:
+        count = reached.sum()
+        reached = heard[reached].any(axis=0)
+    return bool(0 < count == benign.size)
 
 
 def assign_roles(adjacency: np.ndarray, num_malicious: int, seed) -> NetworkTopology:
@@ -110,8 +104,10 @@ def assign_roles(adjacency: np.ndarray, num_malicious: int, seed) -> NetworkTopo
 
     Validity requires the benign-majority condition at every benign agent
     and a connected benign subgraph.  Raises ``TopologyError`` naming the
-    constraints that failed after ``MAX_ROLE_ATTEMPTS`` draws.
+    constraints that failed after ``MAX_ROLE_ATTEMPTS`` draws, or, before
+    any draw, naming what makes the graph malformed.
     """
+    adjacency = NetworkTopology(adjacency, np.zeros(np.shape(adjacency)[:1], bool)).adjacency
     agent_count = adjacency.shape[0]
     num_malicious = _one_count(num_malicious, "num_malicious", minimum=0)
     if not num_malicious < agent_count / 2:

@@ -367,6 +367,12 @@ class TestMaxNumeric:
         with pytest.raises(ValueError, match="search window"):
             max_sc_numeric(TUKEY, [1e307, -1e307, 0.0])
 
+    def test_search_bounds_are_finite(self):
+        # Both returned (-inf, inf): the MAD's window passes the float range.
+        for base in ([1e308, -1e308, 0.0], [-9e307, 9e307, 0.0]):
+            with pytest.raises(ValueError, match="search bounds"):
+                default_search_bounds(base)
+
     def test_vectorized_values_match_scalar(self):
         base = np.random.default_rng(8).standard_normal(12)
         zs = np.linspace(-3, 3, 7)

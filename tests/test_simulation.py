@@ -25,7 +25,7 @@ from scmsim.simulation import (
     huber_loss,
     run_experiment,
 )
-from scmsim.topology import generate_topology
+from scmsim.topology import NetworkTopology, generate_topology
 
 
 def small_setup(num_malicious=0, agents=12, dim=4, seed=77):
@@ -113,6 +113,16 @@ class TestSampling:
                 d = u @ model.true_weights + rng.normal(0.0, math.sqrt(model.noise_var), batch)
                 assert np.array_equal(regressors[i, j], u)
                 assert np.array_equal(targets[i, j], d)
+
+    def test_rounds_must_be_a_whole_number(self):
+        # -1 reached NumPy's "negative dimensions" error and 1.5 a raw TypeError.
+        model = LinearModelConfig(true_weights=np.ones(3), samples_per_iteration=2)
+        streams = [np.random.default_rng(1), np.random.default_rng(2)]
+        for bad in (-1, 1.5, True, "2", None, [2]):
+            with pytest.raises(ValueError, match="rounds"):
+                generate_batch(streams, model, bad)
+        regressors, targets = generate_batch(streams, model, 0)
+        assert regressors.shape == (0, 2, 2, 3) and targets.shape == (0, 2, 2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -647,3 +657,22 @@ class TestArgumentTypes:
                 run_experiment(
                     topo, model, LearningConfig(iterations=2), AggregatorSpec.median(), attack, 0
                 )
+
+    @pytest.mark.parametrize("name", ["topology", "model", "learning"])
+    @pytest.mark.parametrize("bad", ["x", None, {}], ids=repr)
+    def test_run_objects_must_be_their_types(self, name, bad):
+        # Each reached an AttributeError on its first field read.
+        topo, model = small_setup(num_malicious=1)
+        args = {"topology": topo, "model": model, "learning": LearningConfig(iterations=2)}
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be a"):
+            run_experiment(**args, aggregator=AggregatorSpec.median(),
+                           attack=AttackSpec.large_value(), seed=0)
+
+    def test_a_benign_agent_is_required(self):
+        # An all-malicious graph reached NumPy's "zero-size array" error.
+        topo = NetworkTopology(~np.eye(4, dtype=bool), np.ones(4, dtype=bool))
+        _, model = small_setup()
+        with pytest.raises(ValueError, match="at least one benign agent"):
+            run_experiment(topo, model, LearningConfig(iterations=2), AggregatorSpec.median(),
+                           AttackSpec.large_value(), 0)

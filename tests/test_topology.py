@@ -18,6 +18,85 @@ def complete_graph(n):
     return ~np.eye(n, dtype=bool)
 
 
+def reference_majority(adjacency, malicious):
+    # Benign and malicious counts as int64 products with the closed adjacency.
+    closed = (adjacency | np.eye(adjacency.shape[0], dtype=bool)).astype(np.int64)
+    benign_counts = closed @ (~malicious).astype(np.int64)
+    malicious_counts = closed @ malicious.astype(np.int64)
+    return bool((benign_counts[~malicious] > malicious_counts[~malicious]).all())
+
+
+def reference_connected(adjacency, malicious):
+    # A depth-first walk over the benign subgraph from its first agent.
+    benign = np.flatnonzero(~malicious)
+    if benign.size == 0:
+        return False
+    sub = adjacency[np.ix_(benign, benign)]
+    seen, stack = {0}, [0]
+    while stack:
+        for j in np.flatnonzero(sub[stack.pop()]):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == benign.size
+
+
+def reference_neighborhood(adjacency, k):
+    nb = adjacency[k].copy()
+    nb[k] = True
+    return np.flatnonzero(nb)
+
+
+def two_triangles():
+    adj = np.zeros((6, 6), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
+        adj[a, b] = adj[b, a] = True
+    return adj
+
+
+class TestClosedNeighborhoods:
+    # (adjacency, malicious, benign majority, benign connected)
+    EDGE_CASES = [
+        (complete_graph(5), np.ones(5, dtype=bool), True, False),  # no benign agent
+        (np.zeros((1, 1), dtype=bool), np.zeros(1, dtype=bool), True, True),  # one agent
+        (complete_graph(3), np.array([True, False, True]), False, True),  # one benign agent
+        (complete_graph(5), np.array([False, True, False, True, True]), False, True),
+        (two_triangles(), np.zeros(6, dtype=bool), True, False),  # two components
+        (two_triangles(), np.eye(6, dtype=bool)[0], True, False),
+        (complete_graph(7), np.arange(7) < 3, True, True),  # complete graph
+    ]
+
+    def graphs(self):
+        for adjacency, malicious, _, _ in self.EDGE_CASES:
+            yield adjacency, malicious
+        rng = np.random.default_rng(32)
+        for g in range(2000):
+            k = int(rng.integers(1, 41))
+            upper = np.triu(rng.random((k, k)) < rng.uniform(0.02, 1.0), 1)
+            malicious = rng.random(k) < rng.uniform(0.0, 0.7)
+            yield upper | upper.T, malicious | (g % 50 == 0)
+
+    def test_edge_cases(self):
+        for adjacency, malicious, majority, connected in self.EDGE_CASES:
+            assert benign_majority_holds(adjacency, malicious) is majority
+            assert benign_subgraph_connected(adjacency, malicious) is connected
+
+    def test_matches_reference_formulas(self):
+        outcomes = set()
+        for adjacency, malicious in self.graphs():
+            majority = benign_majority_holds(adjacency, malicious)
+            connected = benign_subgraph_connected(adjacency, malicious)
+            assert majority is reference_majority(adjacency, malicious)
+            assert connected is reference_connected(adjacency, malicious)
+            outcomes.add((majority, connected))
+            topo = NetworkTopology(adjacency, malicious)
+            for k in {0, topo.agent_count // 2, topo.agent_count - 1}:
+                np.testing.assert_array_equal(
+                    topo.neighborhood(k), reference_neighborhood(adjacency, k)
+                )
+        assert len(outcomes) == 4  # the sample reaches every pair of answers
+
+
 class TestErdosRenyi:
     def test_two_agents_full_probability(self):
         adj = erdos_renyi(2, 1.0, seed=0)
@@ -95,11 +174,21 @@ class TestAssignRoles:
     def test_failure_reports_constraint(self):
         # two disjoint triangles: majority holds with one malicious agent,
         # but the benign agents always split into two components
-        adj = np.zeros((6, 6), dtype=bool)
-        for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
-            adj[a, b] = adj[b, a] = True
         with pytest.raises(TopologyError, match="connectivity"):
-            assign_roles(adj, 1, seed=0)
+            assign_roles(two_triangles(), 1, seed=0)
+
+    def test_graph_checked_before_any_draw(self):
+        # A nested list is the graph its array is; a graph that is not square
+        # is named as such (a list raised AttributeError, a 3x4 array NumPy's
+        # broadcast error).
+        adj = erdos_renyi(10, 0.7, seed=4)
+        want = assign_roles(adj, 2, seed=1)
+        got = assign_roles(adj.tolist(), 2, seed=1)
+        np.testing.assert_array_equal(got.adjacency, want.adjacency)
+        np.testing.assert_array_equal(got.malicious, want.malicious)
+        for bad in (np.zeros((3, 4), dtype=bool), np.zeros(4, dtype=bool), [[False, True]]):
+            with pytest.raises(TopologyError, match="adjacency must be square"):
+                assign_roles(bad, 1, seed=0)
 
     def test_no_benign_agent_is_not_connected(self):
         assert not benign_subgraph_connected(complete_graph(3), np.ones(3, dtype=bool))
