@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    parse_config,
-    write_manifest,
-)
+from .config import ExperimentConfig, parse_config, write_manifest
 from .attacks import SCM_TARGET, AttackSpec, craft_attack
 from .estimators import _one_count, monte_carlo_efficiency
 from .sensitivity import sc_sweep, sensitivity_values
@@ -175,7 +170,7 @@ def main(argv=None) -> int:
             cmd_sc_sweep(cfg)
         else:
             cmd_efficiency_check(cfg)
-    except (ConfigError, TopologyError, ValueError, OSError) as err:
+    except (TopologyError, ValueError, OSError, MemoryError) as err:
         print(f"scmsim: error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -81,22 +81,19 @@ def _closed_neighborhoods(adjacency: np.ndarray, agents: np.ndarray) -> np.ndarr
     return adjacency[agents] | (np.arange(adjacency.shape[0]) == agents[:, None])
 
 
-def benign_majority_holds(adjacency: np.ndarray, malicious: np.ndarray) -> bool:
-    """True if every benign agent sees more benign than malicious neighbors."""
-    heard = _closed_neighborhoods(adjacency, np.flatnonzero(~malicious))
-    return bool((heard[:, ~malicious].sum(1) > heard[:, malicious].sum(1)).all())
-
-
-def benign_subgraph_connected(adjacency: np.ndarray, malicious: np.ndarray) -> bool:
-    """True if the graph restricted to benign agents is connected."""
+def _role_failure(adjacency: np.ndarray, malicious: np.ndarray) -> str | None:
+    """The first constraint a role draw breaks, majority before connectivity, or None."""
     benign = np.flatnonzero(~malicious)
-    heard = _closed_neighborhoods(adjacency, benign)[:, benign]
+    heard = _closed_neighborhoods(adjacency, benign)
+    if not (heard[:, ~malicious].sum(1) > heard[:, malicious].sum(1)).all():
+        return "benign majority"
     # Grow the set reached from the first benign agent until it stops growing.
+    heard = heard[:, benign]
     reached, count = np.arange(benign.size) == 0, 0
     while reached.sum() > count:
         count = reached.sum()
         reached = heard[reached].any(axis=0)
-    return bool(0 < count == benign.size)
+    return None if 0 < count == benign.size else "benign connectivity"
 
 
 def assign_roles(adjacency: np.ndarray, num_malicious: int, seed) -> NetworkTopology:
@@ -117,13 +114,10 @@ def assign_roles(adjacency: np.ndarray, num_malicious: int, seed) -> NetworkTopo
     for _ in range(MAX_ROLE_ATTEMPTS):
         malicious = np.zeros(agent_count, dtype=bool)
         malicious[rng.choice(agent_count, size=num_malicious, replace=False)] = True
-        if not benign_majority_holds(adjacency, malicious):
-            failures["benign majority"] += 1
-            continue
-        if not benign_subgraph_connected(adjacency, malicious):
-            failures["benign connectivity"] += 1
-            continue
-        return NetworkTopology(adjacency, malicious)
+        failure = _role_failure(adjacency, malicious)
+        if failure is None:
+            return NetworkTopology(adjacency, malicious)
+        failures[failure] += 1
     detail = ", ".join(f"{name} failed {n}x" for name, n in failures.items() if n)
     raise TopologyError(
         f"no valid role assignment in {MAX_ROLE_ATTEMPTS} attempts ({detail})"

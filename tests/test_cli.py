@@ -154,6 +154,9 @@ class TestParseConfig:
             target = cfg.attack_spec(name).target
             assert target == defended[target.kind]
 
+    def test_none_attack_has_no_spec(self):
+        assert parse_config("").attack_spec("none") is None
+
     def test_none_attack_with_malicious_rejected(self):
         text = "[topology]\nmalicious_counts = 3\n[attack]\nschemes = none\n"
         with pytest.raises(ConfigError, match="malicious"):
@@ -458,6 +461,28 @@ class TestMainEntry:
         assert rc == 1
         assert "absent.ini" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    # Each config's first large array holds 10**15 float64 values or more
+    # (7.11 PiB), far past any address space, so NumPy refuses it before any
+    # memory is touched.
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("simulate", "[topology]\nagents = 4\nmalicious_counts = 0\n[model]\ndim = 1\n"
+                         "[aggregators]\nschemes = median\n"
+                         "[learning]\niterations = 1000000000000000\n"),
+            ("efficiency-check", "[efficiency]\ntrials = 1000000000000000\n"),
+            ("sc-sweep", "[sweep]\ngrid_points = 1000000000000000\n"),
+            ("sc-sweep", "[sweep]\nbase_size = 1000000000000000\n"),
+        ],
+        ids=["iterations", "trials", "grid_points", "base_size"],
+    )
+    def test_refused_allocation_is_a_named_error(self, tmp_path, capsys, command, text):
+        cfg_file = tmp_path / "huge.ini"
+        cfg_file.write_text(text)
+        assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("scmsim: error: Unable to allocate")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sc-sweep", "efficiency-check"])
     def test_threads_only_on_simulate(self, tmp_path, command, capsys):

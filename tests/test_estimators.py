@@ -925,6 +925,15 @@ class TestThreads:
         _aggregate_columns(ALL_SPECS, a)
         assert given == [3] and threading.active_count() == before
 
+    def test_worker_count_without_affinity_reads_cpu_count(self, monkeypatch):
+        # Where the platform cannot say which CPUs the process may use, the
+        # machine's count serves, and one worker where that is unknown too.
+        monkeypatch.delattr(estimators.os, "sched_getaffinity")
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 3)
+        assert estimators._worker_count() == 3
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: None)
+        assert estimators._worker_count() == 1
+
 
 def draw_families(rng, n, m):
     return [

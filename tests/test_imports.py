@@ -6,11 +6,15 @@ rule: a name a module imports but never reads is a dead dependency
 that survives refactors.  ``__init__`` imports to re-export, and is
 left out.  Likewise a top-level function or class that nothing in
 ``src``, ``tests`` or ``perfbench`` reads is a helper a simplification
-left behind.
+left behind.  A public one (no leading underscore) must also be read by
+the public surface's users: ``src``, ``perfbench``, the acceptance suite,
+or a backticked name in the README; a helper only the unit tests read
+stays private.
 """
 
 import ast
 import functools
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -90,3 +94,25 @@ def test_an_unread_definition_is_found():
         "used(); m.Kept\n"
     )
     assert unread_definitions(source, reads(ast.parse(source))) == ["recursive (line 2)"]
+
+
+# psi is the one public name only the unit tests read: the reference the
+# kernel tests compare the estimators' clipped weights against.
+TEST_ONLY_PUBLIC = {"psi"}
+
+
+@functools.cache
+def public_reads() -> Counter:
+    paths = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", readme)
+    names = Counter(name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span))
+    return sum((reads(ast.parse(p.read_text())) for p in paths), names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_definition_has_a_public_reader(path):
+    unread = unread_definitions(path.read_text(), public_reads())
+    public = [d for d in unread if not d.startswith("_") and d.split()[0] not in TEST_ONLY_PUBLIC]
+    assert public == []

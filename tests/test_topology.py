@@ -6,9 +6,8 @@ import pytest
 from scmsim.topology import (
     NetworkTopology,
     TopologyError,
+    _role_failure,
     assign_roles,
-    benign_majority_holds,
-    benign_subgraph_connected,
     erdos_renyi,
     generate_topology,
 )
@@ -39,6 +38,13 @@ def reference_connected(adjacency, malicious):
                 seen.add(j)
                 stack.append(j)
     return len(seen) == benign.size
+
+
+def expected_failure(majority, connected):
+    # The failure assign_roles counts: majority is judged before connectivity.
+    if not majority:
+        return "benign majority"
+    return None if connected else "benign connectivity"
 
 
 def reference_neighborhood(adjacency, k):
@@ -78,16 +84,16 @@ class TestClosedNeighborhoods:
 
     def test_edge_cases(self):
         for adjacency, malicious, majority, connected in self.EDGE_CASES:
-            assert benign_majority_holds(adjacency, malicious) is majority
-            assert benign_subgraph_connected(adjacency, malicious) is connected
+            assert reference_majority(adjacency, malicious) is majority
+            assert reference_connected(adjacency, malicious) is connected
+            assert _role_failure(adjacency, malicious) == expected_failure(majority, connected)
 
     def test_matches_reference_formulas(self):
         outcomes = set()
         for adjacency, malicious in self.graphs():
-            majority = benign_majority_holds(adjacency, malicious)
-            connected = benign_subgraph_connected(adjacency, malicious)
-            assert majority is reference_majority(adjacency, malicious)
-            assert connected is reference_connected(adjacency, malicious)
+            majority = reference_majority(adjacency, malicious)
+            connected = reference_connected(adjacency, malicious)
+            assert _role_failure(adjacency, malicious) == expected_failure(majority, connected)
             outcomes.add((majority, connected))
             topo = NetworkTopology(adjacency, malicious)
             for k in {0, topo.agent_count // 2, topo.agent_count - 1}:
@@ -157,14 +163,14 @@ class TestAssignRoles:
         adj = erdos_renyi(10, 0.5, seed=3)
         topo = assign_roles(adj, 0, seed=0)
         assert topo.num_malicious == 0
-        assert benign_majority_holds(adj, topo.malicious)
+        assert _role_failure(adj, topo.malicious) is None
 
     def test_complete_graph_five_two(self):
         # every benign node sees 3 benign (incl. itself) vs 2 malicious
         adj = complete_graph(5)
         topo = assign_roles(adj, 2, seed=0)
         assert topo.num_malicious == 2
-        assert benign_majority_holds(adj, topo.malicious)
+        assert _role_failure(adj, topo.malicious) is None
 
     def test_majority_bound_enforced(self):
         adj = complete_graph(8)
@@ -191,13 +197,12 @@ class TestAssignRoles:
                 assign_roles(bad, 1, seed=0)
 
     def test_no_benign_agent_is_not_connected(self):
-        assert not benign_subgraph_connected(complete_graph(3), np.ones(3, dtype=bool))
+        assert _role_failure(complete_graph(3), np.ones(3, dtype=bool)) == "benign connectivity"
 
     def test_paper_scale_assignment_found(self):
         topo = generate_topology(32, 0.7, 12, seed=0)
         assert topo.num_malicious == 12
-        assert benign_majority_holds(topo.adjacency, topo.malicious)
-        assert benign_subgraph_connected(topo.adjacency, topo.malicious)
+        assert _role_failure(topo.adjacency, topo.malicious) is None
 
     def test_generation_deterministic(self):
         a = generate_topology(32, 0.7, 6, seed=5)
