@@ -302,7 +302,9 @@ def parse_config(text: str, master_seed: int | None = None) -> ExperimentConfig:
     offending section and key.  ``master_seed`` overrides the config value
     before any auto seed is materialized.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header names the empty section, so a [DEFAULT] section is an
+    # unknown section like any other instead of keys for every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as err:

@@ -162,11 +162,13 @@ def _check_seed(seed, sequence: bool = True):
 
 def _check_rules(specs, name: str) -> list[AggregatorSpec]:
     # ``specs`` as a list of AggregatorSpecs: one spec, a string or anything
-    # else where a sequence of them goes, or an item that is not one, raises
-    # ValueError naming ``name``.
+    # else where a sequence of them goes, an empty one, or an item that is
+    # not a spec, raises ValueError naming ``name``.
     if isinstance(specs, (str, AggregatorSpec)) or not np.iterable(specs):
         raise ValueError(f"{name} must be a sequence of AggregatorSpecs, got {specs!r}")
     specs = list(specs)
+    if not specs:
+        raise ValueError(f"{name} must hold at least one AggregatorSpec")
     for spec in specs:
         if not isinstance(spec, AggregatorSpec):
             raise ValueError(f"{name} must hold AggregatorSpecs only, got {spec!r}")
@@ -298,7 +300,7 @@ def trim_count(n, alpha: float):
     return (alpha * np.asarray(n)).astype(int)
 
 
-def psi(kind: AggregatorKind, x, c: float):
+def _psi(kind: AggregatorKind, x, c: float):
     """Influence function ψ of the M-estimators.
 
     Talwar passes x through inside [-c, c] and rejects outside; biweight
@@ -328,7 +330,7 @@ def _psi_sums(
     kind: AggregatorKind, r: np.ndarray, c: float, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Column sums of psi(r), psi'(r) and the weights psi(r)/r, with r and the
-    # scratch array w overwritten.  psi reads r clipped to [-c, c], as ``psi``
+    # scratch array w overwritten.  psi reads r clipped to [-c, c], as ``_psi``
     # does: Talwar's 0/1 weight |r| <= c is read before the clip, Tukey's
     # weight is the square of its taper of the clipped r, 0 at +-c, which
     # cannot overflow.  A rejected residual, an infinite one too, then gives

@@ -50,10 +50,16 @@ def _clean_base(aggs: Sequence[AggregatorSpec], base, count: int):
     return a, count, _aggregate_columns(aggs, a)[0]
 
 
-def _curve(aggs: Sequence[AggregatorSpec], a: np.ndarray, clean: np.ndarray, zs, count: int):
-    # n * (AGG(base + count copies of z) - AGG(base)): one row per rule, one entry per z.
+def _outlier_values(outliers) -> np.ndarray:
+    # The outlier values as a flat float array, each of them finite.
+    zs = np.asarray(outliers, dtype=float).ravel()
     if not np.isfinite(zs).all():
         raise ValueError("outlier values must be finite")
+    return zs
+
+
+def _curve(aggs: Sequence[AggregatorSpec], a: np.ndarray, clean: np.ndarray, zs, count: int):
+    # n * (AGG(base + count copies of z) - AGG(base)): one row per rule, one entry per z.
     contaminated = _aggregate_columns(aggs, _contaminated_columns(a, zs, count))[0]
     return (a.size + count) * (contaminated - clean)
 
@@ -65,7 +71,7 @@ def sensitivity_values(agg: AggregatorSpec, base, outliers, count: int = 1):
     ``outliers`` gives a float; an array gives one value per entry.
     """
     a, count, clean = _clean_base([agg], base, count)
-    out = _curve([agg], a, clean, np.asarray(outliers, dtype=float).ravel(), count)[0]
+    out = _curve([agg], a, clean, _outlier_values(outliers), count)[0]
     return float(out[0]) if np.isscalar(outliers) else out
 
 
@@ -83,13 +89,11 @@ def sc_sweep(
 ) -> SCTable:
     """Evaluate every aggregator's sensitivity curve over a value grid in one wide call."""
     aggs = _check_rules(aggs, "aggs")
-    zs = np.asarray(grid, dtype=float).ravel()
+    zs = _outlier_values(grid)
     if zs.size == 0:
         raise ValueError("outlier grid is empty")
     if zs.size > 1 and not (np.diff(zs) > 0).all():
         raise ValueError("outlier grid must be strictly increasing")
-    if not aggs:
-        raise ValueError("no aggregators given")
     a, count, clean = _clean_base(aggs, base, count)
     return SCTable(zs.copy(), tuple(agg.label for agg in aggs), _curve(aggs, a, clean, zs, count))
 

@@ -59,7 +59,15 @@ class LinearModelConfig:
     samples_per_iteration: int = 1
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.true_weights, dtype=float).ravel()
+        try:
+            w = np.asarray(self.true_weights)
+        except ValueError:  # a ragged nested list
+            w = None
+        if w is None or w.dtype.kind not in "iuf":
+            raise ValueError(
+                f"true_weights must be an array of real numbers, got {self.true_weights!r}"
+            )
+        w = np.asarray(w, dtype=float).ravel()
         if w.size < 1:
             raise ValueError("model dimension must be at least 1")
         if not np.isfinite(w).all():
@@ -133,24 +141,18 @@ def _residuals(weights: np.ndarray, regressors: np.ndarray, targets: np.ndarray)
 
 
 def adapt(
-    weights: np.ndarray,
-    regressors: np.ndarray,
-    targets: np.ndarray,
-    learning: LearningConfig,
-    residuals: np.ndarray | None = None,
+    weights: np.ndarray, regressors: np.ndarray, residuals: np.ndarray, learning: LearningConfig
 ) -> np.ndarray:
     """Stochastic gradient step on the batch-averaged Huber loss.
 
     Leading axes index agents: ``weights`` is (..., dim), ``regressors``
-    (..., batch, dim) and ``targets`` (..., batch).  Each agent's step is the
-    same arithmetic as a single-agent call, so stacking agents changes no bit.
-    ``residuals``, when given, are this batch's ``targets - regressors @
-    weights`` as ``_residuals`` computes them, and are not computed again.
+    (..., batch, dim) and ``residuals`` (..., batch), this batch's
+    ``targets - regressors @ weights`` as ``_residuals`` computes them.
+    Each agent's step is the same arithmetic as a single-agent call, so
+    stacking agents changes no bit.
     """
     if regressors.shape[-2] == 0:
         raise ValueError("adapt requires a non-empty batch")
-    if residuals is None:
-        residuals = _residuals(weights, regressors, targets)
     g = huber_grad_factor(residuals, learning.huber_delta)
     return weights + learning.step_size * (g[..., None] * regressors).mean(axis=-2)
 
@@ -187,29 +189,26 @@ def run_experiment(
     topology: NetworkTopology,
     model: LinearModelConfig,
     learning: LearningConfig,
-    aggregator: AggregatorSpec | Sequence[AggregatorSpec],
+    aggregator: Sequence[AggregatorSpec],
     attack: AttackSpec | None,
     seed,
-) -> ExperimentTrace | list[ExperimentTrace]:
+) -> list[ExperimentTrace]:
     """Simulate the full network for ``learning.iterations`` rounds under
-    one rule, or under each rule of a sequence in lockstep.
+    each rule of a sequence of ``AggregatorSpec``s, in lockstep.
 
-    One ``AggregatorSpec`` gives one trace; a sequence gives one trace per
-    spec, in order, each byte for byte that spec's own run: the rules share
-    the data draws, the set-up and each round's adapt and craft calls.  The
-    training loss is the benign-agent mean of the Huber loss on each
-    agent's fresh batch, evaluated at its pre-adaptation weights; the MSD is
-    the benign-agent mean of ||w_k - w_true||^2 after combining.  Once any
+    Returns a list of one trace per spec, in order, each byte for byte that
+    spec's run in a call of its own: the rules share the data draws, the
+    set-up and each round's residuals, adapt and craft calls.  The training
+    loss is the benign-agent mean of the Huber loss on each agent's fresh
+    batch, evaluated at its pre-adaptation weights; the MSD is the
+    benign-agent mean of ||w_k - w_true||^2 after combining.  Once any
     weight magnitude of a rule exceeds ``DIVERGENCE_SENTINEL`` its run is
     marked diverged, keeps that round's weights, and its remaining trace
     rows are frozen at the sentinel while the other rules go on.  A crafted
     value past the float range fails the whole call, as it fails the run
     of the rule it was crafted for.
     """
-    single = isinstance(aggregator, AggregatorSpec)
-    specs = [aggregator] if single else _check_rules(aggregator, "aggregator")
-    if not specs:
-        raise ValueError("run_experiment needs at least one aggregator")
+    specs = _check_rules(aggregator, "aggregator")
     if not (attack is None or isinstance(attack, AttackSpec)):
         raise ValueError(f"attack must be None or an AttackSpec, got {attack!r}")
     for name, value, kind in (
@@ -280,7 +279,7 @@ def run_experiment(
             n = active.size
             matrix = matrices[:n]
             # mode="clip" lets np.take write straight into ``out``.
-            np.take(adapt(weights, regressors, targets, learning, residuals), index, axis=1,
+            np.take(adapt(weights, regressors, residuals, learning), index, axis=1,
                     out=matrix.reshape(n, rows, benign.size, dim), mode="clip")
             if attacked.size:
                 if craft_layout is None:
@@ -310,7 +309,7 @@ def run_experiment(
                     break
     final_weights[active] = weights
 
-    traces = [
+    return [
         ExperimentTrace(
             iteration=np.arange(1, iters + 1),
             training_loss=loss_trace[r],
@@ -322,4 +321,3 @@ def run_experiment(
         )
         for r in range(rules)
     ]
-    return traces[0] if single else traces

@@ -24,8 +24,8 @@ from scmsim.estimators import (
     Layout,
     estimate,
     mad,
-    psi,
     trim_count,
+    _psi,
 )
 from scmsim.sensitivity import max_sc_numeric, sensitivity_values
 
@@ -160,7 +160,7 @@ class TestMEstimatorScm:
             assert sc_star == pytest.approx(sc_oracle, abs=5e-3)
             combined = np.concatenate([base, [z, z]])
             r = (z - estimate(spec, combined)) / mad(combined)
-            assert psi(spec.kind, r, spec.c) != 0.0
+            assert _psi(spec.kind, r, spec.c) != 0.0
 
     def test_copies_holding_the_median_are_rejected(self):
         # With p >= n the copies hold the median, whatever their value.
@@ -230,7 +230,7 @@ class TestMEstimatorScm:
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
             sigma = mad(combined)
-            assert psi(AggregatorKind.TUKEY, (z - loc) / sigma, spec.c) != 0.0
+            assert _psi(AggregatorKind.TUKEY, (z - loc) / sigma, spec.c) != 0.0
 
     def test_talwar_copies_survive_on_most_draws(self):
         # The hard cutoff makes boundary placement fragile when the
@@ -248,7 +248,7 @@ class TestMEstimatorScm:
             combined = np.concatenate([base, np.full(p, z)])
             loc = estimate(spec, combined)
             sigma = mad(combined)
-            if psi(AggregatorKind.TALWAR, (z - loc) / sigma, spec.c) != 0.0:
+            if _psi(AggregatorKind.TALWAR, (z - loc) / sigma, spec.c) != 0.0:
                 survived += 1
         assert survived >= 0.9 * total
 

@@ -103,6 +103,21 @@ class TestParseConfig:
             parse_config("[wormholes]\nenabled = true\n")
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\niterations = 5\n",
+            "[DEFAULT]\niterations = 5\n[learning]\nstep_size = 0.1\n",
+            "[model]\ndim = 3\n[DEFAULT]\niterations = 5\n",
+            "[DEFAULT]\n",
+        ],
+        ids=["alone", "beside-learning", "beside-model", "empty"],
+    )
+    def test_default_section_rejected(self, text):
+        # configparser would read its keys into every other section.
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
         "text, master_seed, key",
         [
             ("[topology]\nagents = many\n", None, "topology.agents"),

@@ -26,12 +26,12 @@ from scmsim.estimators import (
     estimate,
     mad,
     monte_carlo_efficiency,
-    psi,
     trim_count,
     tuned_aggregators,
     _BLOCK_COLUMNS,
     _aggregate_columns,
     _median_and_scale,
+    _psi,
     _ranked_median,
     _row_sum,
 )
@@ -228,33 +228,33 @@ def test_numpy_real_parameters_keep_their_bytes():
 
 class TestPsi:
     def test_talwar_identity_branch(self):
-        assert psi(AggregatorKind.TALWAR, 0.5, TALWAR_C_95) == 0.5
+        assert _psi(AggregatorKind.TALWAR, 0.5, TALWAR_C_95) == 0.5
 
     def test_rejection_beyond_c(self):
         for kind in (AggregatorKind.TALWAR, AggregatorKind.TUKEY):
-            assert psi(kind, 5.0, 2.0) == 0.0
-            assert psi(kind, -5.0, 2.0) == 0.0
+            assert _psi(kind, 5.0, 2.0) == 0.0
+            assert _psi(kind, -5.0, 2.0) == 0.0
 
     def test_tukey_zero_at_c(self):
         for c in (1.0, TUKEY_C_95):
-            assert psi(AggregatorKind.TUKEY, c, c) == 0.0
+            assert _psi(AggregatorKind.TUKEY, c, c) == 0.0
 
     def test_tukey_peak_value(self):
         c = TUKEY_C_95
         x = c / math.sqrt(5.0)
         expected = x * (16.0 / 25.0)
-        assert psi(AggregatorKind.TUKEY, x, c) == pytest.approx(expected, abs=1e-12)
+        assert _psi(AggregatorKind.TUKEY, x, c) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.3409, abs=1e-4)
         # numeric maximization confirms the peak location
         xs = np.linspace(0, c, 200001)
-        vals = psi(AggregatorKind.TUKEY, xs, c)
+        vals = _psi(AggregatorKind.TUKEY, xs, c)
         assert abs(xs[int(np.argmax(vals))] - x) < 1e-4
 
     def test_infinite_residual_is_rejected_as_zero(self):
         for kind in (AggregatorKind.TALWAR, AggregatorKind.TUKEY):
-            assert psi(kind, math.inf, 2.0) == 0.0
-            assert psi(kind, -math.inf, 2.0) == 0.0
-            out = psi(kind, np.array([-np.inf, 0.5, np.inf]), 2.0)
+            assert _psi(kind, math.inf, 2.0) == 0.0
+            assert _psi(kind, -math.inf, 2.0) == 0.0
+            out = _psi(kind, np.array([-np.inf, 0.5, np.inf]), 2.0)
             assert out[0] == 0.0 and out[2] == 0.0
 
     def test_tukey_weights_bits_match_masked_formula(self):
@@ -273,17 +273,17 @@ class TestPsi:
                 u = np.where(kept, 1.0 - (r / c) ** 2, 0.0)
             w = u * u
             tukey = np.multiply(r, w, out=np.zeros_like(r), where=w > 0)
-            assert psi(AggregatorKind.TUKEY, r, c).tobytes() == tukey.tobytes()
-            assert psi(AggregatorKind.TALWAR, r, c).tobytes() == np.where(kept, r, 0.0).tobytes()
+            assert _psi(AggregatorKind.TUKEY, r, c).tobytes() == tukey.tobytes()
+            assert _psi(AggregatorKind.TALWAR, r, c).tobytes() == np.where(kept, r, 0.0).tobytes()
         for kind in M_ESTIMATOR_KINDS:
-            assert psi(kind, math.nan, 2.0) == 0.0
+            assert _psi(kind, math.nan, 2.0) == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            psi(AggregatorKind.MEDIAN, 1.0, 1.0)
+            _psi(AggregatorKind.MEDIAN, 1.0, 1.0)
         for bad_c in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                psi(AggregatorKind.TALWAR, 1.0, bad_c)
+                _psi(AggregatorKind.TALWAR, 1.0, bad_c)
 
 
 class TestMEstimate:
@@ -319,7 +319,7 @@ class TestMEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = estimate(spec, s), sensitivity_values(spec, s[:4], 1.0, 1)
-            assert psi(spec.kind, [1e300, -1e200, 1.0], spec.c)[:2].tolist() == [0.0, 0.0]
+            assert _psi(spec.kind, [1e300, -1e200, 1.0], spec.c)[:2].tolist() == [0.0, 0.0]
         assert tuple(map(repr, got)) == want[spec.label, tiny]
 
     def test_zero_scale_short_circuits_to_median(self):
@@ -368,7 +368,7 @@ class TestMEstimate:
                 if not aggregate_matrix(spec, s[:, None]).converged:
                     continue
                 sigma = mad(s)
-                resid = psi(spec.kind, (s - estimate(spec, s)) / sigma, spec.c).sum()
+                resid = _psi(spec.kind, (s - estimate(spec, s)) / sigma, spec.c).sum()
                 assert abs(resid) <= s.size * FIXED_POINT_TOL * (1 + 1e-12)
 
     @pytest.mark.parametrize("spec", M_SPECS, ids=lambda s: s.label)
@@ -648,6 +648,11 @@ class TestArgumentTypes:
     def test_efficiency_rules_must_be_a_sequence(self, specs):
         with pytest.raises(ValueError, match="specs must be a sequence of AggregatorSpecs"):
             monte_carlo_efficiency(specs, 40, 5, 0)
+
+    def test_efficiency_rules_must_not_be_empty(self):
+        # A call with no rule has no row to report, so it is refused.
+        with pytest.raises(ValueError, match="specs must hold at least one AggregatorSpec"):
+            monte_carlo_efficiency([], 40, 5, 0)
 
 
 class TestAggregate:

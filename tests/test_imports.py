@@ -96,11 +96,6 @@ def test_an_unread_definition_is_found():
     assert unread_definitions(source, reads(ast.parse(source))) == ["recursive (line 2)"]
 
 
-# psi is the one public name only the unit tests read: the reference the
-# kernel tests compare the estimators' clipped weights against.
-TEST_ONLY_PUBLIC = {"psi"}
-
-
 @functools.cache
 def public_reads() -> Counter:
     paths = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
@@ -114,5 +109,4 @@ def public_reads() -> Counter:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_definition_has_a_public_reader(path):
     unread = unread_definitions(path.read_text(), public_reads())
-    public = [d for d in unread if not d.startswith("_") and d.split()[0] not in TEST_ONLY_PUBLIC]
-    assert public == []
+    assert [d for d in unread if not d.startswith("_")] == []

@@ -193,8 +193,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sc_sweep([MEAN], [1.0, 2.0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan, 0.0], [0.0, np.inf, 1.0]], ids=repr)
+    def test_non_finite_grid_rejected_before_its_order(self, grid):
+        with pytest.raises(ValueError, match="outlier values must be finite"):
+            sc_sweep([MEDIAN], np.arange(9.0), grid)
+
     def test_no_aggregators_rejected(self):
-        with pytest.raises(ValueError, match="no aggregators given"):
+        with pytest.raises(ValueError, match="aggs must hold at least one AggregatorSpec"):
             sc_sweep([], [1.0, 2.0], [0.0, 1.0])
 
     def test_shapes_median_flat_tukey_redescending(self):

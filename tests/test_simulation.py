@@ -24,6 +24,7 @@ from scmsim.simulation import (
     huber_grad_factor,
     huber_loss,
     run_experiment,
+    _residuals,
 )
 from scmsim.topology import NetworkTopology, generate_topology
 
@@ -153,7 +154,7 @@ class TestAdapt:
         cfg = LearningConfig(step_size=1e-300)  # step must be positive
         U = np.array([[1.0, 0.0]])
         d = np.array([5.0])
-        out = adapt(w, U, d, cfg)
+        out = adapt(w, U, _residuals(w, U, d), cfg)
         np.testing.assert_allclose(out, w, atol=1e-290)
 
     def test_zero_gradient_at_truth_without_noise(self):
@@ -161,14 +162,14 @@ class TestAdapt:
         cfg = LearningConfig()
         U = np.random.default_rng(3).standard_normal((6, 3))
         d = U @ w  # noiseless targets
-        np.testing.assert_allclose(adapt(w, U, d, cfg), w, atol=1e-12)
+        np.testing.assert_allclose(adapt(w, U, _residuals(w, U, d), cfg), w, atol=1e-12)
 
     def test_single_sample_closed_form(self):
         w = np.zeros(2)
         cfg = LearningConfig(step_size=0.1)
         U = np.array([[1.0, 0.0]])
         d = np.array([0.5])  # residual 0.5, inside the quadratic branch
-        out = adapt(w, U, d, cfg)
+        out = adapt(w, U, _residuals(w, U, d), cfg)
         np.testing.assert_allclose(out, [0.1 * 0.5, 0.0], atol=1e-15)
 
     def test_gradient_boundedness(self):
@@ -178,13 +179,14 @@ class TestAdapt:
         w = rng.standard_normal(5)
         U = rng.standard_normal((20, 5))
         d = U @ w + 100.0  # far off: every residual clipped
-        step = adapt(w, U, d, cfg) - w
+        step = adapt(w, U, _residuals(w, U, d), cfg) - w
         max_u = np.linalg.norm(U, axis=1).max()
         assert np.linalg.norm(step) <= cfg.huber_delta * max_u
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            adapt(np.zeros(2), np.empty((0, 2)), np.empty(0), LearningConfig())
+            w, U = np.zeros(2), np.empty((0, 2))
+            adapt(w, U, _residuals(w, U, np.empty(0)), LearningConfig())
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_stacked_agents_match_per_agent_steps(self, batch):
@@ -193,8 +195,9 @@ class TestAdapt:
         W = rng.standard_normal((7, 5))
         U = rng.standard_normal((7, batch, 5))
         d = rng.standard_normal((7, batch)) * 3.0  # both Huber branches
-        stacked = adapt(W, U, d, cfg)
-        per_agent = np.array([adapt(W[a], U[a], d[a], cfg) for a in range(7)])
+        stacked = adapt(W, U, _residuals(W, U, d), cfg)
+        per_agent = np.array([adapt(W[a], U[a], _residuals(W[a], U[a], d[a]), cfg)
+                              for a in range(7)])
         assert np.array_equal(stacked, per_agent)
 
 
@@ -248,7 +251,7 @@ class TestGroupedCombine:
         monkeypatch.setattr(simulation, "aggregate_matrix", checking_aggregate)
         topo, model = small_setup(num_malicious=3, agents=16, dim=dim)
         attack = AttackSpec(spec) if spec.kind in SCM_TARGET.values() else AttackSpec.large_value()
-        run_experiment(topo, model, LearningConfig(iterations=4), spec, attack, seed=0)
+        run_experiment(topo, model, LearningConfig(iterations=4), [spec], attack, seed=0)
         assert len(rounds) == 4 and len(set(rounds[0].tolist())) > 1
 
     @pytest.mark.parametrize("graph", ["sparse", "complete"])
@@ -315,7 +318,7 @@ class TestRunExperiment:
     def test_trace_shape_and_metadata(self):
         topo, model = small_setup()
         learn = LearningConfig(iterations=20)
-        tr = run_experiment(topo, model, learn, AggregatorSpec.sample_mean(), None, seed=0)
+        tr, = run_experiment(topo, model, learn, [AggregatorSpec.sample_mean()], None, seed=0)
         assert tr.iteration.tolist() == list(range(1, 21))
         assert tr.training_loss.shape == (20,)
         assert tr.msd.shape == (20,)
@@ -324,8 +327,8 @@ class TestRunExperiment:
 
     def test_tail_mean_loss_window(self):
         topo, model = small_setup()
-        tr = run_experiment(
-            topo, model, LearningConfig(iterations=5), AggregatorSpec.sample_mean(), None, seed=0
+        tr, = run_experiment(
+            topo, model, LearningConfig(iterations=5), [AggregatorSpec.sample_mean()], None, seed=0
         )
         tr.training_loss = np.arange(1.0, 6.0)
         assert tr.tail_mean_loss(2) == tr.tail_mean_loss(2.0) == 4.5
@@ -345,10 +348,10 @@ class TestRunExperiment:
         topo, model = small_setup(num_malicious=2)
         att = AttackSpec.trimmed_scm()
         # One call adapts every rule's weights, as (rules, benign, dim).
-        for aggregator, rules in ((AggregatorSpec.trimmed_mean(), 1), (tuned_aggregators()[:3], 3)):
+        for aggregator in ([AggregatorSpec.trimmed_mean()], tuned_aggregators()[:3]):
             calls.clear()
             run_experiment(topo, model, LearningConfig(iterations=6), aggregator, att, seed=0)
-            assert calls == [(rules, topo.benign_agents.size, model.dim)] * 6
+            assert calls == [(len(aggregator), topo.benign_agents.size, model.dim)] * 6
 
     def test_residuals_computed_once_per_round(self, monkeypatch):
         # The training loss's residuals feed the round's gradient step.
@@ -377,14 +380,14 @@ class TestRunExperiment:
         attacked = sum(topo.malicious[topo.neighborhood(int(k))].any() for k in topo.benign_agents)
         att = AttackSpec.tukey_scm(4.685)
         run_experiment(topo, model, LearningConfig(iterations=6),
-                       AggregatorSpec.tukey(), att, seed=0)
+                       [AggregatorSpec.tukey()], att, seed=0)
         assert len(calls) == 6
         for shape, label in calls:
             assert shape[1:] == (attacked * model.dim,) and label == "tukey_scm"
         calls.clear()
         topo, model = small_setup()
         run_experiment(topo, model, LearningConfig(iterations=6),
-                       AggregatorSpec.tukey(), None, seed=0)
+                       [AggregatorSpec.tukey()], None, seed=0)
         assert calls == []
 
     def test_one_combine_call_per_round(self, monkeypatch):
@@ -399,7 +402,7 @@ class TestRunExperiment:
         benign = topo.benign_agents
         max_rows = max(topo.neighborhood(int(k)).size for k in benign)
         run_experiment(topo, model, LearningConfig(iterations=6),
-                       AggregatorSpec.tukey(), AttackSpec.tukey_scm(4.685), seed=0)
+                       [AggregatorSpec.tukey()], AttackSpec.tukey_scm(4.685), seed=0)
         assert calls == [(max_rows, benign.size * model.dim)] * 6
 
     def test_layouts_built_at_set_up_only(self, monkeypatch):
@@ -417,8 +420,8 @@ class TestRunExperiment:
         # layout all of their attacked columns.
         topo, model = small_setup(num_malicious=2)
         for aggregator, att in (
-            (AggregatorSpec.trimmed_mean(), AttackSpec(AggregatorSpec.trimmed_mean())),
-            (AggregatorSpec.tukey(), AttackSpec(AggregatorSpec.tukey())),
+            ([AggregatorSpec.trimmed_mean()], AttackSpec(AggregatorSpec.trimmed_mean())),
+            ([AggregatorSpec.tukey()], AttackSpec(AggregatorSpec.tukey())),
             (tuned_aggregators()[:3], AttackSpec(AggregatorSpec.tukey())),
         ):
             counts = []
@@ -433,8 +436,8 @@ class TestRunExperiment:
         topo, model = small_setup(num_malicious=2)
         learn = LearningConfig(iterations=15)
         att = AttackSpec.tukey_scm(4.685)
-        a = run_experiment(topo, model, learn, AggregatorSpec.tukey(), att, seed=3)
-        b = run_experiment(topo, model, learn, AggregatorSpec.tukey(), att, seed=3)
+        a, = run_experiment(topo, model, learn, [AggregatorSpec.tukey()], att, seed=3)
+        b, = run_experiment(topo, model, learn, [AggregatorSpec.tukey()], att, seed=3)
         np.testing.assert_array_equal(a.training_loss, b.training_loss)
         np.testing.assert_array_equal(a.msd, b.msd)
 
@@ -442,12 +445,12 @@ class TestRunExperiment:
         topo, model = small_setup(num_malicious=2)
         with pytest.raises(ValueError):
             run_experiment(topo, model, LearningConfig(iterations=2),
-                           AggregatorSpec.median(), None, seed=0)
+                           [AggregatorSpec.median()], None, seed=0)
 
     def test_mean_converges_without_attack(self):
         topo, model = small_setup()
         learn = LearningConfig(iterations=150)
-        tr = run_experiment(topo, model, learn, AggregatorSpec.sample_mean(), None, seed=0)
+        tr, = run_experiment(topo, model, learn, [AggregatorSpec.sample_mean()], None, seed=0)
         assert tr.final_msd < 1e-2 * tr.initial_msd
         # loss descends towards the noise floor
         assert tr.training_loss[-1] < 0.1 * tr.training_loss[0]
@@ -458,7 +461,7 @@ class TestRunExperiment:
         topo, model = small_setup()
         learn = LearningConfig(iterations=150)
         for spec in tuned_aggregators():
-            tr = run_experiment(topo, model, learn, spec, None, seed=1)
+            tr, = run_experiment(topo, model, learn, [spec], None, seed=1)
             assert tr.final_msd < 1e-2 * tr.initial_msd
             diffs = tr.final_weights[:, None, :] - tr.final_weights[None, :, :]
             max_pair_sq = float((diffs**2).sum(axis=2).max())
@@ -468,15 +471,15 @@ class TestRunExperiment:
         topo, model = small_setup(num_malicious=2)
         learn = LearningConfig(iterations=60)
         lv = AttackSpec.large_value()
-        mean_tr = run_experiment(topo, model, learn, AggregatorSpec.sample_mean(), lv, seed=0)
-        tuk_tr = run_experiment(topo, model, learn, AggregatorSpec.tukey(), lv, seed=0)
+        mean_tr, = run_experiment(topo, model, learn, [AggregatorSpec.sample_mean()], lv, seed=0)
+        tuk_tr, = run_experiment(topo, model, learn, [AggregatorSpec.tukey()], lv, seed=0)
         assert mean_tr.final_msd > 100 * tuk_tr.final_msd
 
     def test_divergence_sentinel_freezes_trace(self):
         topo, model = small_setup(num_malicious=2)
         learn = LearningConfig(iterations=40)
         lv = AttackSpec.large_value(1e31)
-        tr = run_experiment(topo, model, learn, AggregatorSpec.sample_mean(), lv, seed=0)
+        tr, = run_experiment(topo, model, learn, [AggregatorSpec.sample_mean()], lv, seed=0)
         assert tr.diverged
         assert tr.training_loss[-1] == DIVERGENCE_SENTINEL
         assert tr.msd[-1] == DIVERGENCE_SENTINEL
@@ -485,7 +488,7 @@ class TestRunExperiment:
     def test_m_convergence_flags_recorded(self):
         topo, model = small_setup()
         learn = LearningConfig(iterations=10)
-        tr = run_experiment(topo, model, learn, AggregatorSpec.tukey(), None, seed=0)
+        tr, = run_experiment(topo, model, learn, [AggregatorSpec.tukey()], None, seed=0)
         assert tr.m_converged.dtype == bool
         assert tr.m_converged.all()
 
@@ -496,7 +499,7 @@ class TestRunExperiment:
         # turn the fixed-point residual into NaN.
         topo, model = small_setup(num_malicious=2)
         lv = AttackSpec.large_value(1.7e308)
-        tr = run_experiment(topo, model, LearningConfig(iterations=5), spec, lv, seed=0)
+        tr, = run_experiment(topo, model, LearningConfig(iterations=5), [spec], lv, seed=0)
         assert tr.m_converged.all()
 
 
@@ -516,7 +519,7 @@ def _case_digest(dim, batch, num_malicious):
     h = hashlib.sha256()
     for spec in tuned_aggregators():
         for attack in ALL_ATTACKS if num_malicious else [None]:
-            tr = run_experiment(topo, model, learn, spec, attack, seed=5)
+            tr, = run_experiment(topo, model, learn, [spec], attack, seed=5)
             for arr in (tr.training_loss, tr.msd, tr.final_weights, tr.m_converged):
                 h.update(arr.tobytes())
     return h.hexdigest()
@@ -556,9 +559,8 @@ def _lockstep_traces(topo, model, learn, specs, attack, seed=0):
     traces = run_experiment(topo, model, learn, specs, attack, seed)
     assert len(traces) == len(specs)
     for spec, trace in zip(specs, traces):
-        assert _trace_fields(trace) == _trace_fields(
-            run_experiment(topo, model, learn, spec, attack, seed)
-        )
+        alone, = run_experiment(topo, model, learn, [spec], attack, seed)
+        assert _trace_fields(trace) == _trace_fields(alone)
     return traces
 
 
@@ -613,8 +615,18 @@ class TestLockstep:
 
     def test_no_aggregator_rejected(self):
         topo, model = small_setup()
-        with pytest.raises(ValueError, match="aggregator"):
+        with pytest.raises(ValueError, match="aggregator must hold at least one AggregatorSpec"):
             run_experiment(topo, model, LearningConfig(iterations=2), [], None, seed=0)
+
+    def test_one_spec_is_a_one_rule_sequence(self):
+        # A lone spec is rejected, as sc_sweep and the efficiency check
+        # reject one; a one-rule sequence gives a one-trace list.
+        topo, model = small_setup()
+        learn = LearningConfig(iterations=2)
+        with pytest.raises(ValueError, match="aggregator must be a sequence of AggregatorSpecs"):
+            run_experiment(topo, model, learn, AggregatorSpec.median(), None, seed=0)
+        traces = run_experiment(topo, model, learn, (AggregatorSpec.median(),), None, seed=0)
+        assert type(traces) is list and len(traces) == 1
 
 
 class TestArgumentTypes:
@@ -625,12 +637,22 @@ class TestArgumentTypes:
         calls = {
             "draw_true_weights": lambda: draw_true_weights(3, seed),
             "run_experiment": lambda: run_experiment(
-                topo, model, LearningConfig(iterations=2), AggregatorSpec.median(),
+                topo, model, LearningConfig(iterations=2), [AggregatorSpec.median()],
                 AttackSpec.large_value(), seed,
             ),
         }
         with pytest.raises(ValueError, match="seed must be a whole number"):
             calls[entry]()
+
+    @pytest.mark.parametrize(
+        "weights",
+        ["abc", {}, None, True, [True, False], [1 + 2j], ["1", "2"], [[1.0], [2.0, 3.0]]],
+        ids=repr,
+    )
+    def test_true_weights_must_be_real_numbers(self, weights):
+        # A bool is no real number here, as for every real-valued parameter.
+        with pytest.raises(ValueError, match="true_weights must be an array of real numbers"):
+            LinearModelConfig(true_weights=weights)
 
     @pytest.mark.parametrize("dim", [2.5, True, -1, 0, [3]], ids=repr)
     def test_dim_must_be_a_whole_number(self, dim):
@@ -655,7 +677,7 @@ class TestArgumentTypes:
             topo, model = small_setup(num_malicious=num_malicious)
             with pytest.raises(ValueError, match="attack must be None or an AttackSpec"):
                 run_experiment(
-                    topo, model, LearningConfig(iterations=2), AggregatorSpec.median(), attack, 0
+                    topo, model, LearningConfig(iterations=2), [AggregatorSpec.median()], attack, 0
                 )
 
     @pytest.mark.parametrize("name", ["topology", "model", "learning"])
@@ -666,7 +688,7 @@ class TestArgumentTypes:
         args = {"topology": topo, "model": model, "learning": LearningConfig(iterations=2)}
         args[name] = bad
         with pytest.raises(ValueError, match=f"{name} must be a"):
-            run_experiment(**args, aggregator=AggregatorSpec.median(),
+            run_experiment(**args, aggregator=[AggregatorSpec.median()],
                            attack=AttackSpec.large_value(), seed=0)
 
     def test_a_benign_agent_is_required(self):
@@ -674,5 +696,5 @@ class TestArgumentTypes:
         topo = NetworkTopology(~np.eye(4, dtype=bool), np.ones(4, dtype=bool))
         _, model = small_setup()
         with pytest.raises(ValueError, match="at least one benign agent"):
-            run_experiment(topo, model, LearningConfig(iterations=2), AggregatorSpec.median(),
+            run_experiment(topo, model, LearningConfig(iterations=2), [AggregatorSpec.median()],
                            AttackSpec.large_value(), 0)
